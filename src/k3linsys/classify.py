@@ -223,17 +223,19 @@ def pattern_matches(spec: LinearSystemSpec) -> tuple[int, ...]:
 class Decomposition:
     """Conjectural structure of a system: dimension, speciality, fixed/free parts.
 
-    fixed_part is a tuple of (multiplicity, component) pairs; free_part is
-    the moving system (None when everything is fixed or the system is
-    empty).  The divisor classes of `multiplicity x component` summed with
-    the free part always reconstruct the input class.  For a system
-    composite with a pencil, `pencil` and `pencil_count` record the pencil
-    whose member-unions fill the free part.  h1 is None when only the
-    lower bound h1 >= h1_lower_bound is known (conjecturally empty systems
-    with v < -1); otherwise h1 = dim - v.
+    v is the unconditional virtual dimension of the input.  fixed_part is a
+    tuple of (multiplicity, component) pairs; free_part is the moving system
+    (None when everything is fixed or the system is empty).  The divisor
+    classes of `multiplicity x component` summed with the free part always
+    reconstruct the input class.  For a system composite with a pencil,
+    `pencil` and `pencil_count` record the pencil whose member-unions fill
+    the free part.  h1 is None when only the lower bound
+    h1 >= h1_lower_bound is known (conjecturally empty systems with
+    v < -1); otherwise h1 = dim - v.
     """
 
     spec: LinearSystemSpec
+    v: int
     special: SpecialFamily | None
     dimension: int
     h1: int | None
@@ -280,6 +282,7 @@ def decompose(spec: LinearSystemSpec) -> Decomposition:
         # t = 0 classes with positive l sit outside the h^2 rule's domain.
         return Decomposition(
             spec=spec,
+            v=v,
             special=None,
             dimension=-1,
             h1=0,
@@ -296,6 +299,7 @@ def decompose(spec: LinearSystemSpec) -> Decomposition:
         )
         return Decomposition(
             spec=spec,
+            v=v,
             special=special_family(spec),
             dimension=0,
             h1=0 - v,  # = d - 1
@@ -309,6 +313,7 @@ def decompose(spec: LinearSystemSpec) -> Decomposition:
         free = LinearSystemSpec(spec.surface, 1, (1,))
         return Decomposition(
             spec=spec,
+            v=v,
             special=None,
             dimension=1,
             h1=1 - v,  # v = 1 here, so h1 = 0
@@ -322,6 +327,7 @@ def decompose(spec: LinearSystemSpec) -> Decomposition:
         curve = LinearSystemSpec(SurfaceParams(cn), ct, cm)
         return Decomposition(
             spec=spec,
+            v=v,
             special=None,
             dimension=0,
             h1=0,
@@ -333,6 +339,7 @@ def decompose(spec: LinearSystemSpec) -> Decomposition:
         pencil = LinearSystemSpec(spec.surface, 1, (1,))
         return Decomposition(
             spec=spec,
+            v=v,
             special=None,
             dimension=2,
             h1=0,
@@ -345,6 +352,7 @@ def decompose(spec: LinearSystemSpec) -> Decomposition:
     if v == 0:
         return Decomposition(
             spec=spec,
+            v=v,
             special=None,
             dimension=0,
             h1=0,
@@ -356,6 +364,7 @@ def decompose(spec: LinearSystemSpec) -> Decomposition:
         h1 = 0 if v == -1 else None
         return Decomposition(
             spec=spec,
+            v=v,
             special=None,
             dimension=-1,
             h1=h1,
@@ -364,6 +373,7 @@ def decompose(spec: LinearSystemSpec) -> Decomposition:
         )
     return Decomposition(
         spec=spec,
+        v=v,
         special=None,
         dimension=v,
         h1=0,
@@ -396,6 +406,6 @@ def general_member_multiplicities(spec: LinearSystemSpec) -> tuple[int, ...]:
     dec = decompose(spec)
     if dec.dimension < 0:
         raise EmptySystemError(
-            f"{spec.literal()} is empty (v = {virtual_dim(spec)}); it has no general member"
+            f"{spec.literal()} is empty (v = {dec.v}); it has no general member"
         )
     return spec.mults

@@ -3,9 +3,10 @@
 Commands: dim, classify, intersect, enumerate, verify, hunt, batch.  Output
 goes to stdout in text, JSON, or CSV; diagnostics go to stderr.  Exit codes:
 0 success or verification pass, 1 verification violation, 2 usage or parse
-error.  Classification records carry a fixed field order (n, d, mults, v, e,
-dim, special, h1, h1_lower_bound, member_kind, fixed_part, free_part,
-conjectural) in every format; h1 is null when only the lower bound is known.
+error, 141 (128 + SIGPIPE) stdout closed by the reader.  Classification
+records carry a fixed field order (n, d, mults, v, e, dim, special, h1,
+h1_lower_bound, member_kind, fixed_part, free_part, conjectural) in every
+format; h1 is null when only the lower bound is known.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 
@@ -21,9 +23,7 @@ from .classify import (
     LinearSystemSpec,
     NormalizationError,
     decompose,
-    expected_dim,
     format_multiplicities,
-    virtual_dim,
 )
 from .lattice import SurfaceMismatchError, intersect
 from .literals import LiteralSyntaxError, parse_literal
@@ -81,8 +81,8 @@ def classification_record(spec: LinearSystemSpec) -> dict:
         "n": spec.n,
         "d": spec.d,
         "mults": list(spec.mults),
-        "v": virtual_dim(spec),
-        "e": expected_dim(spec),
+        "v": dec.v,
+        "e": max(dec.v, -1),
         "dim": dec.dimension,
         "special": dec.special.value if dec.special else None,
         "h1": dec.h1,
@@ -419,4 +419,11 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (`| head`); devnull absorbs the final flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)

@@ -9,9 +9,10 @@ Grammar (whitespace insignificant, all integers non-negative decimal):
 "m^r" abbreviates multiplicity m repeated r times, mirroring the exponent
 shorthand of the usual L^n(d, m_1, ..., m_r) notation; the degree is set
 off with ';' so it cannot be mistaken for the first multiplicity.  Parse
-errors carry the byte offset of the first offending character.  Printing
-emits one canonical form per system: multiplicities sorted non-increasing,
-zeros dropped, runs compressed with '^'.
+errors, including integers over MAX_INTEGER_DIGITS digits and literals
+over MAX_POINTS points, carry the byte offset of the first offending
+character.  Printing emits one canonical form per system: multiplicities
+sorted non-increasing, zeros dropped, runs compressed with '^'.
 """
 
 from __future__ import annotations
@@ -20,6 +21,13 @@ from dataclasses import dataclass
 
 from .classify import LinearSystemSpec, normalize
 from .lattice import DivisorClass, SurfaceParams
+
+# Derived values such as v ~ n*d^2/2 and n*t*t' have up to three times an
+# input's digits, and Python prints no integer over 4300 digits.
+MAX_INTEGER_DIGITS = 1000
+# Points a literal may expand to, zeros included; "1^10^9" would build a
+# billion-element tuple.
+MAX_POINTS = 100_000
 
 
 class LiteralSyntaxError(ValueError):
@@ -93,6 +101,8 @@ class _Scanner:
             raise LiteralSyntaxError(
                 f"expected integer {rule}, found {self._found()}", start
             )
+        if self.pos - start > MAX_INTEGER_DIGITS:
+            raise LiteralSyntaxError(f"integer {rule} has more than {MAX_INTEGER_DIGITS} digits", start)
         return int(self.text[start : self.pos]), start
 
     def _found(self) -> str:
@@ -119,16 +129,20 @@ def parse_literal(text: str) -> SystemLiteral:
     sc.expect("(", "before the degree")
     d, _ = sc.integer("for the degree d")
     runs = []
+    points = 0
     sc.skip_ws()
     if sc.peek() == ";":
         sc.pos += 1
         while True:
-            value, _ = sc.integer("for a multiplicity")
+            value, count_pos = sc.integer("for a multiplicity")
             count = 1
             sc.skip_ws()
             if sc.peek() == "^":
                 sc.pos += 1
-                count, _ = sc.integer("for a repeat count after '^'")
+                count, count_pos = sc.integer("for a repeat count after '^'")
+            points += count
+            if points > MAX_POINTS:
+                raise LiteralSyntaxError(f"literal expands to more than {MAX_POINTS} points", count_pos)
             runs.append((value, count))
             sc.skip_ws()
             if sc.peek() != ",":

@@ -236,6 +236,19 @@ class TestBatch:
         assert lines[0]["dim"] == 1 and lines[2]["dim"] == 2
         assert ":2: n must be even" in err
 
+    @pytest.mark.parametrize(
+        "hostile", ["L2(1;1^100001)", "L2(" + "9" * 5000 + ";1)"], ids=["points", "digits"]
+    )
+    def test_oversized_line_isolated(self, capsys, tmp_path, hostile):
+        path = tmp_path / "oversized.txt"
+        path.write_text(f"L2(4;4,3)\n{hostile}\nL2(2;2)\n")
+        code, out, err = run(capsys, "batch", str(path), "--format", "json")
+        assert code == 2
+        lines = [json.loads(line) for line in out.strip().splitlines()]
+        assert ["error" in line for line in lines] == [False, True, False]
+        assert lines[1]["error"]["line"] == 2
+        assert ":2: " in err
+
     def test_csv_error_row_empty(self, capsys, tmp_path):
         code, out, _ = run(capsys, "batch", self.bad_file(tmp_path), "--format", "csv")
         rows = parse_csv(out)
@@ -290,3 +303,22 @@ def test_console_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0 (special; v = -2, h1 = 2)"
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # about 2 MB of output, far past the pipe buffer, so the writer is still
+    # printing when the reader closes the pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "k3linsys", "enumerate", "v0", "--self-int", "0..30"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline().startswith(b"L")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 141
+    assert b"Traceback" not in err

@@ -64,6 +64,8 @@ class TestDiagnostics:
             ("L-2(1)", 1, "expected integer"),
             ("L2(1;-1)", 5, "expected integer"),
             ("L2(1;1;1)", 6, "expected ')'"),
+            ("L2(1;1^100001)", 7, "more than 100000 points"),
+            pytest.param("L2(" + "9" * 1001 + ")", 3, "more than 1000 digits", id="1001-digit-degree"),
         ],
     )
     def test_position_and_message(self, text, position, fragment):

@@ -2,7 +2,10 @@
 
 The naive grid scan below is the intentionally dumb second implementation:
 it loops over the raw (n, t, mults) grid and tests v = 0 through the
-lattice, with no divisibility shortcuts.
+lattice, with no divisibility shortcuts.  The naive pair scan is the
+brute-force pair search that evaluates every same-surface pair, which the
+verifier replaces with the Hodge index argument for pairs of classes with
+C^2 >= 1.
 """
 
 import dataclasses
@@ -21,10 +24,13 @@ from k3linsys.lattice import (
 )
 from k3linsys.verify import (
     LEMMA_TABLE,
+    PERMITTED_PAIR_EXCEPTIONS,
+    Certificate,
     NumericalClass,
     SearchBounds,
     _aligned_vectors,
     _alignments,
+    _v0_classes,
     derive_bounds_v0,
     enumerate_v0_classes,
     hunt_counterexamples,
@@ -54,6 +60,72 @@ def naive_v0_scan(lo, hi):
                     if virtual_dimension(d) == 0 and lo <= self_intersection(d) <= hi:
                         out.add((n, t, mults))
     return out
+
+
+def naive_pair_scan(bounds):
+    """Every same-surface pair of v = 0 classes: the worst alignment, and on
+    a dip below zero every alignment.  Returns the report fields the proof
+    must not change."""
+    classes, _ = _v0_classes(bounds)
+    checked, violations, exceptions = 0, [], []
+    for i, ca in enumerate(classes):
+        for cb in classes[i:]:
+            if cb.n != ca.n:
+                continue
+            checked += 1
+            surface = SurfaceParams(ca.n)
+            width = max(len(ca.mults), len(cb.mults))
+            a_cls = DivisorClass(surface, ca.t, ca.mults + (0,) * (width - len(ca.mults)))
+            b_cls = DivisorClass(surface, cb.t, cb.mults + (0,) * (width - len(cb.mults)))
+            if virtual_dimension(a_cls + b_cls) >= 0:
+                continue
+            is_self = ca == cb
+            for matching in _alignments(ca.mults, cb.mults, symmetric=is_self):
+                va, vb = _aligned_vectors(ca.mults, cb.mults, matching)
+                a_al = DivisorClass(surface, ca.t, va)
+                b_al = DivisorClass(surface, cb.t, vb)
+                v_sum = virtual_dimension(a_al + b_al)
+                if v_sum >= 0:
+                    continue
+                cert = Certificate(
+                    kind="pair-inequality",
+                    message=(
+                        f"v({ca.literal()} + {cb.literal()}) = {v_sum} < 0 "
+                        f"at alignment {list(matching)}"
+                    ),
+                    data={
+                        "n": ca.n,
+                        "t1": ca.t,
+                        "mults1": list(ca.mults),
+                        "t2": cb.t,
+                        "mults2": list(cb.mults),
+                        "aligned_l1": list(va),
+                        "aligned_l2": list(vb),
+                        "intersection": intersect(a_al, b_al),
+                        "v1": virtual_dimension(a_al),
+                        "v2": virtual_dimension(b_al),
+                        "v_sum": v_sum,
+                    },
+                )
+                fully_aligned = (
+                    is_self
+                    and sum(cnt for _, _, cnt in matching) == len(ca.mults)
+                    and all(x == y for x, y, _ in matching)
+                )
+                permitted = (
+                    fully_aligned
+                    and (ca.n, ca.t, ca.mults) in PERMITTED_PAIR_EXCEPTIONS
+                    and v_sum == -1
+                )
+                (exceptions if permitted else violations).append(cert.to_dict())
+    return {
+        "passed": not violations,
+        "checked_count": checked,
+        "bounds": bounds.to_dict(),
+        "violations": violations,
+        "expected_exceptions_found": exceptions,
+        "v0_classes": len(classes),
+    }
 
 
 class TestSearchBounds:
@@ -255,6 +327,30 @@ class TestPairInequality:
         report = verify_pair_inequality(bounds)
         assert report.bounds["mass_bound"] == 40
         assert report.passed
+
+    @pytest.mark.parametrize(
+        "bounds,exceptions",
+        [
+            # only L2(1;1^2) is reachable
+            (SearchBounds(mass_bound=5, max_points=2, n_range=(2, 4), t_range=(1, 1)), 1),
+            # no C^2 = 0 class: every pair is decided by the proof
+            (SearchBounds(mass_bound=60, max_points=4, n_range=(6, 20), t_range=(1, 5)), 0),
+            (SearchBounds(mass_bound=120, max_points=6, n_range=(2, 30), t_range=(2, 7)), 0),
+            (SearchBounds(mass_bound=0, max_points=0, n_range=(2, 10), t_range=(1, 1)), 0),
+            (SearchBounds(mass_bound=40, max_points=4, n_range=(2, 12), t_range=(1, 4)), 2),
+            (SearchBounds(mass_bound=80, max_points=5, n_range=(2, 20), t_range=(1, 6)), 2),
+            (SearchBounds(mass_bound=120, max_points=6, n_range=(2, 40), t_range=(1, 7)), 2),
+        ],
+    )
+    def test_matches_brute_force_oracle(self, bounds, exceptions):
+        naive = naive_pair_scan(bounds)
+        report = verify_pair_inequality(bounds)
+        got = report.to_dict()
+        for key in ("passed", "checked_count", "bounds", "violations", "expected_exceptions_found"):
+            assert got[key] == naive[key], key
+        assert report.details["v0_classes"] == naive["v0_classes"]
+        assert len(report.expected_exceptions_found) == exceptions
+        assert any("Hodge index" in note for note in report.notes)
 
 
 @dataclasses.dataclass(frozen=True)
