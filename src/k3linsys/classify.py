@@ -23,12 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .lattice import (
-    DivisorClass,
-    SurfaceParams,
-    expected_dimension,
-    virtual_dimension,
-)
+from .lattice import DivisorClass, SurfaceParams
 
 
 class NormalizationError(ValueError):
@@ -154,13 +149,18 @@ def normalize(n: int, d: int, mults=()) -> LinearSystemSpec:
 
 
 def virtual_dim(spec: LinearSystemSpec) -> int:
-    """v = chi - h^2 - 1 of the associated divisor class."""
-    return virtual_dimension(spec.divisor_class())
+    """v = chi - h^2 - 1 of the associated divisor class, built from the spec.
+
+    This is lattice.virtual_dimension on a canonical spec: every
+    multiplicity is at least 1, so h^2 = 1 only for d = 0 with no points.
+    """
+    v = spec.n * spec.d * spec.d // 2 + 1 - sum(m * (m + 1) // 2 for m in spec.mults)
+    return v - 1 if spec.d == 0 and not spec.mults else v
 
 
 def expected_dim(spec: LinearSystemSpec) -> int:
     """e = max(v, -1)."""
-    return expected_dimension(spec.divisor_class())
+    return max(virtual_dim(spec), -1)
 
 
 def special_family(spec: LinearSystemSpec) -> SpecialFamily | None:

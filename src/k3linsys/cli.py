@@ -54,21 +54,43 @@ RECORD_FIELDS = (
 )
 
 
+# stdout is written in blocks of at least this many characters: a pipe
+# write per record costs more than a record's classification.
+BLOCK_CHARS = 1 << 16
+
+
 class _Output:
-    """stdout sink honoring --quiet; stderr diagnostics always pass through."""
+    """Block-buffered stdout sink honoring --quiet; `main` flushes it last.
+
+    stderr diagnostics always pass through, unbuffered.
+    """
 
     def __init__(self, quiet: bool):
         self.quiet = quiet
+        self._parts: list[str] = []
+        self._size = 0
+
+    def write(self, text: str) -> None:
+        if self.quiet:
+            return
+        self._parts.append(text)
+        self._size += len(text)
+        if self._size >= BLOCK_CHARS:
+            self.flush()
 
     def line(self, text: str = "") -> None:
-        if not self.quiet:
-            print(text)
+        self.write(text + "\n")
 
     def block(self, text: str) -> None:
-        if not self.quiet and text:
+        if text:
+            self.write(text if text.endswith("\n") else text + "\n")
+
+    def flush(self) -> None:
+        text = "".join(self._parts)
+        self._parts.clear()
+        self._size = 0
+        if text:
             sys.stdout.write(text)
-            if not text.endswith("\n"):
-                sys.stdout.write("\n")
 
     @staticmethod
     def error(text: str) -> None:
@@ -135,26 +157,37 @@ def _record_line(record: dict, source: str) -> str:
     )
 
 
-def _emit_records(records: list[dict], fmt: str, out: _Output, sources: list[str]) -> None:
-    """Batch-style rendering: one record (or error placeholder) per line."""
+def _record_writer(fmt: str, out: _Output):
+    """Batch renderer: emit(record, source) writes one record or error placeholder.
+
+    `source` is the record's spec, or the stripped line of an error record.
+    """
     if fmt == "json":
-        for rec in records:
-            out.line(json.dumps(rec))
-    elif fmt == "csv":
-        rows = []
-        for rec in records:
-            if "error" in rec:
-                rows.append([""] * len(RECORD_FIELDS))
-            else:
-                rows.append(_record_row(rec))
-        out.block(_csv_text(RECORD_FIELDS, rows))
-    else:
-        for rec, src in zip(records, sources):
-            if "error" in rec:
-                err = rec["error"]
-                out.line(f"{src}: error: {err['message']} (byte {err['position']})")
-            else:
-                out.line(_record_line(rec, src))
+        return lambda record, source: out.line(json.dumps(record))
+    if fmt == "csv":
+        rows = csv.writer(out, lineterminator="\n")
+        rows.writerow(RECORD_FIELDS)
+        blank = [""] * len(RECORD_FIELDS)
+        return lambda record, source: rows.writerow(blank if "error" in record else _record_row(record))
+
+    def text_line(record: dict, source) -> None:
+        if "error" in record:
+            err = record["error"]
+            out.line(f"{source}: error: {err['message']} (byte {err['position']})")
+        else:
+            out.line(_record_line(record, source.literal()))
+
+    return text_line
+
+
+def _file_lines(handle):
+    """The lines of handle.read().splitlines(), read one file line at a time.
+
+    Text mode turns every CR and CR LF into LF, so no line break spans two
+    file lines and each file line splits on its own.
+    """
+    for line in handle:
+        yield from line.splitlines()
 
 
 def _cmd_dim(args, out: _Output) -> int:
@@ -297,38 +330,31 @@ def _cmd_hunt(args, out: _Output) -> int:
 
 def _cmd_batch(args, out: _Output) -> int:
     try:
-        with open(args.file, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+        handle = open(args.file, encoding="utf-8")
     except OSError as exc:
         _Output.error(f"cannot read batch file: {exc}")
         return 2
-    records: list[dict] = []
-    sources: list[str] = []
+    emit = _record_writer(args.format, out)
     failed = False
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
+    lineno = 0
+    with handle:
         try:
-            spec = parse_literal(text).to_spec()
-        except LiteralSyntaxError as exc:
-            failed = True
-            _Output.error(f"{args.file}:{lineno}: {exc.message} (byte {exc.position})")
-            records.append(
-                {
-                    "error": {
-                        "line": lineno,
-                        "position": exc.position,
-                        "message": exc.message,
-                        "source": text,
-                    }
-                }
-            )
-            sources.append(text)
-            continue
-        records.append(classification_record(spec))
-        sources.append(spec.literal())
-    _emit_records(records, args.format, out, sources)
+            for lineno, raw in enumerate(_file_lines(handle), start=1):
+                text = raw.split("#", 1)[0].strip()
+                if not text:
+                    continue
+                try:
+                    spec = parse_literal(text).to_spec()
+                except LiteralSyntaxError as exc:
+                    failed = True
+                    _Output.error(f"{args.file}:{lineno}: {exc.message} (byte {exc.position})")
+                    error = {"line": lineno, "position": exc.position, "message": exc.message, "source": text}
+                    emit({"error": error}, text)
+                    continue
+                emit(classification_record(spec), spec)
+        except UnicodeDecodeError as exc:
+            _Output.error(f"{args.file}: not UTF-8 after line {lineno}: {exc.reason}")
+            return 2
     return 2 if failed else 0
 
 
@@ -416,6 +442,8 @@ def main(argv=None) -> int:
     except (NormalizationError, SurfaceMismatchError, ValueError) as exc:
         _Output.error(f"error: {exc}")
         return 2
+    finally:
+        out.flush()
 
 
 def entrypoint() -> None:

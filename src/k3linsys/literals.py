@@ -8,15 +8,19 @@ Grammar (whitespace insignificant, all integers non-negative decimal):
 
 "m^r" abbreviates multiplicity m repeated r times, mirroring the exponent
 shorthand of the usual L^n(d, m_1, ..., m_r) notation; the degree is set
-off with ';' so it cannot be mistaken for the first multiplicity.  Parse
-errors, including integers over MAX_INTEGER_DIGITS digits and literals
-over MAX_POINTS points, carry the byte offset of the first offending
-character.  Printing emits one canonical form per system: multiplicities
-sorted non-increasing, zeros dropped, runs compressed with '^'.
+off with ';' so it cannot be mistaken for the first multiplicity.  INT is
+ASCII 0-9 only and whitespace is whatever str.isspace() accepts.  A
+well-formed literal is accepted by one anchored regular expression; any
+other input goes through a character scanner, which raises the error with
+the byte offset of the first offending character, including integers over
+MAX_INTEGER_DIGITS digits and literals over MAX_POINTS points.  Printing
+emits one canonical form per system: multiplicities sorted non-increasing,
+zeros dropped, runs compressed with '^'.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .classify import LinearSystemSpec, normalize
@@ -28,6 +32,14 @@ MAX_INTEGER_DIGITS = 1000
 # Points a literal may expand to, zeros included; "1^10^9" would build a
 # billion-element tuple.
 MAX_POINTS = 100_000
+
+# The grammar as one pattern.  `\s` matches exactly the characters that
+# str.isspace() accepts, so it skips what the scanner skips.  The digit cap
+# is in the pattern; n's parity and the point cap are checked on the groups.
+# No two `\s*` meet, so a near miss costs linear time, not quadratic.
+_DIGITS = f"[0-9]{{1,{MAX_INTEGER_DIGITS}}}"
+_RUN = rf"\s*{_DIGITS}(?:\s*\^\s*{_DIGITS})?"
+_LITERAL = re.compile(rf"\s*L\s*({_DIGITS})\s*\(\s*({_DIGITS})\s*(?:;({_RUN}(?:\s*,{_RUN})*)\s*)?\)\s*")
 
 
 class LiteralSyntaxError(ValueError):
@@ -95,7 +107,7 @@ class _Scanner:
         """Read a non-negative decimal INT; returns (value, start offset)."""
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise LiteralSyntaxError(
@@ -116,6 +128,28 @@ def parse_literal(text: str) -> SystemLiteral:
     grammar admits no signs, so negative numbers are syntax errors at the
     '-' character.
     """
+    match = _LITERAL.fullmatch(text)
+    if match is None:
+        return _scan_literal(text)
+    n_digits, d_digits, mults = match.groups()
+    n = int(n_digits)
+    if n % 2 != 0 or n < 2:
+        return _scan_literal(text)
+    runs = []
+    if mults is not None:
+        points = 0
+        for item in "".join(mults.split()).split(","):
+            value, _, count = item.partition("^")
+            count = int(count) if count else 1
+            points += count
+            runs.append((int(value), count))
+        if points > MAX_POINTS:
+            return _scan_literal(text)
+    return SystemLiteral(source=text, n=n, d=int(d_digits), runs=tuple(runs))
+
+
+def _scan_literal(text: str) -> SystemLiteral:
+    """parse_literal one character at a time: the source of its diagnostics."""
     sc = _Scanner(text)
     sc.skip_ws()
     if sc.peek() != "L":

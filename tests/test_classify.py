@@ -29,7 +29,7 @@ from k3linsys.classify import (
     special_family,
     virtual_dim,
 )
-from k3linsys.lattice import SurfaceParams, intersect
+from k3linsys.lattice import SurfaceParams, expected_dimension, intersect, virtual_dimension
 
 
 def spec(n, d, *mults):
@@ -364,3 +364,18 @@ def test_normalize_idempotent(n, d, mults):
     s = normalize(n, d, mults)
     again = normalize(s.n, s.d, s.mults)
     assert again == s and again.input_was_canonical
+
+
+@given(st.integers(1, 20).map(lambda g: 2 * g), st.integers(0, 12), st.lists(st.integers(0, 9), max_size=6))
+def test_virtual_dim_matches_lattice(n, d, mults):
+    # classify computes v from the spec; the lattice formula is the reference,
+    # so a change to h^2 on the t = 0 face must reach both.
+    s = normalize(n, d, mults)
+    assert virtual_dim(s) == virtual_dimension(s.divisor_class())
+    assert expected_dim(s) == expected_dimension(s.divisor_class())
+
+
+def test_virtual_dim_degree_zero_face():
+    for mults in [(), (1,), (3, 2), (1, 1, 1)]:
+        s = normalize(2, 0, mults)
+        assert virtual_dim(s) == virtual_dimension(s.divisor_class())

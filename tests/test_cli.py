@@ -10,6 +10,7 @@ import pytest
 
 import k3linsys.cli as cli
 from k3linsys.cli import RECORD_FIELDS, main
+from k3linsys.literals import parse_literal
 from k3linsys.verify import Certificate, VerificationReport
 
 
@@ -248,6 +249,82 @@ class TestBatch:
         assert ["error" in line for line in lines] == [False, True, False]
         assert lines[1]["error"]["line"] == 2
         assert ":2: " in err
+
+    def test_non_ascii_digit_line_isolated(self, capsys, tmp_path):
+        path = tmp_path / "superscript.txt"
+        path.write_text("L2(4;4,3)\nL2(\u00b2)\nL2(2;2)\n", encoding="utf-8")
+        code, out, err = run(capsys, "batch", str(path), "--format", "json")
+        assert code == 2
+        lines = [json.loads(line) for line in out.strip().splitlines()]
+        assert ["error" in line for line in lines] == [False, True, False]
+        assert lines[1]["error"] == {
+            "line": 2,
+            "position": 3,
+            "message": "expected integer for the degree d, found '\u00b2'",
+            "source": "L2(\u00b2)",
+        }
+        assert ":2: expected integer" in err
+
+    def test_streamed_json_spans_blocks(self, capsys, tmp_path, monkeypatch):
+        lines = []
+        for i in range(3000):
+            if i % 97 == 5:
+                lines.append(f"L3({i % 11};1)")  # odd n: an error record
+            elif i % 89 == 7:
+                lines.append("# comment only")
+            else:
+                lines.append(f"L{2 * (i % 7 + 1)}({i % 13};{i % 5 + 1}^{i % 4 + 1},{i % 3})")
+        path = tmp_path / "long.txt"
+        path.write_text("\n".join(lines) + "\n")
+        writes = []
+        real_write = sys.stdout.write
+
+        def counting_write(text):
+            writes.append(len(text))
+            return real_write(text)
+
+        monkeypatch.setattr(sys.stdout, "write", counting_write)
+        code, out, err = run(capsys, "batch", str(path), "--format", "json")
+        monkeypatch.undo()
+        assert code == 2
+        assert len(out) > 3 * cli.BLOCK_CHARS
+        assert len(writes) >= 3 and all(size >= cli.BLOCK_CHARS for size in writes[:-1])
+        records = [json.loads(line) for line in out.splitlines()]
+        expected = []
+        for lineno, text in enumerate(lines, start=1):
+            if text.startswith("#"):
+                continue
+            if text.startswith("L3("):
+                expected.append({"line": lineno, "position": 1, "message": "n must be even (n = 2g-2)", "source": text})
+            else:
+                expected.append(cli.classification_record(parse_literal(text).to_spec()))
+        assert [rec.get("error", rec) for rec in records] == expected
+        assert err.count("n must be even") == sum(1 for text in lines if text.startswith("L3("))
+        code, out, _ = run(capsys, "batch", str(path), "--format", "json", "--quiet")
+        assert code == 2 and out == ""
+
+    def test_line_numbers_follow_str_splitlines(self, capsys, tmp_path):
+        # Line breaks str.splitlines() knows besides CR/LF, inside and between
+        # lines; the line numbers are the ones read().splitlines() gave.
+        text = (
+            "L2(1)\x0cL3(1)\nL2(2)\u2028L2(3;1)\r\nL5(1)\rL2(4)\x0bL2(1;1^2)"
+            "\x85x\u2029L4(1;2)\n\x1cL7(0)\n"
+        )
+        path = tmp_path / "breaks.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        code, out, _ = run(capsys, "batch", str(path), "--format", "json")
+        records = [json.loads(line) for line in out.splitlines()]
+        assert code == 2
+        assert [rec["error"]["line"] for rec in records if "error" in rec] == [2, 5, 8, 11]
+        assert [rec["free_part"] or rec["fixed_part"] for rec in records if "error" not in rec] == [
+            "L2(1)", "L2(2)", "L2(3;1)", "L2(4)", ["1*L2(1;1^2)"], ["1*L4(1;2)"],
+        ]  # fmt: skip
+
+    def test_undecodable_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"L2(1)\nL2(\xff)\n")
+        code, _, err = run(capsys, "batch", str(path))
+        assert code == 2 and "not UTF-8" in err
 
     def test_csv_error_row_empty(self, capsys, tmp_path):
         code, out, _ = run(capsys, "batch", self.bad_file(tmp_path), "--format", "csv")

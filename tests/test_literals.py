@@ -6,7 +6,14 @@ from hypothesis import strategies as st
 
 from k3linsys.classify import normalize
 from k3linsys.lattice import intersect
-from k3linsys.literals import LiteralSyntaxError, SystemLiteral, parse_literal
+from k3linsys.literals import (
+    MAX_INTEGER_DIGITS,
+    MAX_POINTS,
+    LiteralSyntaxError,
+    SystemLiteral,
+    _scan_literal,
+    parse_literal,
+)
 
 
 class TestParse:
@@ -65,6 +72,8 @@ class TestDiagnostics:
             ("L2(1;-1)", 5, "expected integer"),
             ("L2(1;1;1)", 6, "expected ')'"),
             ("L2(1;1^100001)", 7, "more than 100000 points"),
+            ("L2(\u00b2)", 3, "expected integer"),
+            ("L\uff12(1)", 1, "expected integer"),
             pytest.param("L2(" + "9" * 1001 + ")", 3, "more than 1000 digits", id="1001-digit-degree"),
         ],
     )
@@ -142,3 +151,60 @@ def test_source_preserved():
 
 def test_literal_value_semantics():
     assert parse_literal("L2(1;1,1)") == SystemLiteral("L2(1;1,1)", 2, 1, ((1, 1), (1, 1)))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except LiteralSyntaxError as exc:
+        return (exc.message, exc.position)
+
+
+# The grammar's characters plus near misses: a sign, a stray letter,
+# non-ASCII digits (superscript two, full-width two) and non-ASCII
+# whitespace (no-break space, line separator).
+_ALPHABET = "L0123456789();,^ \t-x\u00b2\uff12\u00a0\u2028"
+
+
+@st.composite
+def near_literals(draw):
+    """Grammar-shaped text: a literal with odd or non-ASCII pieces, one of
+    them possibly dropped or replaced by a character of _ALPHABET."""
+    space = st.sampled_from(["", "", " ", "\t", "\u00a0", "\u2028"])
+    number = st.sampled_from(["0", "1", "2", "3", "4", "12", "007", "", "\u00b2", "\uff12", "-1"])
+    pieces = [draw(space), "L", draw(number), draw(space), "(", draw(space), draw(number), draw(space)]
+    runs = draw(st.integers(0, 3))
+    for i in range(runs):
+        pieces += [";" if i == 0 else ",", draw(space), draw(number), draw(space)]
+        if draw(st.booleans()):
+            pieces += ["^", draw(space), draw(number), draw(space)]
+    pieces += [")", draw(space)]
+    if draw(st.booleans()):
+        pieces[draw(st.integers(0, len(pieces) - 1))] = draw(st.sampled_from(["", *_ALPHABET]))
+    return "".join(pieces)
+
+
+@given(st.text(alphabet=_ALPHABET, max_size=24) | near_literals())
+def test_regex_path_agrees_with_scanner(text):
+    assert _outcome(parse_literal, text) == _outcome(_scan_literal, text)
+
+
+@pytest.mark.parametrize(
+    "text,parses",
+    [
+        pytest.param("L2(" + "7" * MAX_INTEGER_DIGITS + ")", True, id="1000-digit-d"),
+        pytest.param("L2(" + "7" * (MAX_INTEGER_DIGITS + 1) + ")", False, id="1001-digit-d"),
+        pytest.param("L" + "2" * MAX_INTEGER_DIGITS + "(1)", True, id="1000-digit-n"),
+        pytest.param("L" + "2" * (MAX_INTEGER_DIGITS + 1) + "(1)", False, id="1001-digit-n"),
+        pytest.param("L2(1;" + "3" * MAX_INTEGER_DIGITS + "^2)", True, id="1000-digit-mult"),
+        pytest.param("L2(1;3^" + "0" * (MAX_INTEGER_DIGITS + 1) + ")", False, id="1001-digit-count"),
+        pytest.param(f"L2(1;1^{MAX_POINTS})", True, id="max-points"),
+        pytest.param(f"L2(1;1^{MAX_POINTS + 1})", False, id="max-points+1"),
+        pytest.param(f"L2(1;2^{MAX_POINTS - 1},0)", True, id="max-points-with-zero"),
+        pytest.param(f"L2(1;2^{MAX_POINTS - 1},1,0)", False, id="max-points+1-with-zero"),
+    ],
+)
+def test_regex_path_boundaries(text, parses):
+    outcome = _outcome(parse_literal, text)
+    assert outcome == _outcome(_scan_literal, text)
+    assert isinstance(outcome, SystemLiteral) == parses
