@@ -71,23 +71,17 @@ class LinearSystemSpec:
     input_was_canonical: bool = field(default=True, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or isinstance(self.d, bool):
-            raise TypeError(f"degree d must be an int, got {self.d!r}")
-        if self.d < 0:
-            raise NormalizationError(f"degree d must be >= 0, got {self.d}", field="d")
-        mults = tuple(self.mults)
-        for m in mults:
-            if not isinstance(m, int) or isinstance(m, bool):
-                raise TypeError(f"multiplicities must be ints, got {m!r}")
-            if m < 1:
-                raise NormalizationError(
-                    f"canonical multiplicities must be >= 1, got {m}", field="mults"
-                )
-        if any(mults[i] < mults[i + 1] for i in range(len(mults) - 1)):
-            raise NormalizationError(
-                f"canonical multiplicities must be sorted non-increasing, got {mults}",
-                field="mults",
-            )
+        d, mults = self.d, tuple(self.mults)
+        # Canonical data passes these whole-tuple checks; anything else is
+        # diagnosed element by element.
+        if not (
+            type(d) is int
+            and d >= 0
+            and set(map(type, mults)) == {int}
+            and mults[-1] >= 1
+            and list(mults) == sorted(mults, reverse=True)
+        ):
+            _check_spec_fields(d, mults)
         object.__setattr__(self, "mults", mults)
 
     @property
@@ -110,6 +104,29 @@ class LinearSystemSpec:
 
     def __str__(self) -> str:
         return self.literal()
+
+
+def _check_spec_fields(d, mults: tuple) -> None:
+    """Raise the first error in a spec's degree and multiplicities, if any.
+
+    `int` subclasses other than `bool` are accepted.
+    """
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise TypeError(f"degree d must be an int, got {d!r}")
+    if d < 0:
+        raise NormalizationError(f"degree d must be >= 0, got {d}", field="d")
+    for m in mults:
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise TypeError(f"multiplicities must be ints, got {m!r}")
+        if m < 1:
+            raise NormalizationError(
+                f"canonical multiplicities must be >= 1, got {m}", field="mults"
+            )
+    if any(mults[i] < mults[i + 1] for i in range(len(mults) - 1)):
+        raise NormalizationError(
+            f"canonical multiplicities must be sorted non-increasing, got {mults}",
+            field="mults",
+        )
 
 
 def format_multiplicities(mults: tuple[int, ...]) -> str:
@@ -189,6 +206,9 @@ _UNIT_CURVES = (
     (10, 1, (3,)),
 )
 _DOUBLE_CURVES = {(n, 2 * t, tuple(2 * m for m in mults)): (n, t, mults) for n, t, mults in _UNIT_CURVES}
+# Surfaces some pattern can match: n = 2 and 4 for patterns 1, 2, 3 and 6,
+# the unit curves' surfaces for pattern 4.
+_PATTERN_SURFACES = frozenset({2, 4}.union(n for n, _, _ in _UNIT_CURVES))
 
 
 def _matches_pencil_chain(spec):
@@ -202,8 +222,12 @@ def pattern_matches(spec: LinearSystemSpec) -> tuple[int, ...]:
     1/2: the two special families; 3: the fixed-plus-pencil chain
     L^2(m+1; m+1, m); 4: doubles 2C of the three C^2 = 1 rigid curves;
     6: the composite-with-pencil system L^2(2; 2).  The patterns are
-    pairwise disjoint; `hunt_counterexamples` rescans that claim.
+    pairwise disjoint; `hunt_counterexamples` rescans that claim.  Every
+    pattern needs d >= 2, at most three points and a surface in
+    _PATTERN_SURFACES, so other specs return () at once.
     """
+    if spec.d < 2 or len(spec.mults) > 3 or spec.n not in _PATTERN_SURFACES:
+        return ()
     fam = special_family(spec)
     matched = []
     if fam is SpecialFamily.QUARTIC_DOUBLE_POINT:

@@ -55,8 +55,14 @@ RECORD_FIELDS = (
 
 
 # stdout is written in blocks of at least this many characters: a pipe
-# write per record costs more than a record's classification.
+# write per record costs more than a record's classification.  Batch files
+# are read in pieces of at most this size.
 BLOCK_CHARS = 1 << 16
+# A batch line longer than this is an error record; the reader keeps at most
+# this plus one block of any line, however long the line is.
+MAX_LINE_CHARS = 1 << 20
+# The characters str.splitlines() breaks lines at.
+_LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 class _Output:
@@ -181,13 +187,24 @@ def _record_writer(fmt: str, out: _Output):
 
 
 def _file_lines(handle):
-    """The lines of handle.read().splitlines(), read one file line at a time.
+    """The lines of handle.read().splitlines(), read one file line or
+    BLOCK_CHARS characters at a time, whichever is shorter.
 
-    Text mode turns every CR and CR LF into LF, so no line break spans two
-    file lines and each file line splits on its own.
+    A line longer than MAX_LINE_CHARS comes out as a prefix still longer
+    than MAX_LINE_CHARS, of at most MAX_LINE_CHARS + BLOCK_CHARS
+    characters.  Text mode turns every CR and CR LF into LF, so each line
+    break is one character and no break spans two pieces.
     """
-    for line in handle:
-        yield from line.splitlines()
+    head = ""  # the start of the line the previous piece left unfinished
+    while piece := handle.readline(BLOCK_CHARS):
+        lines = piece.splitlines()
+        if len(head) <= MAX_LINE_CHARS:
+            head += lines[0]
+        lines[0] = head
+        head = "" if piece[-1] in _LINE_BREAKS else lines.pop()
+        yield from lines
+    if head:
+        yield head
 
 
 def _cmd_dim(args, out: _Output) -> int:
@@ -340,10 +357,16 @@ def _cmd_batch(args, out: _Output) -> int:
     with handle:
         try:
             for lineno, raw in enumerate(_file_lines(handle), start=1):
-                text = raw.split("#", 1)[0].strip()
-                if not text:
-                    continue
                 try:
+                    if len(raw) > MAX_LINE_CHARS:
+                        # name the line by its start, not by a megabyte of it
+                        text = raw[:40].strip() + "..."
+                        raise LiteralSyntaxError(
+                            f"line longer than {MAX_LINE_CHARS} characters", MAX_LINE_CHARS
+                        )
+                    text = raw.split("#", 1)[0].strip()
+                    if not text:
+                        continue
                     spec = parse_literal(text).to_spec()
                 except LiteralSyntaxError as exc:
                     failed = True

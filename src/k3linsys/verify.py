@@ -604,7 +604,8 @@ def hunt_counterexamples(
     pair check: v(C + C') = 0 <=> C.C' = 1 for v = 0 classes is the v
     additivity identity, which verify_addition_identity covers.
     decompose_fn/patterns_fn exist for harness self-tests.  checked_count
-    counts scanned specs.
+    counts scanned specs.  Negative mass_bound or max_points raise
+    ValueError; empty n and degree ranges scan nothing.
     """
     start = time.perf_counter()
     if bounds is not None:
@@ -614,17 +615,22 @@ def hunt_counterexamples(
         max_points = bounds.max_points
     if max_points is None:
         max_points = mass_bound // 2
+    if mass_bound < 0 or max_points < 0:
+        raise ValueError("mass_bound and max_points must be >= 0")
     decompose_fn = decompose_fn or classify.decompose
     patterns_fn = patterns_fn or classify.pattern_matches
 
+    # Each vector with its condition count sum m(m+1)/2, built once for the grid.
+    vectors = [(mults, _mass(mults) // 2) for mults in _mult_vectors(max_points, mass_bound)]
     violations = []
     specs_scanned = 0
     for n in range(2, max_n + 1, 2):
         surface = SurfaceParams(n)
         for d in range(0, max_degree + 1):
-            for mults in _mult_vectors(max_points, mass_bound):
+            specs_scanned += len(vectors)
+            v_no_points = n * d * d // 2 + 1
+            for mults, conditions in vectors:
                 spec = LinearSystemSpec(surface, d, mults)
-                specs_scanned += 1
                 patterns = patterns_fn(spec)
                 if len(patterns) > 1:
                     violations.append(
@@ -635,7 +641,7 @@ def hunt_counterexamples(
                         )
                     )
                 if d >= 1:
-                    v = classify.virtual_dim(spec)
+                    v = v_no_points - conditions  # = classify.virtual_dim(spec)
                     if v < 0:
                         dec = decompose_fn(spec)
                         if dec.member_kind is not classify.MemberKind.EMPTY and not dec.is_special:

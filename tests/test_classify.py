@@ -5,17 +5,22 @@ Frozen dimensions come from the independent closed-form oracle
 follow the conjecture's explicit patterns.
 """
 
+from enum import IntEnum
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from k3linsys.classify import (
+    _DOUBLE_CURVES,
     Decomposition,
     EmptySystemError,
     LinearSystemSpec,
     MemberKind,
     NormalizationError,
     SpecialFamily,
+    _check_spec_fields,
+    _matches_pencil_chain,
     decompose,
     dimension,
     expected_dim,
@@ -30,6 +35,7 @@ from k3linsys.classify import (
     virtual_dim,
 )
 from k3linsys.lattice import SurfaceParams, expected_dimension, intersect, virtual_dimension
+from k3linsys.verify import _mult_vectors
 
 
 def spec(n, d, *mults):
@@ -379,3 +385,73 @@ def test_virtual_dim_degree_zero_face():
     for mults in [(), (1,), (3, 2), (1, 1, 1)]:
         s = normalize(2, 0, mults)
         assert virtual_dim(s) == virtual_dimension(s.divisor_class())
+
+
+def reference_pattern_matches(spec):
+    """pattern_matches without its early return."""
+    fam = special_family(spec)
+    matched = []
+    if fam is SpecialFamily.QUARTIC_DOUBLE_POINT:
+        matched.append(1)
+    if fam is SpecialFamily.QUADRIC_POINT_PAIR:
+        matched.append(2)
+    if _matches_pencil_chain(spec):
+        matched.append(3)
+    if (spec.n, spec.d, spec.mults) in _DOUBLE_CURVES:
+        matched.append(4)
+    if (spec.n, spec.d, spec.mults) == (2, 2, (2,)):
+        matched.append(6)
+    return tuple(matched)
+
+
+def test_pattern_prefilter_is_exact():
+    vectors = list(_mult_vectors(5, 30))
+    matched = 0
+    for n in range(2, 13, 2):
+        surface = SurfaceParams(n)
+        for d in range(0, 5):
+            for mults in vectors:
+                s = LinearSystemSpec(surface, d, mults)
+                assert pattern_matches(s) == reference_pattern_matches(s), s
+                matched += bool(pattern_matches(s))
+    assert matched > 0
+
+
+class _Level(IntEnum):
+    TWO = 2
+
+
+_FIELD_VALUES = st.one_of(
+    st.integers(-3, 6), st.booleans(), st.floats(), st.text(max_size=2), st.just(_Level.TWO)
+)
+
+
+@given(
+    st.one_of(st.integers(-2, 6), _FIELD_VALUES),
+    st.one_of(
+        st.lists(st.integers(-3, 6), max_size=5).map(lambda ms: sorted(ms, reverse=True)),
+        st.lists(_FIELD_VALUES, max_size=5),
+    ),
+)
+@example(True, [1])
+@example(-1, [1])
+@example(2, [0])
+@example(2, [2, 0])
+@example(2, [1, 2])
+@example(2, [2, True])
+@example(2, [_Level.TWO, 1])
+@example(2, [])
+def test_constructor_matches_per_element_check(d, mults):
+    # The constructor's whole-tuple fast path accepts exactly what the
+    # per-element check accepts, and every rejection is the check's own.
+    try:
+        _check_spec_fields(d, tuple(mults))
+    except (TypeError, NormalizationError) as exc:
+        with pytest.raises(type(exc)) as info:
+            LinearSystemSpec(SurfaceParams(2), d, mults)
+        assert str(info.value) == str(exc)
+        assert getattr(info.value, "field", None) == getattr(exc, "field", None)
+    else:
+        s = LinearSystemSpec(SurfaceParams(2), d, mults)
+        assert (s.d, s.mults) == (d, tuple(mults))
+        assert s == LinearSystemSpec(SurfaceParams(2), d, tuple(mults))

@@ -3,11 +3,17 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import k3linsys
 import k3linsys.cli as cli
 from k3linsys.cli import RECORD_FIELDS, main
 from k3linsys.literals import parse_literal
@@ -22,6 +28,10 @@ def run(capsys, *argv):
 
 def parse_csv(text):
     return list(csv.reader(io.StringIO(text)))
+
+
+# Child interpreters find the package where this process imported it from.
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(k3linsys.__file__).parents[1])}
 
 
 class TestDim:
@@ -206,6 +216,16 @@ class TestHunt:
         code, out, _ = run(capsys, "hunt", "--max-n", "4", "--max-degree", "2", "--mass-bound", "12")
         assert code == 0 and "counterexample-hunt: PASS" in out
 
+    @pytest.mark.parametrize("flag", ["--max-points", "--mass-bound"])
+    def test_negative_bound_exits_2(self, capsys, flag):
+        code, out, err = run(capsys, "hunt", flag, "-3")
+        assert code == 2 and out == ""
+        assert err == "error: mass_bound and max_points must be >= 0\n"
+
+    def test_empty_ranges_pass(self, capsys):
+        code, out, _ = run(capsys, "hunt", "--max-n", "0", "--max-degree", "-1")
+        assert code == 0 and "PASS  checked=0 " in out
+
 
 class TestBatch:
     def good_file(self, tmp_path):
@@ -320,6 +340,83 @@ class TestBatch:
             "L2(1)", "L2(2)", "L2(3;1)", "L2(4)", ["1*L2(1;1^2)"], ["1*L4(1;2)"],
         ]  # fmt: skip
 
+    @given(
+        # every break str.splitlines() knows but CR, which text mode turns into LF
+        st.text(alphabet="ab#\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", max_size=40),
+        st.integers(1, 9),
+        st.integers(0, 12),
+    )
+    def test_chunked_reader_matches_splitlines(self, text, block, cap):
+        old = cli.BLOCK_CHARS, cli.MAX_LINE_CHARS
+        cli.BLOCK_CHARS, cli.MAX_LINE_CHARS = block, cap
+        try:
+            got = list(cli._file_lines(io.StringIO(text)))
+        finally:
+            cli.BLOCK_CHARS, cli.MAX_LINE_CHARS = old
+        expected = text.splitlines()
+        assert len(got) == len(expected)
+        for line, full in zip(got, expected):
+            if len(full) <= cap:
+                assert line == full
+            else:
+                assert full.startswith(line) and cap < len(line) <= cap + block
+
+    @pytest.mark.parametrize("block", [5, 64, 1 << 16])
+    def test_long_line_is_an_error_record(self, capsys, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(cli, "MAX_LINE_CHARS", 50)
+        monkeypatch.setattr(cli, "BLOCK_CHARS", block)
+        long = "L2(1" + " " * 100 + ")"
+        path = tmp_path / "long.txt"
+        path.write_text(f"L2(4;4,3)\nL2(1)\x0c{long}\x0cL2(2;2)\n# {'x' * 60}\nL4(1;2)\n")
+        code, out, err = run(capsys, "batch", str(path), "--format", "json")
+        assert code == 2
+        records = [json.loads(line) for line in out.splitlines()]
+        error = {"position": 50, "message": "line longer than 50 characters"}
+        assert [rec.get("error", rec) for rec in records] == [
+            cli.classification_record(parse_literal("L2(4;4,3)").to_spec()),
+            cli.classification_record(parse_literal("L2(1)").to_spec()),
+            {"line": 3, **error, "source": "L2(1..."},
+            cli.classification_record(parse_literal("L2(2;2)").to_spec()),
+            {"line": 5, **error, "source": "# xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx..."},
+            cli.classification_record(parse_literal("L4(1;2)").to_spec()),
+        ]
+        assert err.splitlines() == [
+            f"{path}:3: line longer than 50 characters (byte 50)",
+            f"{path}:5: line longer than 50 characters (byte 50)",
+        ]
+
+    def test_huge_line_bounded_memory(self, tmp_path):
+        # A 50-million-character line costs the reader no more than its cap;
+        # the batch runs in a child of a small wrapper so that RUSAGE_CHILDREN
+        # sees only the batch process.
+        path = tmp_path / "huge.txt"
+        with open(path, "w") as handle:
+            handle.write("L2(1")
+            for _ in range(50):
+                handle.write(" " * 1_000_000)
+            handle.write(")\nL2(2;2)\n")
+        wrapper = textwrap.dedent(
+            f"""
+            import resource, subprocess, sys
+            proc = subprocess.run(
+                [sys.executable, "-m", "k3linsys", "batch", {str(path)!r}, "--format", "json"],
+                capture_output=True, text=True,
+            )
+            print(proc.returncode)
+            print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+            sys.stdout.write(proc.stdout)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", wrapper], capture_output=True, text=True, env=CHILD_ENV, timeout=120
+        )
+        path.unlink()  # pytest keeps the temporary directories of recent runs
+        code, peak_kb, *records = proc.stdout.splitlines()
+        assert int(code) == 2
+        assert int(peak_kb) < 40 * 1024
+        assert [json.loads(line).get("error", {}).get("line") for line in records] == [1, None]
+        assert json.loads(records[1])["free_part"] == "L2(2;2)"
+
     def test_undecodable_file(self, capsys, tmp_path):
         path = tmp_path / "latin1.txt"
         path.write_bytes(b"L2(1)\nL2(\xff)\n")
@@ -377,6 +474,7 @@ def test_console_entrypoint_subprocess():
         [sys.executable, "-m", "k3linsys", "dim", "L4(3;6)"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0 (special; v = -2, h1 = 2)"
@@ -389,6 +487,7 @@ def test_closed_stdout_exits_141_without_traceback():
         [sys.executable, "-m", "k3linsys", "enumerate", "v0", "--self-int", "0..30"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=CHILD_ENV,
     )
     try:
         assert proc.stdout.readline().startswith(b"L")

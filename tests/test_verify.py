@@ -5,7 +5,8 @@ it loops over the raw (n, t, mults) grid and tests v = 0 through the
 lattice, with no divisibility shortcuts.  The naive pair scan is the
 brute-force pair search that evaluates every same-surface pair, which the
 verifier replaces with the Hodge index argument for pairs of classes with
-C^2 >= 1.
+C^2 >= 1.  The naive hunt scan is the grid loop that rebuilds the
+multiplicity vectors for every (n, d) and asks classify for every v.
 """
 
 import dataclasses
@@ -14,7 +15,8 @@ from math import isqrt
 
 import pytest
 
-from k3linsys.classify import MemberKind, decompose
+from k3linsys import classify
+from k3linsys.classify import LinearSystemSpec, MemberKind, decompose
 from k3linsys.lattice import (
     DivisorClass,
     SurfaceParams,
@@ -28,8 +30,11 @@ from k3linsys.verify import (
     Certificate,
     NumericalClass,
     SearchBounds,
+    _HUNT_NOTE,
+    VerificationReport,
     _aligned_vectors,
     _alignments,
+    _mult_vectors,
     _v0_classes,
     derive_bounds_v0,
     enumerate_v0_classes,
@@ -126,6 +131,80 @@ def naive_pair_scan(bounds):
         "expected_exceptions_found": exceptions,
         "v0_classes": len(classes),
     }
+
+
+def naive_hunt_scan(max_n, max_degree, mass_bound, max_points, decompose_fn, patterns_fn):
+    """hunt_counterexamples' checks, with the vectors enumerated per (n, d)
+    and v from classify.virtual_dim per spec."""
+    violations = []
+    scanned = 0
+    for n in range(2, max_n + 1, 2):
+        for d in range(0, max_degree + 1):
+            for mults in _mult_vectors(max_points, mass_bound):
+                spec = LinearSystemSpec(SurfaceParams(n), d, mults)
+                scanned += 1
+                patterns = patterns_fn(spec)
+                if len(patterns) > 1:
+                    violations.append(
+                        Certificate(
+                            kind="branch-overlap",
+                            message=f"{spec.literal()} matches patterns {list(patterns)}",
+                            data={"n": n, "d": d, "mults": list(mults), "patterns": list(patterns)},
+                        )
+                    )
+                v = classify.virtual_dim(spec)
+                if d >= 1 and v < 0:
+                    dec = decompose_fn(spec)
+                    if dec.member_kind is not MemberKind.EMPTY and not dec.is_special:
+                        violations.append(
+                            Certificate(
+                                kind="speciality-candidate",
+                                message=(
+                                    f"{spec.literal()} has v = {v} < 0 but is neither empty "
+                                    f"nor in a special family"
+                                ),
+                                data={
+                                    "n": n,
+                                    "d": d,
+                                    "mults": list(mults),
+                                    "v": v,
+                                    "member_kind": dec.member_kind.name,
+                                },
+                            )
+                        )
+    return VerificationReport(
+        name="counterexample-hunt",
+        bounds={
+            "max_n": max_n,
+            "max_degree": max_degree,
+            "mass_bound": mass_bound,
+            "max_points": max_points,
+        },
+        checked_count=scanned,
+        violations=tuple(violations),
+        expected_exceptions_found=(),
+        elapsed=0.0,
+        notes=(_HUNT_NOTE,),
+        details={"specs_scanned": scanned},
+    )
+
+
+def overlapping_patterns(spec):
+    return (1, 2)
+
+
+def bad_decompose(spec):
+    dec = decompose(spec)
+    if dec.member_kind is MemberKind.EMPTY:
+        return dataclasses.replace(dec, member_kind=MemberKind.IRREDUCIBLE)
+    return dec
+
+
+_HUNT_INJECTIONS = {
+    "default": {},
+    "overlapping": {"patterns_fn": overlapping_patterns},
+    "bad-decompose": {"decompose_fn": bad_decompose},
+}
 
 
 class TestSearchBounds:
@@ -393,9 +472,6 @@ class TestHunt:
         assert any("falsify" in note for note in report.notes)
 
     def test_broken_pattern_guard_reported(self):
-        def overlapping_patterns(spec):
-            return (1, 2)
-
         report = hunt_counterexamples(
             max_n=4, max_degree=2, mass_bound=8, patterns_fn=overlapping_patterns
         )
@@ -403,17 +479,35 @@ class TestHunt:
         assert all(c.kind == "branch-overlap" for c in report.violations)
 
     def test_broken_decompose_reported(self):
-        def bad_decompose(spec):
-            dec = decompose(spec)
-            if dec.member_kind is MemberKind.EMPTY:
-                return dataclasses.replace(dec, member_kind=MemberKind.IRREDUCIBLE)
-            return dec
-
         report = hunt_counterexamples(
             max_n=4, max_degree=2, mass_bound=8, decompose_fn=bad_decompose
         )
         assert not report.passed
         assert any(c.kind == "speciality-candidate" for c in report.violations)
+
+    @pytest.mark.parametrize(
+        "bounds,fns",
+        [
+            pytest.param(bounds, fns, id=f"{bounds}-{name}")
+            for bounds in [(6, 3, 24, 5), (8, 5, 40, 0), (4, 0, 12, 6), (2, 4, 0, 0), (14, 9, 30, 3)]
+            for name, fns in _HUNT_INJECTIONS.items()
+        ]
+        # the CLI defaults and the benchmark's hunt_grid bounds
+        + [pytest.param(bounds, {}, id=f"{bounds}-default") for bounds in [(10, 6, 60, 30), (12, 7, 64, 32)]],
+    )
+    def test_matches_naive_scan(self, bounds, fns):
+        bounds = dict(zip(("max_n", "max_degree", "mass_bound", "max_points"), bounds))
+        naive = naive_hunt_scan(
+            **bounds,
+            decompose_fn=fns.get("decompose_fn", decompose),
+            patterns_fn=fns.get("patterns_fn", classify.pattern_matches),
+        )
+        got = hunt_counterexamples(**bounds, **fns).canonical_json()
+        want = naive.canonical_json()
+        # compare around the first difference: a diff of the whole report is slow
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        window = slice(max(0, at - 100), at + 100)
+        assert got[window] == want[window]
 
     def test_determinism(self):
         a = hunt_counterexamples(max_n=4, max_degree=2, mass_bound=12)
