@@ -20,7 +20,7 @@ v and e are unconditional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 
 from .lattice import DivisorClass, SurfaceParams
@@ -63,6 +63,12 @@ class LinearSystemSpec:
     use `normalize` to build a spec from raw user data.  The
     `input_was_canonical` flag records whether normalization changed
     anything and is ignored by equality and hashing.
+
+    There are two construction paths.  The public constructor checks its
+    fields and raises TypeError or NormalizationError on bad data.
+    `_from_canonical` checks nothing and is for callers that have already
+    checked the data, such as the hunt grid, which checks each multiplicity
+    vector once and reuses it for every (n, d).
     """
 
     surface: SurfaceParams
@@ -83,6 +89,19 @@ class LinearSystemSpec:
         ):
             _check_spec_fields(d, mults)
         object.__setattr__(self, "mults", mults)
+
+    @classmethod
+    def _from_canonical(cls, surface: SurfaceParams, d: int, mults: tuple[int, ...]):
+        """The spec with these fields, set without running any check.
+
+        Precondition: `surface` is a SurfaceParams, and `d` and `mults` pass
+        `_check_spec_fields` with `mults` a tuple.  The result then equals,
+        hashes and prints as `cls(surface, d, mults)`, with
+        input_was_canonical True, and stays frozen.
+        """
+        spec = object.__new__(cls)
+        spec.__dict__.update(surface=surface, d=d, mults=mults, input_was_canonical=True)
+        return spec
 
     @property
     def n(self) -> int:
@@ -287,6 +306,21 @@ class Decomposition:
         return total == self.spec.divisor_class()
 
 
+_DECOMPOSITION_DEFAULTS = {f.name: f.default for f in fields(Decomposition) if f.default is not MISSING}
+
+
+def _decomposition(**values) -> Decomposition:
+    """The Decomposition of `values`, filled in one step without __init__.
+
+    Precondition: `values` names every field without a default and no
+    other name.  The result then equals, hashes and prints as
+    Decomposition(**values) and stays frozen.
+    """
+    dec = object.__new__(Decomposition)
+    dec.__dict__.update(_DECOMPOSITION_DEFAULTS, **values)
+    return dec
+
+
 def decompose(spec: LinearSystemSpec) -> Decomposition:
     """Classify a system under the speciality conjecture.
 
@@ -304,7 +338,7 @@ def decompose(spec: LinearSystemSpec) -> Decomposition:
     if spec.d == 0 and spec.mults:
         # No degree-0 curve passes through a point, whatever v says; the
         # t = 0 classes with positive l sit outside the h^2 rule's domain.
-        return Decomposition(
+        return _decomposition(
             spec=spec,
             v=v,
             special=None,
@@ -321,7 +355,7 @@ def decompose(spec: LinearSystemSpec) -> Decomposition:
             if branch == 1
             else LinearSystemSpec(spec.surface, 1, (1, 1))
         )
-        return Decomposition(
+        return _decomposition(
             spec=spec,
             v=v,
             special=special_family(spec),
@@ -335,7 +369,7 @@ def decompose(spec: LinearSystemSpec) -> Decomposition:
         m = spec.d - 1
         fixed = LinearSystemSpec(spec.surface, 1, (1, 1))
         free = LinearSystemSpec(spec.surface, 1, (1,))
-        return Decomposition(
+        return _decomposition(
             spec=spec,
             v=v,
             special=None,
@@ -349,7 +383,7 @@ def decompose(spec: LinearSystemSpec) -> Decomposition:
     if branch == 4:
         cn, ct, cm = _DOUBLE_CURVES[(n, spec.d, spec.mults)]
         curve = LinearSystemSpec(SurfaceParams(cn), ct, cm)
-        return Decomposition(
+        return _decomposition(
             spec=spec,
             v=v,
             special=None,
@@ -361,7 +395,7 @@ def decompose(spec: LinearSystemSpec) -> Decomposition:
         )
     if branch == 6:
         pencil = LinearSystemSpec(spec.surface, 1, (1,))
-        return Decomposition(
+        return _decomposition(
             spec=spec,
             v=v,
             special=None,
@@ -374,7 +408,7 @@ def decompose(spec: LinearSystemSpec) -> Decomposition:
             pencil_count=2,
         )
     if v == 0:
-        return Decomposition(
+        return _decomposition(
             spec=spec,
             v=v,
             special=None,
@@ -386,7 +420,7 @@ def decompose(spec: LinearSystemSpec) -> Decomposition:
         )
     if v < 0:
         h1 = 0 if v == -1 else None
-        return Decomposition(
+        return _decomposition(
             spec=spec,
             v=v,
             special=None,
@@ -395,7 +429,7 @@ def decompose(spec: LinearSystemSpec) -> Decomposition:
             h1_lower_bound=max(0, -1 - v),
             member_kind=MemberKind.EMPTY,
         )
-    return Decomposition(
+    return _decomposition(
         spec=spec,
         v=v,
         special=None,

@@ -258,7 +258,7 @@ def _cmd_intersect(args, out: _Output) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    match = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text.strip())
+    match = re.fullmatch(r"(-?[0-9]+)\.\.(-?[0-9]+)", text.strip())
     if not match:
         raise argparse.ArgumentTypeError(f"expected A..B integer range, got {text!r}")
     return int(match.group(1)), int(match.group(2))

@@ -620,47 +620,57 @@ def hunt_counterexamples(
     decompose_fn = decompose_fn or classify.decompose
     patterns_fn = patterns_fn or classify.pattern_matches
 
-    # Each vector with its condition count sum m(m+1)/2, built once for the grid.
-    vectors = [(mults, _mass(mults) // 2) for mults in _mult_vectors(max_points, mass_bound)]
-    violations = []
-    specs_scanned = 0
-    for n in range(2, max_n + 1, 2):
-        surface = SurfaceParams(n)
-        for d in range(0, max_degree + 1):
-            specs_scanned += len(vectors)
-            v_no_points = n * d * d // 2 + 1
-            for mults, conditions in vectors:
-                spec = LinearSystemSpec(surface, d, mults)
-                patterns = patterns_fn(spec)
-                if len(patterns) > 1:
-                    violations.append(
-                        Certificate(
-                            kind="branch-overlap",
-                            message=f"{spec.literal()} matches patterns {list(patterns)}",
-                            data={"n": n, "d": d, "mults": list(mults), "patterns": list(patterns)},
-                        )
+    # The (n, d) grid, each cell with v of its spec without points and the
+    # cell's certificates; each SurfaceParams is checked once, and d >= 0
+    # comes from the range.
+    surfaces = [(n, SurfaceParams(n)) for n in range(2, max_n + 1, 2)]
+    grid = [
+        (surface, n, d, n * d * d // 2 + 1, [])
+        for n, surface in surfaces
+        for d in range(0, max_degree + 1)
+    ]
+    new_spec = LinearSystemSpec._from_canonical
+    vector_count = 0
+    # One vector at a time, checked once and then reused for every cell.
+    for mults in _mult_vectors(max_points, mass_bound):
+        classify._check_spec_fields(0, mults)
+        vector_count += 1
+        conditions = _mass(mults) // 2
+        for surface, n, d, v_no_points, certs in grid:
+            spec = new_spec(surface, d, mults)
+            patterns = patterns_fn(spec)
+            if len(patterns) > 1:
+                certs.append(
+                    Certificate(
+                        kind="branch-overlap",
+                        message=f"{spec.literal()} matches patterns {list(patterns)}",
+                        data={"n": n, "d": d, "mults": list(mults), "patterns": list(patterns)},
                     )
-                if d >= 1:
-                    v = v_no_points - conditions  # = classify.virtual_dim(spec)
-                    if v < 0:
-                        dec = decompose_fn(spec)
-                        if dec.member_kind is not classify.MemberKind.EMPTY and not dec.is_special:
-                            violations.append(
-                                Certificate(
-                                    kind="speciality-candidate",
-                                    message=(
-                                        f"{spec.literal()} has v = {v} < 0 but is neither empty "
-                                        f"nor in a special family"
-                                    ),
-                                    data={
-                                        "n": n,
-                                        "d": d,
-                                        "mults": list(mults),
-                                        "v": v,
-                                        "member_kind": dec.member_kind.name,
-                                    },
-                                )
+                )
+            if d >= 1:
+                v = v_no_points - conditions  # = classify.virtual_dim(spec)
+                if v < 0:
+                    dec = decompose_fn(spec)
+                    if dec.member_kind is not classify.MemberKind.EMPTY and not dec.is_special:
+                        certs.append(
+                            Certificate(
+                                kind="speciality-candidate",
+                                message=(
+                                    f"{spec.literal()} has v = {v} < 0 but is neither empty "
+                                    f"nor in a special family"
+                                ),
+                                data={
+                                    "n": n,
+                                    "d": d,
+                                    "mults": list(mults),
+                                    "v": v,
+                                    "member_kind": dec.member_kind.name,
+                                },
                             )
+                        )
+    # Cell by cell, the certificates are in (n, d, vector) order.
+    violations = tuple(cert for *_, certs in grid for cert in certs)
+    specs_scanned = vector_count * len(grid)
 
     return VerificationReport(
         name="counterexample-hunt",
@@ -671,7 +681,7 @@ def hunt_counterexamples(
             "max_points": max_points,
         },
         checked_count=specs_scanned,
-        violations=tuple(violations),
+        violations=violations,
         expected_exceptions_found=(),
         elapsed=time.perf_counter() - start,
         notes=(_HUNT_NOTE,),

@@ -5,6 +5,7 @@ Frozen dimensions come from the independent closed-form oracle
 follow the conjecture's explicit patterns.
 """
 
+import dataclasses
 from enum import IntEnum
 
 import pytest
@@ -455,3 +456,56 @@ def test_constructor_matches_per_element_check(d, mults):
         s = LinearSystemSpec(SurfaceParams(2), d, mults)
         assert (s.d, s.mults) == (d, tuple(mults))
         assert s == LinearSystemSpec(SurfaceParams(2), d, tuple(mults))
+
+
+def test_trusted_spec_equals_public_spec():
+    # every vector at the hunt_grid bounds (mass 64, at most 32 points)
+    vectors = list(_mult_vectors(32, 64))
+    assert len(vectors) == 894
+    for n, d in [(2, 0), (2, 1), (4, 2), (6, 3), (10, 7), (12, 5)]:
+        surface = SurfaceParams(n)
+        for mults in vectors:
+            trusted = LinearSystemSpec._from_canonical(surface, d, mults)
+            public = LinearSystemSpec(surface, d, mults)
+            assert trusted == public and hash(trusted) == hash(public)
+            assert repr(trusted) == repr(public)
+            assert trusted.literal() == public.literal()
+            assert trusted.input_was_canonical is public.input_was_canonical is True
+            assert vars(trusted) == vars(public)
+
+
+@pytest.mark.parametrize("name", ["surface", "d", "mults", "input_was_canonical"])
+def test_trusted_spec_is_frozen(name):
+    s = LinearSystemSpec._from_canonical(SurfaceParams(4), 3, (6,))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(s, name, getattr(s, name))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(s, name)
+
+
+# One spec per decompose branch, with the member kind it yields.
+_BRANCH_SPECS = [
+    ((2, 0, 1), MemberKind.EMPTY),  # d = 0 with a point
+    ((4, 3, 6), MemberKind.RIGID),  # 1: quartic family
+    ((2, 4, 4, 4), MemberKind.RIGID),  # 2: quadric family
+    ((2, 4, 4, 3), MemberKind.FIXED_PLUS_PENCIL),  # 3
+    ((6, 2, 4, 2), MemberKind.RIGID),  # 4: doubled unit curve
+    ((2, 2, 2), MemberKind.COMPOSITE_WITH_PENCIL),  # 6
+    ((2, 3, 2, 2, 2, 1), MemberKind.RIGID),  # generic v = 0
+    ((2, 0), MemberKind.RIGID),  # d = 0, no points
+    ((6, 1, 2, 2), MemberKind.EMPTY),  # v = -1, h1 = 0
+    ((4, 1, 3), MemberKind.EMPTY),  # v = -3, h1 unknown
+    ((4, 5, 1, 1), MemberKind.IRREDUCIBLE),
+]
+
+
+@pytest.mark.parametrize("args,kind", _BRANCH_SPECS, ids=[str(a) for a, _ in _BRANCH_SPECS])
+def test_decomposition_equals_dataclass_built(args, kind):
+    dec = decompose(spec(*args))
+    assert dec.member_kind is kind
+    rebuilt = dataclasses.replace(dec)  # through the generated __init__
+    assert dec == rebuilt and hash(dec) == hash(rebuilt)
+    assert repr(dec) == repr(rebuilt)
+    assert vars(dec) == vars(rebuilt)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dec.dimension = 5

@@ -135,6 +135,13 @@ class TestEnumerate:
         code, _, _ = run(capsys, "enumerate", "v0", "--self-int", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["٠..١", "０..１", "0..१", "-٠..1"])
+    def test_non_ascii_digits_rejected(self, capsys, text):
+        # Arabic-Indic, full-width and Devanagari digits are not read as 0..1
+        code, out, err = run(capsys, "enumerate", "v0", f"--self-int={text}")
+        assert code == 2 and out == ""
+        assert "expected A..B integer range" in err
+
     def test_inverted_range_rejected(self, capsys):
         code, _, err = run(capsys, "enumerate", "v0", "--self-int", "3..1")
         assert code == 2 and "empty self-intersection range" in err

@@ -10,6 +10,7 @@ multiplicity vectors for every (n, d) and asks classify for every v.
 """
 
 import dataclasses
+import tracemalloc
 from itertools import combinations_with_replacement
 from math import isqrt
 
@@ -508,6 +509,22 @@ class TestHunt:
         at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
         window = slice(max(0, at - 100), at + 100)
         assert got[window] == want[window]
+
+    def test_holds_one_vector_at_a_time(self):
+        # 11,619 vectors at mass 120; a list of them all peaks near 2.7 MB
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            report = hunt_counterexamples(max_n=2, max_degree=0, mass_bound=120)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert report.checked_count == 11_619
+        assert peak < 500_000
 
     def test_determinism(self):
         a = hunt_counterexamples(max_n=4, max_degree=2, mass_bound=12)
