@@ -4,7 +4,7 @@ A system L^n(d; m_1, ..., m_r) is the set of curves in |dH| on the blow-up
 of a generic K3 surface (H^2 = n) passing through r general points with
 multiplicities at least m_i.  Its virtual dimension is
 
-    v = n*d^2/2 + 1 - sum m_i(m_i + 1)/2        (d >= 1)
+    v = n*d^2/2 + 1 - sum m_i(m_i + 1)/2 - [d = 0]
 
 and its expected dimension is e = max(v, -1).  The Segre-type speciality
 conjecture for generic K3 surfaces (a Gimigliano-Harbourne-Hirschowitz
@@ -91,16 +91,18 @@ class LinearSystemSpec:
         object.__setattr__(self, "mults", mults)
 
     @classmethod
-    def _from_canonical(cls, surface: SurfaceParams, d: int, mults: tuple[int, ...]):
+    def _from_canonical(
+        cls, surface: SurfaceParams, d: int, mults: tuple[int, ...], input_was_canonical: bool = True
+    ):
         """The spec with these fields, set without running any check.
 
         Precondition: `surface` is a SurfaceParams, and `d` and `mults` pass
         `_check_spec_fields` with `mults` a tuple.  The result then equals,
-        hashes and prints as `cls(surface, d, mults)`, with
-        input_was_canonical True, and stays frozen.
+        hashes and prints as `cls(surface, d, mults, input_was_canonical)`
+        and stays frozen.
         """
         spec = object.__new__(cls)
-        spec.__dict__.update(surface=surface, d=d, mults=mults, input_was_canonical=True)
+        spec.__dict__.update(surface=surface, d=d, mults=mults, input_was_canonical=input_was_canonical)
         return spec
 
     @property
@@ -151,13 +153,13 @@ def _check_spec_fields(d, mults: tuple) -> None:
 def format_multiplicities(mults: tuple[int, ...]) -> str:
     """Run-compressed multiplicity list: (2,2,2,2,1) -> '2^4,1'."""
     parts = []
-    i = 0
-    while i < len(mults):
-        j = i
-        while j < len(mults) and mults[j] == mults[i]:
+    i, r = 0, len(mults)
+    while i < r:
+        m = mults[i]
+        j = i + 1
+        while j < r and mults[j] == m:
             j += 1
-        count = j - i
-        parts.append(f"{mults[i]}^{count}" if count >= 2 else str(mults[i]))
+        parts.append(f"{m}^{j - i}" if j - i >= 2 else str(m))
         i = j
     return ",".join(parts)
 
@@ -185,13 +187,13 @@ def normalize(n: int, d: int, mults=()) -> LinearSystemSpec:
 
 
 def virtual_dim(spec: LinearSystemSpec) -> int:
-    """v = chi - h^2 - 1 of the associated divisor class, built from the spec.
+    """v = n*d^2/2 + 1 - sum m(m+1)/2 - [d = 0], computed from the spec.
 
     This is lattice.virtual_dimension on a canonical spec: every
-    multiplicity is at least 1, so h^2 = 1 only for d = 0 with no points.
+    multiplicity is at least 1, so h^2 = 1 exactly when d = 0.
     """
     v = spec.n * spec.d * spec.d // 2 + 1 - sum(m * (m + 1) // 2 for m in spec.mults)
-    return v - 1 if spec.d == 0 and not spec.mults else v
+    return v if spec.d else v - 1
 
 
 def expected_dim(spec: LinearSystemSpec) -> int:
@@ -324,29 +326,30 @@ def _decomposition(**values) -> Decomposition:
 def decompose(spec: LinearSystemSpec) -> Decomposition:
     """Classify a system under the speciality conjecture.
 
-    Branch order: the two special families, the fixed-plus-pencil chain,
-    the doubled C^2 = 1 curves, generic v = 0 (rigid), the composite
-    pencil square L^2(2;2), empty (v < 0), irreducible (v > 0).  The
-    explicit patterns are mutually exclusive, so only priority between a
-    pattern and the generic v-sign branches matters.
+    Branch order: d = 0 (unconditional), the two special families, the
+    fixed-plus-pencil chain, the doubled C^2 = 1 curves, generic v = 0
+    (rigid), the composite pencil square L^2(2;2), empty (v < 0),
+    irreducible (v > 0).  The explicit patterns are mutually exclusive, so
+    only priority between a pattern and the generic v-sign branches matters.
     """
     v = virtual_dim(spec)
-    matched = pattern_matches(spec)
-    branch = matched[0] if matched else None
-    n = spec.n
-
-    if spec.d == 0 and spec.mults:
-        # No degree-0 curve passes through a point, whatever v says; the
-        # t = 0 classes with positive l sit outside the h^2 rule's domain.
+    if spec.d == 0:
+        # Unconditional.  Without points the one member is the zero divisor,
+        # which has no components; no degree-0 curve passes through a point.
+        # h^0 is known either way, so h^1 = h^0 - chi + h^2 = dim - v.
+        dimension = -1 if spec.mults else 0
         return _decomposition(
             spec=spec,
             v=v,
             special=None,
-            dimension=-1,
-            h1=0,
-            h1_lower_bound=0,
-            member_kind=MemberKind.EMPTY,
+            dimension=dimension,
+            h1=dimension - v,
+            h1_lower_bound=max(0, -1 - v),
+            member_kind=MemberKind.EMPTY if spec.mults else MemberKind.RIGID,
         )
+    matched = pattern_matches(spec)
+    branch = matched[0] if matched else None
+    n = spec.n
 
     if branch in (1, 2):
         d = spec.d
@@ -439,21 +442,6 @@ def decompose(spec: LinearSystemSpec) -> Decomposition:
         member_kind=MemberKind.IRREDUCIBLE,
         free_part=spec,
     )
-
-
-def dimension(spec: LinearSystemSpec) -> int:
-    """Conjectural dimension of the system (-1 when empty)."""
-    return decompose(spec).dimension
-
-
-def h1(spec: LinearSystemSpec) -> int | None:
-    """Conjectural h^1, or None when only a lower bound is known."""
-    return decompose(spec).h1
-
-
-def h1_lower_bound(spec: LinearSystemSpec) -> int:
-    """Unconditional Riemann-Roch lower bound h^1 >= max(0, -1 - v)."""
-    return decompose(spec).h1_lower_bound
 
 
 def general_member_multiplicities(spec: LinearSystemSpec) -> tuple[int, ...]:

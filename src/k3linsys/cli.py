@@ -20,13 +20,14 @@ import re
 import sys
 
 from .classify import (
+    Decomposition,
     LinearSystemSpec,
     NormalizationError,
     decompose,
     format_multiplicities,
 )
 from .lattice import SurfaceMismatchError, intersect
-from .literals import LiteralSyntaxError, parse_literal
+from .literals import LiteralSyntaxError, parse_literal, parse_spec
 from .verify import (
     SearchBounds,
     VerificationReport,
@@ -122,6 +123,27 @@ def classification_record(spec: LinearSystemSpec) -> dict:
     }
 
 
+def json_record(dec: Decomposition) -> str:
+    """json.dumps(classification_record(dec.spec)), rendered by one template.
+
+    Every string in a record is a canonical literal, a family value or a
+    member-kind name, none with a character JSON escapes, so quoting it
+    is its JSON form.  The spec's fields are ints, as the parser builds them.
+    """
+    spec, v, h1 = dec.spec, dec.v, dec.h1
+    mults = ", ".join(map(str, spec.mults))
+    special = f'"{dec.special.value}"' if dec.special else "null"
+    fixed = ", ".join([f'"{mult}*{comp.literal()}"' for mult, comp in dec.fixed_part])
+    free = f'"{dec.free_part.literal()}"' if dec.free_part else "null"
+    return (
+        f'{{"n": {spec.surface.n}, "d": {spec.d}, "mults": [{mults}], "v": {v}, '
+        f'"e": {max(v, -1)}, "dim": {dec.dimension}, "special": {special}, '
+        f'"h1": {"null" if h1 is None else h1}, "h1_lower_bound": {dec.h1_lower_bound}, '
+        f'"member_kind": "{dec.member_kind.name}", "fixed_part": [{fixed}], '
+        f'"free_part": {free}, "conjectural": {"true" if dec.conjectural else "false"}}}'
+    )
+
+
 def _csv_cell(key: str, value) -> str:
     if value is None:
         return ""
@@ -164,26 +186,25 @@ def _record_line(record: dict, source: str) -> str:
 
 
 def _record_writer(fmt: str, out: _Output):
-    """Batch renderer: emit(record, source) writes one record or error placeholder.
-
-    `source` is the record's spec, or the stripped line of an error record.
-    """
+    """Batch renderers (record, error): record(spec) writes a spec's record,
+    error(err, text) the error record of the stripped line `text`."""
     if fmt == "json":
-        return lambda record, source: out.line(json.dumps(record))
+        return (
+            lambda spec: out.line(json_record(decompose(spec))),
+            lambda err, text: out.line(json.dumps({"error": err})),
+        )
     if fmt == "csv":
         rows = csv.writer(out, lineterminator="\n")
         rows.writerow(RECORD_FIELDS)
         blank = [""] * len(RECORD_FIELDS)
-        return lambda record, source: rows.writerow(blank if "error" in record else _record_row(record))
-
-    def text_line(record: dict, source) -> None:
-        if "error" in record:
-            err = record["error"]
-            out.line(f"{source}: error: {err['message']} (byte {err['position']})")
-        else:
-            out.line(_record_line(record, source.literal()))
-
-    return text_line
+        return (
+            lambda spec: rows.writerow(_record_row(classification_record(spec))),
+            lambda err, text: rows.writerow(blank),
+        )
+    return (
+        lambda spec: out.line(_record_line(classification_record(spec), spec.literal())),
+        lambda err, text: out.line(f"{text}: error: {err['message']} (byte {err['position']})"),
+    )
 
 
 def _file_lines(handle):
@@ -208,7 +229,10 @@ def _file_lines(handle):
 
 
 def _cmd_dim(args, out: _Output) -> int:
-    spec = parse_literal(args.system).to_spec()
+    spec = parse_spec(args.system)
+    if args.format == "json":
+        out.line(json_record(decompose(spec)))
+        return 0
     record = classification_record(spec)
     if args.format == "text":
         dim, v = record["dim"], record["v"]
@@ -218,15 +242,16 @@ def _cmd_dim(args, out: _Output) -> int:
             out.line(f"-1 (empty; v = {v}, {_h1_text(record)})")
         else:
             out.line(str(dim))
-    elif args.format == "json":
-        out.line(json.dumps(record))
     else:
         out.block(_csv_text(RECORD_FIELDS, [_record_row(record)]))
     return 0
 
 
 def _cmd_classify(args, out: _Output) -> int:
-    spec = parse_literal(args.system).to_spec()
+    spec = parse_spec(args.system)
+    if args.format == "json":
+        out.line(json_record(decompose(spec)))
+        return 0
     record = classification_record(spec)
     if args.format == "text":
         out.line(spec.literal())
@@ -237,8 +262,6 @@ def _cmd_classify(args, out: _Output) -> int:
         out.line(f"  member kind: {record['member_kind']}")
         out.line(f"  fixed part: {'+'.join(record['fixed_part']) or '-'}")
         out.line(f"  free part: {record['free_part'] or '-'}")
-    elif args.format == "json":
-        out.line(json.dumps(record))
     else:
         out.block(_csv_text(RECORD_FIELDS, [_record_row(record)]))
     return 0
@@ -351,7 +374,7 @@ def _cmd_batch(args, out: _Output) -> int:
     except OSError as exc:
         _Output.error(f"cannot read batch file: {exc}")
         return 2
-    emit = _record_writer(args.format, out)
+    emit, emit_error = _record_writer(args.format, out)
     failed = False
     lineno = 0
     with handle:
@@ -367,14 +390,14 @@ def _cmd_batch(args, out: _Output) -> int:
                     text = raw.split("#", 1)[0].strip()
                     if not text:
                         continue
-                    spec = parse_literal(text).to_spec()
+                    spec = parse_spec(text)
                 except LiteralSyntaxError as exc:
                     failed = True
                     _Output.error(f"{args.file}:{lineno}: {exc.message} (byte {exc.position})")
                     error = {"line": lineno, "position": exc.position, "message": exc.message, "source": text}
-                    emit({"error": error}, text)
+                    emit_error(error, text)
                     continue
-                emit(classification_record(spec), spec)
+                emit(spec)
         except UnicodeDecodeError as exc:
             _Output.error(f"{args.file}: not UTF-8 after line {lineno}: {exc.reason}")
             return 2

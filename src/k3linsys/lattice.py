@@ -177,16 +177,19 @@ def euler_characteristic(d: DivisorClass) -> int:
 
 
 def h2(d: DivisorClass) -> int:
-    """Dimension of H^2 for t >= 0: 1 iff t = 0 and every l_i is 0 or -1.
+    """Dimension of H^2 for t >= 0: 1 iff t = 0 and every l_i >= -1.
 
-    By Serre duality h^2(D) = h^0(K - D), and on the blow-up of a K3 at
-    general points K - D is effective exactly when D is a subsum of the
-    exceptional classes (t = 0, each coefficient 0 or -1); that includes the
-    zero class.  Classes with t < 0 are outside the supported cone.
+    By Serre duality h^2(D) = h^0(K - D), with K - D = -t*H + sum((1 + l_i) E_i).
+    For t > 0, (K - D).H = -n*t < 0, so K - D is not effective.  For t = 0,
+    K - D = sum(a_i E_i) with a_i = 1 + l_i; on the blow-up of a K3 at
+    general points it is effective exactly when every a_i >= 0, and then
+    h^0 = 1 because each E_i is a rigid (-1)-curve.  This includes the zero
+    class and every fat-point class of degree 0.  Classes with t < 0 are
+    outside the supported cone.
     """
     if d.t < 0:
         raise ConeError(f"h^2 is defined here only for t >= 0, got t = {d.t}")
-    if d.t == 0 and all(c in (0, -1) for c in d.l):
+    if d.t == 0 and all(c >= -1 for c in d.l):
         return 1
     return 0
 
@@ -194,8 +197,9 @@ def h2(d: DivisorClass) -> int:
 def virtual_dimension(d: DivisorClass) -> int:
     """v(D) = chi(D) - h^2(D) - 1, the expected h^0 - 1.
 
-    For t > 0 this is n*t^2/2 + 1 - sum(l_i*(l_i+1)/2).  Classes with t < 0
-    are rejected (ConeError propagates from h2).
+    For t > 0 this is n*t^2/2 + 1 - sum(l_i*(l_i+1)/2); for t = 0 with every
+    l_i >= -1 it is one less.  Classes with t < 0 are rejected (ConeError
+    propagates from h2).
     """
     return euler_characteristic(d) - h2(d) - 1
 

@@ -13,9 +13,11 @@ ASCII 0-9 only and whitespace is whatever str.isspace() accepts.  A
 well-formed literal is accepted by one anchored regular expression; any
 other input goes through a character scanner, which raises the error with
 the byte offset of the first offending character, including integers over
-MAX_INTEGER_DIGITS digits and literals over MAX_POINTS points.  Printing
-emits one canonical form per system: multiplicities sorted non-increasing,
-zeros dropped, runs compressed with '^'.
+MAX_INTEGER_DIGITS digits and literals over MAX_POINTS points.
+`parse_spec` goes from an accepted literal straight to its canonical
+LinearSystemSpec.  Printing emits one canonical form per system:
+multiplicities sorted non-increasing, zeros dropped, runs compressed with
+'^'.
 """
 
 from __future__ import annotations
@@ -128,13 +130,47 @@ def parse_literal(text: str) -> SystemLiteral:
     grammar admits no signs, so negative numbers are syntax errors at the
     '-' character.
     """
+    fields = _match(text)
+    if fields is None:
+        return _scan_literal(text)
+    n, d, runs = fields
+    return SystemLiteral(source=text, n=n, d=d, runs=tuple(runs))
+
+
+def parse_spec(text: str) -> LinearSystemSpec:
+    """parse_literal(text).to_spec(), without the SystemLiteral between.
+
+    A literal the regex accepts is built straight into its canonical spec
+    through the trusted constructor: the pattern admits only ASCII digits,
+    so d >= 0 and every multiplicity >= 0 hold, and `_match` has checked n
+    as normalize would.  input_was_canonical compares the source-order
+    multiplicities, zeros kept, with the canonical ones, as normalize does.
+    Anything else goes through the scanner, with parse_literal's
+    diagnostics.
+    """
+    fields = _match(text)
+    if fields is None:
+        return _scan_literal(text).to_spec()
+    n, d, runs = fields
+    raw = []
+    for value, count in runs:
+        raw += [value] * count
+    mults = sorted(raw, reverse=True)
+    if mults and not mults[-1]:
+        del mults[mults.index(0) :]
+    return LinearSystemSpec._from_canonical(SurfaceParams(n), d, tuple(mults), mults == raw)
+
+
+def _match(text: str) -> tuple[int, int, list[tuple[int, int]]] | None:
+    """(n, d, runs) of a literal the regex accepts with an even n >= 2 and
+    at most MAX_POINTS points; None sends `text` to the scanner."""
     match = _LITERAL.fullmatch(text)
     if match is None:
-        return _scan_literal(text)
+        return None
     n_digits, d_digits, mults = match.groups()
     n = int(n_digits)
     if n % 2 != 0 or n < 2:
-        return _scan_literal(text)
+        return None
     runs = []
     if mults is not None:
         points = 0
@@ -144,8 +180,8 @@ def parse_literal(text: str) -> SystemLiteral:
             points += count
             runs.append((int(value), count))
         if points > MAX_POINTS:
-            return _scan_literal(text)
-    return SystemLiteral(source=text, n=n, d=int(d_digits), runs=tuple(runs))
+            return None
+    return n, int(d_digits), runs
 
 
 def _scan_literal(text: str) -> SystemLiteral:

@@ -33,7 +33,6 @@ from .lattice import (
     SurfaceParams,
     euler_characteristic,
     intersect,
-    self_intersection,
     virtual_dimension,
 )
 
@@ -218,8 +217,8 @@ def _v0_classes(bounds: SearchBounds) -> tuple[list[NumericalClass], int]:
 
     v = 0 for t >= 1 is equivalent to n*t^2 = mass - 2 with mass equal to
     sum m_i(m_i+1), so for each multiplicity vector the (n, t) solutions are
-    read off the divisors of mass - 2; v and C^2 are then recomputed in the
-    lattice as a cross-check.
+    read off the divisors of mass - 2, and C^2 = n*t^2 - sum m_i^2 is
+    sum m_i - 2.
     """
     lo_c2, hi_c2 = bounds.self_int_range if bounds.self_int_range else (None, None)
     sum_bound = None if hi_c2 is None else max(0, hi_c2 + 2)
@@ -241,11 +240,7 @@ def _v0_classes(bounds: SearchBounds) -> tuple[list[NumericalClass], int]:
             n = target // tt
             if n % 2 != 0 or not (n_lo <= n <= n_hi):
                 continue
-            d = DivisorClass(SurfaceParams(n), t, mults)
-            v = virtual_dimension(d)
-            c2 = self_intersection(d)
-            assert v == 0 and c2 == sum(mults) - 2, (n, t, mults)
-            found.append(NumericalClass(n=n, t=t, mults=mults, v=v, c2=c2))
+            found.append(NumericalClass(n=n, t=t, mults=mults, v=0, c2=sum(mults) - 2))
     found.sort(key=lambda c: c.sort_key)
     return found, probes
 
@@ -528,9 +523,12 @@ def verify_addition_identity(
     Generated classes have t >= 1 so h^2 vanishes for A, B and A + B and
     the v identity applies; coefficients may be negative, exercising the
     identities beyond fat-point systems.  checked_count counts sample pairs.
+    A negative samples raises ValueError.
     """
     import random
 
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     start = time.perf_counter()
     rng = random.Random(seed)
     violations = []

@@ -23,12 +23,9 @@ from k3linsys.classify import (
     _check_spec_fields,
     _matches_pencil_chain,
     decompose,
-    dimension,
     expected_dim,
     format_multiplicities,
     general_member_multiplicities,
-    h1,
-    h1_lower_bound,
     is_special,
     normalize,
     pattern_matches,
@@ -138,24 +135,24 @@ class TestSpeciality:
 class TestDimension:
     def test_special_dim_zero_despite_negative_v(self):
         assert virtual_dim(spec(4, 3, 6)) == -2
-        assert dimension(spec(4, 3, 6)) == 0
+        assert decompose(spec(4, 3, 6)).dimension == 0
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_pencil_chain_dim_one(self, m):
-        assert dimension(spec(2, m + 1, m + 1, m)) == 1
+        assert decompose(spec(2, m + 1, m + 1, m)).dimension == 1
 
     def test_composite_square(self):
-        assert dimension(spec(2, 2, 2)) == 2
+        assert decompose(spec(2, 2, 2)).dimension == 2
 
     def test_empty(self):
         # frozen: v(L6(1;2,2)) = 3+1-3-3 = -2
         assert virtual_dim(spec(6, 1, 2, 2)) == -2
-        assert dimension(spec(6, 1, 2, 2)) == -1
+        assert decompose(spec(6, 1, 2, 2)).dimension == -1
 
     def test_irreducible_dim_is_v(self):
         # frozen: closed form gives 49 for L4(5;1,1)
-        assert dimension(spec(4, 5, 1, 1)) == 49
-        assert dimension(spec(8, 3, 5, 4, 3, 2)) == 3
+        assert decompose(spec(4, 5, 1, 1)).dimension == 49
+        assert decompose(spec(8, 3, 5, 4, 3, 2)).dimension == 3
 
     def test_expected_dim(self):
         assert expected_dim(spec(4, 3, 6)) == -1
@@ -164,24 +161,24 @@ class TestDimension:
 
 class TestH1:
     def test_special(self):
-        assert h1(spec(4, 5, 10)) == 4
-        assert h1(spec(2, 3, 3, 3)) == 2
+        assert decompose(spec(4, 5, 10)).h1 == 4
+        assert decompose(spec(2, 3, 3, 3)).h1 == 2
 
     def test_non_special(self):
-        assert h1(spec(2, 1, 1, 1)) == 0
-        assert h1(spec(2, 2, 2)) == 0
+        assert decompose(spec(2, 1, 1, 1)).h1 == 0
+        assert decompose(spec(2, 2, 2)).h1 == 0
 
     def test_empty_v_minus_one(self):
         s = spec(2, 1, 2)  # v = -1
         assert virtual_dim(s) == -1
-        assert h1(s) == 0
-        assert h1_lower_bound(s) == 0
+        assert decompose(s).h1 == 0
+        assert decompose(s).h1_lower_bound == 0
 
     def test_empty_deep(self):
         s = spec(4, 1, 3)  # v = -3: only the bound is known
         assert virtual_dim(s) == -3
-        assert h1(s) is None
-        assert h1_lower_bound(s) == 2
+        assert decompose(s).h1 is None
+        assert decompose(s).h1_lower_bound == 2
 
 
 class TestDecompose:
@@ -321,10 +318,13 @@ class TestInvariantScans:
             assert (dec.member_kind is MemberKind.EMPTY) == (dec.dimension == -1), s
 
     def test_special_iff_definite_h1_positive(self):
+        # h1 - max(0, -1 - v) = dim - e, so speciality is h1 above the
+        # Riemann-Roch bound; that bound is 0 unless v < -1, where h1 is
+        # known only for d = 0.
         for s in iter_small_specs():
             dec = decompose(s)
             if dec.h1 is not None:
-                assert dec.is_special == (dec.h1 > 0), s
+                assert dec.is_special == (dec.h1 > max(0, -1 - dec.v)), s
 
     def test_special_iff_dim_exceeds_expected(self):
         for s in iter_small_specs():
@@ -386,6 +386,34 @@ def test_virtual_dim_degree_zero_face():
     for mults in [(), (1,), (3, 2), (1, 1, 1)]:
         s = normalize(2, 0, mults)
         assert virtual_dim(s) == virtual_dimension(s.divisor_class())
+
+
+@given(st.integers(1, 20).map(lambda g: 2 * g), st.integers(0, 12), st.lists(st.integers(0, 9), max_size=6))
+@example(2, 0, [3, 2])
+@example(2, 0, [1])
+@example(2, 0, [])
+def test_record_invariants(n, d, mults):
+    s = normalize(n, d, mults)
+    dec = decompose(s)
+    e = max(dec.v, -1)
+    assert dec.v == virtual_dim(s) == virtual_dimension(s.divisor_class())
+    assert dec.dimension >= e
+    if dec.h1 is not None:
+        assert dec.h1 == dec.dimension - dec.v
+        assert dec.h1 >= dec.h1_lower_bound
+    assert dec.reconstructs()
+
+
+def test_degree_zero_records():
+    # L2(0;3,2): chi = 2 - 6 - 3 = -7 and h^2 = h^0(4E_1 + 3E_2) = 1, so
+    # v = chi - h^2 - 1 = -9; h^0 = 0, so h^1 = h^0 - chi + h^2 = 8.
+    dec = decompose(spec(2, 0, 3, 2))
+    assert (dec.v, dec.dimension, dec.h1, dec.h1_lower_bound) == (-9, -1, 8, 8)
+    dec = decompose(spec(2, 0, 1))
+    assert (dec.v, dec.dimension, dec.h1, dec.h1_lower_bound) == (-1, -1, 0, 0)
+    # The zero class: one member, the empty divisor, with no fixed part.
+    dec = decompose(spec(2, 0))
+    assert (dec.v, dec.dimension, dec.h1, dec.fixed_part, dec.free_part) == (0, 0, 0, (), None)
 
 
 def reference_pattern_matches(spec):

@@ -165,6 +165,11 @@ class TestVerifyCommands:
         code, out, _ = run(capsys, "verify", "identity", "--samples", "500", "--seed", "5")
         assert code == 0 and "addition-identity: PASS" in out
 
+    def test_identity_negative_samples_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "identity", "--samples", "-5")
+        assert code == 2 and out == ""
+        assert err == "error: samples must be >= 0, got -5\n"
+
     def test_json_report(self, capsys):
         _, out, _ = run(capsys, "verify", "lemma-table", "--format", "json")
         report = json.loads(out)

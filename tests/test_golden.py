@@ -1,0 +1,83 @@
+"""Byte identity of the classification record path.
+
+tests/golden/batch.txt holds one d >= 1 line per decompose branch, then
+spaced, unsorted, zero-padded, run-compressed, comment and malformed
+lines.  Its batch output in each format (stdout, the shared stderr and the
+exit code) was frozen from the renderer that went through a record dict
+and json.dumps; the fused path must reproduce it byte for byte.  The CI
+workflow diffs the installed console script's output against the same
+files.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import k3linsys.cli as cli
+from k3linsys.classify import decompose, normalize
+from k3linsys.literals import parse_literal, parse_spec
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path("tests") / "golden"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_batch_matches_golden(capsys, monkeypatch, fmt):
+    monkeypatch.chdir(ROOT)  # stderr names the file as it was given
+    code = cli.main(["batch", str(GOLDEN / "batch.txt"), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == (ROOT / GOLDEN / f"batch.{fmt}.out").read_text(encoding="utf-8")
+    assert captured.err == (ROOT / GOLDEN / "batch.err").read_text(encoding="utf-8")
+
+
+def _golden_literals():
+    for line in (ROOT / GOLDEN / "batch.txt").read_text(encoding="utf-8").splitlines():
+        text = line.split("#", 1)[0].strip()
+        if text:
+            yield text
+
+
+def test_parse_spec_is_parse_literal_to_spec():
+    for text in _golden_literals():
+        try:
+            expected = parse_literal(text).to_spec()
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as caught:
+                parse_spec(text)
+            assert str(caught.value) == str(exc)
+            continue
+        got = parse_spec(text)
+        assert got == expected and got.input_was_canonical == expected.input_was_canonical
+        assert vars(got) == vars(expected)
+
+
+@given(
+    st.integers(1, 30).map(lambda g: 2 * g),
+    st.integers(0, 40),
+    st.lists(st.integers(0, 25), max_size=12),
+)
+def test_json_template_equals_json_dumps(n, d, mults):
+    spec = normalize(n, d, mults)
+    assert cli.json_record(decompose(spec)) == json.dumps(cli.classification_record(spec))
+
+
+@given(
+    st.integers(1, 30).map(lambda g: 2 * g),
+    st.integers(0, 40),
+    st.lists(st.tuples(st.integers(0, 12), st.integers(0, 4)), max_size=8),
+    st.sampled_from(["", " ", "\t", "\x1f", " "]),
+    st.booleans(),
+)
+def test_parse_spec_matches_normalize(n, d, runs, space, compress):
+    parts = [f"{m}{space}^{space}{k}" if compress else ",".join([str(m)] * k) for m, k in runs]
+    parts = [part for part in parts if part]
+    body = f";{space}{f',{space}'.join(parts)}" if parts else ""
+    text = f"{space}L{n}({space}{d}{space}{body}){space}"
+    raw = [m for m, k in runs for _ in range(k)]
+    got = parse_spec(text)
+    expected = normalize(n, d, raw)
+    assert vars(got) == vars(expected), text

@@ -159,13 +159,15 @@ class TestEulerCharacteristic:
 
 class TestH2:
     def test_exceptional_subsums(self):
-        # frozen: 1, 1, 0, 0
+        # frozen: 1, 1, 0
         assert h2(zero(S2)) == 1
         assert h2(D(S2, 0, -1, 0, -1)) == 1
         assert h2(D(S2, 1, 1)) == 0
-        assert h2(D(S2, 0, 1)) == 0
 
     def test_t_zero_other_coeffs(self):
+        # D = -E_1: K - D = 2E_1 is effective with h^0 = 1, so h^2(D) = 1.
+        assert h2(D(S2, 0, 1)) == 1
+        # D = 2E_1: K - D = -E_1 is not effective.
         assert h2(D(S2, 0, -2)) == 0
 
     def test_negative_t_rejected(self):

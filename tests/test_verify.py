@@ -253,7 +253,9 @@ class TestEnumeration:
         assert keys == sorted(keys)
 
     def test_recomputed_invariants(self):
-        for c in enumerate_v0_classes((-2, 2)):
+        # The enumerator reads v = 0 and C^2 off n*t^2 = sum m(m+1) - 2;
+        # the lattice recomputes both.
+        for c in enumerate_v0_classes((-2, 8)):
             d = c.divisor_class()
             assert virtual_dimension(d) == c.v == 0
             assert self_intersection(d) == c.c2 == sum(c.mults) - 2
@@ -457,6 +459,11 @@ class TestAdditionIdentity:
         s4 = SurfaceParams(4)
         c = DivisorClass(s4, 1, (2,))
         assert virtual_dimension(c + c) == -1 == 0 + 0 + intersect(c, c) - 1
+
+    def test_negative_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples must be >= 0, got -5"):
+            verify_addition_identity(samples=-5)
+        assert verify_addition_identity(samples=0).checked_count == 0
 
     def test_seed_recorded_and_deterministic(self):
         a = verify_addition_identity(samples=500, seed=99)
