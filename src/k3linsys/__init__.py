@@ -1,25 +1,9 @@
-"""Exact invariants and classification of fat-point linear systems on generic K3 surfaces."""
+"""Exact invariants and classification of fat-point linear systems on generic K3 surfaces.
 
-from .lattice import (
-    ConeError,
-    DivisorClass,
-    SurfaceMismatchError,
-    SurfaceParams,
-    add,
-    arithmetic_genus,
-    canonical_class,
-    canonical_degree,
-    euler_characteristic,
-    exceptional,
-    expected_dimension,
-    h2,
-    hyperplane,
-    intersect,
-    scale,
-    self_intersection,
-    virtual_dimension,
-    zero,
-)
+The lattice API below is re-exported from `k3linsys.lattice` on first
+access, so that importing the package (as every command-line run does)
+loads no math module.
+"""
 
 __version__ = "0.1.0"
 
@@ -44,3 +28,15 @@ __all__ = [
     "zero",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        from . import lattice
+
+        return getattr(lattice, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

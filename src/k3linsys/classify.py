@@ -15,7 +15,7 @@ analogue) says the only special systems are the multiple-curve families
 d >= 2, each consisting of a single rigid divisor of dimension 0 with
 h^1 = d - 1.  Every verdict that relies on the conjecture (dimension,
 speciality, fixed/free structure, member kind) is marked conjectural;
-v and e are unconditional.
+v and e are unconditional, and so is the whole verdict when d = 0.
 """
 
 from __future__ import annotations
@@ -346,6 +346,7 @@ def decompose(spec: LinearSystemSpec) -> Decomposition:
             h1=dimension - v,
             h1_lower_bound=max(0, -1 - v),
             member_kind=MemberKind.EMPTY if spec.mults else MemberKind.RIGID,
+            conjectural=False,
         )
     matched = pattern_matches(spec)
     branch = matched[0] if matched else None

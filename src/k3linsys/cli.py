@@ -12,31 +12,8 @@ format; h1 is null when only the lower bound is known.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
-import re
 import sys
-
-from .classify import (
-    Decomposition,
-    LinearSystemSpec,
-    NormalizationError,
-    decompose,
-    format_multiplicities,
-)
-from .lattice import SurfaceMismatchError, intersect
-from .literals import LiteralSyntaxError, parse_literal, parse_spec
-from .verify import (
-    SearchBounds,
-    VerificationReport,
-    enumerate_v0_classes,
-    hunt_counterexamples,
-    verify_addition_identity,
-    verify_lemma_table,
-    verify_pair_inequality,
-)
 
 RECORD_FIELDS = (
     "n",
@@ -65,6 +42,49 @@ MAX_LINE_CHARS = 1 << 20
 # The characters str.splitlines() breaks lines at.
 _LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
+# The names this module takes from the package's modules; json and csv are
+# bound under their own names.  They are bound into this module's globals
+# when a command that runs them is dispatched (see _COMMANDS), not at
+# import: without a bytecode cache a process compiles every module it
+# imports, so `--help` loads no math module and each command only its own.
+_LAZY = {
+    "classify": ("decompose", "format_multiplicities"),
+    "lattice": ("intersect",),
+    "literals": ("LiteralSyntaxError", "parse_literal", "parse_spec"),
+    "verify": (
+        "enumerate_v0_classes",
+        "hunt_counterexamples",
+        "verify_addition_identity",
+        "verify_lemma_table",
+        "verify_pair_inequality",
+    ),
+    "json": None,
+    "csv": None,
+}
+
+
+def _bind(*modules: str) -> None:
+    """Bind the names of `modules` (keys of _LAZY) into this module's
+    globals, keeping any name already bound (as by monkeypatch.setattr)."""
+    space = globals()
+    for module in modules:
+        names = _LAZY[module]
+        if names is None:
+            space.setdefault(module, __import__(module))
+            continue
+        source = __import__(module, space, None, names, 1)
+        for name in names:
+            space.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    """Resolve a lazily bound name read from outside before its command ran."""
+    for module, names in _LAZY.items():
+        if name in (names or (module,)):
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 class _Output:
     """Block-buffered stdout sink honoring --quiet; `main` flushes it last.
@@ -88,10 +108,6 @@ class _Output:
     def line(self, text: str = "") -> None:
         self.write(text + "\n")
 
-    def block(self, text: str) -> None:
-        if text:
-            self.write(text if text.endswith("\n") else text + "\n")
-
     def flush(self) -> None:
         text = "".join(self._parts)
         self._parts.clear()
@@ -104,8 +120,8 @@ class _Output:
         print(text, file=sys.stderr)
 
 
-def classification_record(spec: LinearSystemSpec) -> dict:
-    dec = decompose(spec)
+def classification_record(dec: Decomposition) -> dict:
+    spec = dec.spec
     return {
         "n": spec.n,
         "d": spec.d,
@@ -124,7 +140,7 @@ def classification_record(spec: LinearSystemSpec) -> dict:
 
 
 def json_record(dec: Decomposition) -> str:
-    """json.dumps(classification_record(dec.spec)), rendered by one template.
+    """json.dumps(classification_record(dec)), rendered by one template.
 
     Every string in a record is a canonical literal, a family value or a
     member-kind name, none with a character JSON escapes, so quoting it
@@ -156,12 +172,10 @@ def _csv_cell(key: str, value) -> str:
     return str(value)
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _write_csv(out: _Output, header, rows) -> None:
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _record_row(record: dict) -> list[str]:
@@ -198,11 +212,11 @@ def _record_writer(fmt: str, out: _Output):
         rows.writerow(RECORD_FIELDS)
         blank = [""] * len(RECORD_FIELDS)
         return (
-            lambda spec: rows.writerow(_record_row(classification_record(spec))),
+            lambda spec: rows.writerow(_record_row(classification_record(decompose(spec)))),
             lambda err, text: rows.writerow(blank),
         )
     return (
-        lambda spec: out.line(_record_line(classification_record(spec), spec.literal())),
+        lambda spec: out.line(_record_line(classification_record(decompose(spec)), spec.literal())),
         lambda err, text: out.line(f"{text}: error: {err['message']} (byte {err['position']})"),
     )
 
@@ -229,11 +243,11 @@ def _file_lines(handle):
 
 
 def _cmd_dim(args, out: _Output) -> int:
-    spec = parse_spec(args.system)
+    dec = decompose(parse_spec(args.system))
     if args.format == "json":
-        out.line(json_record(decompose(spec)))
+        out.line(json_record(dec))
         return 0
-    record = classification_record(spec)
+    record = classification_record(dec)
     if args.format == "text":
         dim, v = record["dim"], record["v"]
         if record["special"]:
@@ -243,27 +257,27 @@ def _cmd_dim(args, out: _Output) -> int:
         else:
             out.line(str(dim))
     else:
-        out.block(_csv_text(RECORD_FIELDS, [_record_row(record)]))
+        _write_csv(out, RECORD_FIELDS, [_record_row(record)])
     return 0
 
 
 def _cmd_classify(args, out: _Output) -> int:
-    spec = parse_spec(args.system)
+    dec = decompose(parse_spec(args.system))
     if args.format == "json":
-        out.line(json_record(decompose(spec)))
+        out.line(json_record(dec))
         return 0
-    record = classification_record(spec)
+    record = classification_record(dec)
     if args.format == "text":
-        out.line(spec.literal())
+        out.line(dec.spec.literal())
         out.line(f"  v = {record['v']}, e = {record['e']}")
-        out.line(f"  dim = {record['dim']} (conjectural)")
+        out.line(f"  dim = {record['dim']}{' (conjectural)' if dec.conjectural else ''}")
         out.line(f"  special: {record['special'] if record['special'] else 'no'}")
         out.line(f"  {_h1_text(record)}")
         out.line(f"  member kind: {record['member_kind']}")
         out.line(f"  fixed part: {'+'.join(record['fixed_part']) or '-'}")
         out.line(f"  free part: {record['free_part'] or '-'}")
     else:
-        out.block(_csv_text(RECORD_FIELDS, [_record_row(record)]))
+        _write_csv(out, RECORD_FIELDS, [_record_row(record)])
     return 0
 
 
@@ -276,15 +290,15 @@ def _cmd_intersect(args, out: _Output) -> int:
     elif args.format == "json":
         out.line(json.dumps({"a": a.source.strip(), "b": b.source.strip(), "intersection": value}))
     else:
-        out.block(_csv_text(["a", "b", "intersection"], [[a.source.strip(), b.source.strip(), str(value)]]))
+        _write_csv(out, ["a", "b", "intersection"], [[a.source.strip(), b.source.strip(), str(value)]])
     return 0
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    match = re.fullmatch(r"(-?[0-9]+)\.\.(-?[0-9]+)", text.strip())
-    if not match:
+    bounds = text.strip().split("..")
+    if len(bounds) != 2 or not all(b.removeprefix("-").isdigit() and b.isascii() for b in bounds):
         raise argparse.ArgumentTypeError(f"expected A..B integer range, got {text!r}")
-    return int(match.group(1)), int(match.group(2))
+    return int(bounds[0]), int(bounds[1])
 
 
 def _cmd_enumerate(args, out: _Output) -> int:
@@ -302,7 +316,7 @@ def _cmd_enumerate(args, out: _Output) -> int:
             [str(c.c2), str(c.n), str(c.t), format_multiplicities(c.mults), str(c.v), c.literal()]
             for c in classes
         ]
-        out.block(_csv_text(header, rows))
+        _write_csv(out, header, rows)
     return 0
 
 
@@ -326,7 +340,7 @@ def _render_report(report: VerificationReport, fmt: str, out: _Output) -> int:
             rows.append(["violation", cert.kind, cert.message, json.dumps(cert.data, sort_keys=True)])
         for cert in report.expected_exceptions_found:
             rows.append(["exception", cert.kind, cert.message, json.dumps(cert.data, sort_keys=True)])
-        out.block(_csv_text(header, rows))
+        _write_csv(out, header, rows)
     else:
         status = "PASS" if report.passed else "FAIL"
         out.line(
@@ -462,14 +476,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "dim": _cmd_dim,
-    "classify": _cmd_classify,
-    "intersect": _cmd_intersect,
-    "enumerate": _cmd_enumerate,
-    "verify": _cmd_verify,
-    "hunt": _cmd_hunt,
-    "batch": _cmd_batch,
+# command: (handler, the _LAZY modules it runs, the formats it renders with
+# the module of that name)
+_COMMANDS = {
+    "dim": (_cmd_dim, ("literals", "classify"), ("csv",)),
+    "classify": (_cmd_classify, ("literals", "classify"), ("csv",)),
+    "intersect": (_cmd_intersect, ("literals", "lattice"), ("json", "csv")),
+    "enumerate": (_cmd_enumerate, ("verify", "classify", "json"), ("csv",)),
+    "verify": (_cmd_verify, ("verify", "json"), ("csv",)),
+    "hunt": (_cmd_hunt, ("verify", "json"), ("csv",)),
+    "batch": (_cmd_batch, ("literals", "classify"), ("json", "csv")),
 }
 
 
@@ -479,14 +495,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    handler, modules, renderers = _COMMANDS[args.command]
+    _bind(*modules, *(fmt for fmt in renderers if fmt == args.format))
     out = _Output(args.quiet)
     try:
-        return _HANDLERS[args.command](args, out)
-    except LiteralSyntaxError as exc:
-        _Output.error(f"parse error: {exc.message} (byte {exc.position})")
-        return 2
-    except (NormalizationError, SurfaceMismatchError, ValueError) as exc:
-        _Output.error(f"error: {exc}")
+        return handler(args, out)
+    except ValueError as exc:
+        # Literal, normalization and surface-mismatch errors are ValueErrors;
+        # only commands that read literals can raise a LiteralSyntaxError.
+        if "literals" in modules and isinstance(exc, LiteralSyntaxError):
+            _Output.error(f"parse error: {exc.message} (byte {exc.position})")
+        else:
+            _Output.error(f"error: {exc}")
         return 2
     finally:
         out.flush()

@@ -280,6 +280,8 @@ class TestDecompose:
 
     def test_conjectural_flag(self):
         assert decompose(spec(2, 2, 2)).conjectural is True
+        assert decompose(spec(2, 0, 3, 2)).conjectural is False
+        assert decompose(spec(4, 0)).conjectural is False
 
 
 class TestGeneralMember:
@@ -398,6 +400,7 @@ def test_record_invariants(n, d, mults):
     e = max(dec.v, -1)
     assert dec.v == virtual_dim(s) == virtual_dimension(s.divisor_class())
     assert dec.dimension >= e
+    assert dec.conjectural == (d >= 1)
     if dec.h1 is not None:
         assert dec.h1 == dec.dimension - dec.v
         assert dec.h1 >= dec.h1_lower_bound

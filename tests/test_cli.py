@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import k3linsys
 import k3linsys.cli as cli
+from k3linsys.classify import decompose
 from k3linsys.cli import RECORD_FIELDS, main
 from k3linsys.literals import parse_literal
 from k3linsys.verify import Certificate, VerificationReport
@@ -91,6 +92,20 @@ class TestClassify:
     def test_unsorted_input_canonicalized(self, capsys):
         _, out, _ = run(capsys, "classify", "L2(3;1,2,0,2)", "--format", "json")
         assert json.loads(out)["mults"] == [2, 2, 1]
+
+    def test_degree_zero_is_not_conjectural(self, capsys):
+        # d = 0 is decided without the conjecture, in every format
+        _, out, _ = run(capsys, "classify", "L2(0;3,2)")
+        assert "  dim = -1\n" in out and "conjectural" not in out
+        _, out, _ = run(capsys, "classify", "L4(0)")
+        assert "  dim = 0\n" in out and "conjectural" not in out
+        for literal, dim in [("L2(0;3,2)", -1), ("L4(0)", 0)]:
+            _, out, _ = run(capsys, "classify", literal, "--format", "json")
+            rec = json.loads(out)
+            assert rec["dim"] == dim and rec["conjectural"] is False
+            _, out, _ = run(capsys, "classify", literal, "--format", "csv")
+            rows = parse_csv(out)
+            assert rows[1][rows[0].index("conjectural")] == "false"
 
 
 class TestIntersect:
@@ -208,6 +223,31 @@ class TestVerifyCommands:
         monkeypatch.setattr(cli, "verify_lemma_table", lambda: broken)
         code, out, _ = run(capsys, "verify", "lemma-table")
         assert code == 1 and "FAIL" in out
+
+    def test_dispatch_keeps_a_name_bound_before_it(self, capsys, monkeypatch):
+        # As in a fresh process, the verify names are not bound yet; a name
+        # set before dispatch survives the command binding the rest.
+        from k3linsys import verify
+
+        space = vars(cli)
+        for name in cli._LAZY["verify"]:
+            monkeypatch.delitem(space, name, raising=False)
+        assert cli.verify_pair_inequality is verify.verify_pair_inequality  # module __getattr__
+        monkeypatch.delitem(space, "verify_pair_inequality")
+        broken = VerificationReport(
+            name="lemma-table",
+            bounds={},
+            checked_count=1,
+            violations=(Certificate("missing-class", "synthetic", {}),),
+            expected_exceptions_found=(),
+            elapsed=0.0,
+        )
+        monkeypatch.setitem(space, "verify_lemma_table", lambda: broken)
+        code, out, _ = run(capsys, "verify", "lemma-table")
+        assert code == 1 and "FAIL" in out
+        assert space["verify_pair_inequality"] is verify.verify_pair_inequality
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cli.no_such_name
 
     def test_violation_exit_1_even_quiet(self, capsys, monkeypatch):
         broken = VerificationReport(
@@ -329,7 +369,7 @@ class TestBatch:
             if text.startswith("L3("):
                 expected.append({"line": lineno, "position": 1, "message": "n must be even (n = 2g-2)", "source": text})
             else:
-                expected.append(cli.classification_record(parse_literal(text).to_spec()))
+                expected.append(cli.classification_record(decompose(parse_literal(text).to_spec())))
         assert [rec.get("error", rec) for rec in records] == expected
         assert err.count("n must be even") == sum(1 for text in lines if text.startswith("L3("))
         code, out, _ = run(capsys, "batch", str(path), "--format", "json", "--quiet")
@@ -385,12 +425,12 @@ class TestBatch:
         records = [json.loads(line) for line in out.splitlines()]
         error = {"position": 50, "message": "line longer than 50 characters"}
         assert [rec.get("error", rec) for rec in records] == [
-            cli.classification_record(parse_literal("L2(4;4,3)").to_spec()),
-            cli.classification_record(parse_literal("L2(1)").to_spec()),
+            cli.classification_record(decompose(parse_literal("L2(4;4,3)").to_spec())),
+            cli.classification_record(decompose(parse_literal("L2(1)").to_spec())),
             {"line": 3, **error, "source": "L2(1..."},
-            cli.classification_record(parse_literal("L2(2;2)").to_spec()),
+            cli.classification_record(decompose(parse_literal("L2(2;2)").to_spec())),
             {"line": 5, **error, "source": "# xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx..."},
-            cli.classification_record(parse_literal("L4(1;2)").to_spec()),
+            cli.classification_record(decompose(parse_literal("L4(1;2)").to_spec())),
         ]
         assert err.splitlines() == [
             f"{path}:3: line longer than 50 characters (byte 50)",
@@ -479,6 +519,65 @@ class TestQuietAndUsage:
 
     def test_no_command(self, capsys):
         assert run(capsys)[0] == 2
+
+
+def test_package_exports_lattice_lazily():
+    from k3linsys import lattice
+
+    for name in k3linsys.__all__:
+        if name != "__version__":
+            assert getattr(k3linsys, name) is getattr(lattice, name)
+    namespace = {}
+    exec("from k3linsys import *", namespace)
+    assert set(k3linsys.__all__) <= set(namespace)
+    assert set(k3linsys.__all__) <= set(dir(k3linsys))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        k3linsys.no_such_name
+
+
+# Runs main(argv) in a child without site-packages and writes the names in
+# its sys.modules to the file named first.
+IMPORT_PROBE = """
+import sys
+from k3linsys.cli import main
+main(sys.argv[2:])
+with open(sys.argv[1], "w") as handle:
+    handle.write("\\n".join(sys.modules))
+"""
+MATH = {"k3linsys.lattice", "k3linsys.classify", "k3linsys.literals", "k3linsys.verify"}
+GOLDEN_BATCH = str(Path(__file__).parent / "golden" / "batch.txt")
+
+
+@pytest.mark.parametrize(
+    "argv, absent, present",
+    [
+        (["--help"], MATH | {"dataclasses", "json", "csv"}, set()),
+        (["dim"], MATH | {"dataclasses", "json", "csv"}, set()),  # usage error
+        (["dim", "L2(3;2^4,1)"], {"k3linsys.verify", "json", "csv"}, {"k3linsys.literals"}),
+        (["classify", "L2(4;4,3)", "--format", "json"], {"k3linsys.verify", "json", "csv"}, set()),
+        (["classify", "L2(4;4,3)", "--format", "csv"], {"k3linsys.verify"}, {"csv"}),
+        (["batch", GOLDEN_BATCH, "--format", "json"], {"k3linsys.verify", "csv"}, {"json"}),
+        (["batch", GOLDEN_BATCH, "--format", "csv"], {"k3linsys.verify"}, {"csv"}),
+        (
+            ["verify", "pairs", "--mass-bound", "40", "--max-points", "4", "--max-n", "12", "--format", "json"],
+            {"k3linsys.literals", "csv"},
+            {"k3linsys.verify"},
+        ),
+        (["verify", "lemma-table", "--format", "csv"], {"k3linsys.literals"}, {"csv"}),
+        (["hunt", "--max-n", "4", "--max-degree", "2", "--format", "json"], {"k3linsys.literals", "csv"}, set()),
+        (["enumerate", "v0", "--self-int=-2..2", "--format", "json"], {"k3linsys.literals", "csv"}, set()),
+    ],
+)
+def test_command_imports_only_its_modules(tmp_path, argv, absent, present):
+    path = tmp_path / "modules.txt"
+    subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_PROBE, str(path), *argv],
+        capture_output=True, env=CHILD_ENV, check=True, timeout=120,
+    )  # fmt: skip
+    loaded = set(path.read_text().split())
+    assert "k3linsys.cli" in loaded
+    assert not loaded & absent
+    assert present <= loaded
 
 
 def test_console_entrypoint_subprocess():

@@ -62,7 +62,8 @@ def test_parse_spec_is_parse_literal_to_spec():
 )
 def test_json_template_equals_json_dumps(n, d, mults):
     spec = normalize(n, d, mults)
-    assert cli.json_record(decompose(spec)) == json.dumps(cli.classification_record(spec))
+    dec = decompose(spec)
+    assert cli.json_record(dec) == json.dumps(cli.classification_record(dec))
 
 
 @given(
