@@ -33,11 +33,13 @@ RECORD_FIELDS = (
 
 
 # stdout is written in blocks of at least this many characters: a pipe
-# write per record costs more than a record's classification.  Batch files
-# are read in pieces of at most this size.
+# write per record costs more than a record's classification.
 BLOCK_CHARS = 1 << 16
+# Batch files are read in pieces of this many characters, or BLOCK_CHARS if
+# that is smaller: small pieces keep the reader's memory flat.
+READ_CHARS = 1 << 13
 # A batch line longer than this is an error record; the reader keeps at most
-# this plus one block of any line, however long the line is.
+# this plus one piece of any line, however long the line is.
 MAX_LINE_CHARS = 1 << 20
 # The characters str.splitlines() breaks lines at.
 _LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
@@ -144,18 +146,20 @@ def json_record(dec: Decomposition) -> str:
 
     Every string in a record is a canonical literal, a family value or a
     member-kind name, none with a character JSON escapes, so quoting it
-    is its JSON form.  The spec's fields are ints, as the parser builds them.
+    is its JSON form.  The spec's fields are ints, as the parser builds them,
+    so str() of the list of multiplicities is its JSON form.  Enum members
+    are read through _value_ and _name_, not the value/name descriptors.
     """
     spec, v, h1 = dec.spec, dec.v, dec.h1
-    mults = ", ".join(map(str, spec.mults))
-    special = f'"{dec.special.value}"' if dec.special else "null"
-    fixed = ", ".join([f'"{mult}*{comp.literal()}"' for mult, comp in dec.fixed_part])
-    free = f'"{dec.free_part.literal()}"' if dec.free_part else "null"
+    family, fixed, free = dec.special, dec.fixed_part, dec.free_part
+    special = f'"{family._value_}"' if family else "null"
+    fixed = ", ".join([f'"{mult}*{comp.literal()}"' for mult, comp in fixed]) if fixed else ""
+    free = f'"{free.literal()}"' if free else "null"
     return (
-        f'{{"n": {spec.surface.n}, "d": {spec.d}, "mults": [{mults}], "v": {v}, '
+        f'{{"n": {spec.surface.n}, "d": {spec.d}, "mults": {list(spec.mults)}, "v": {v}, '
         f'"e": {max(v, -1)}, "dim": {dec.dimension}, "special": {special}, '
         f'"h1": {"null" if h1 is None else h1}, "h1_lower_bound": {dec.h1_lower_bound}, '
-        f'"member_kind": "{dec.member_kind.name}", "fixed_part": [{fixed}], '
+        f'"member_kind": "{dec.member_kind._name_}", "fixed_part": [{fixed}], '
         f'"free_part": {free}, "conjectural": {"true" if dec.conjectural else "false"}}}'
     )
 
@@ -203,8 +207,9 @@ def _record_writer(fmt: str, out: _Output):
     """Batch renderers (record, error): record(spec) writes a spec's record,
     error(err, text) the error record of the stripped line `text`."""
     if fmt == "json":
+        write = out.write
         return (
-            lambda spec: out.line(json_record(decompose(spec))),
+            lambda spec: write(json_record(decompose(spec)) + "\n"),
             lambda err, text: out.line(json.dumps({"error": err})),
         )
     if fmt == "csv":
@@ -222,16 +227,17 @@ def _record_writer(fmt: str, out: _Output):
 
 
 def _file_lines(handle):
-    """The lines of handle.read().splitlines(), read one file line or
-    BLOCK_CHARS characters at a time, whichever is shorter.
+    """The lines of handle.read().splitlines(), read in pieces of
+    min(READ_CHARS, BLOCK_CHARS) characters.
 
     A line longer than MAX_LINE_CHARS comes out as a prefix still longer
-    than MAX_LINE_CHARS, of at most MAX_LINE_CHARS + BLOCK_CHARS
-    characters.  Text mode turns every CR and CR LF into LF, so each line
-    break is one character and no break spans two pieces.
+    than MAX_LINE_CHARS, of at most MAX_LINE_CHARS plus one piece.  Text
+    mode turns every CR and CR LF into LF, so each line break is one
+    character and no break spans two pieces.
     """
+    size = min(READ_CHARS, BLOCK_CHARS)
     head = ""  # the start of the line the previous piece left unfinished
-    while piece := handle.readline(BLOCK_CHARS):
+    while piece := handle.read(size):
         lines = piece.splitlines()
         if len(head) <= MAX_LINE_CHARS:
             head += lines[0]
@@ -384,7 +390,8 @@ def _cmd_hunt(args, out: _Output) -> int:
 
 def _cmd_batch(args, out: _Output) -> int:
     try:
-        handle = open(args.file, encoding="utf-8")
+        # utf-8-sig drops a byte-order mark at the start of the file only.
+        handle = open(args.file, encoding="utf-8-sig")
     except OSError as exc:
         _Output.error(f"cannot read batch file: {exc}")
         return 2
@@ -401,7 +408,7 @@ def _cmd_batch(args, out: _Output) -> int:
                         raise LiteralSyntaxError(
                             f"line longer than {MAX_LINE_CHARS} characters", MAX_LINE_CHARS
                         )
-                    text = raw.split("#", 1)[0].strip()
+                    text = raw.partition("#")[0].strip()
                     if not text:
                         continue
                     spec = parse_spec(text)

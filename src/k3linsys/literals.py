@@ -42,6 +42,11 @@ MAX_POINTS = 100_000
 _DIGITS = f"[0-9]{{1,{MAX_INTEGER_DIGITS}}}"
 _RUN = rf"\s*{_DIGITS}(?:\s*\^\s*{_DIGITS})?"
 _LITERAL = re.compile(rf"\s*L\s*({_DIGITS})\s*\(\s*({_DIGITS})\s*(?:;({_RUN}(?:\s*,{_RUN})*)\s*)?\)\s*")
+# The characters `\s` matches but int() does not skip.
+_INT_REJECTS = re.compile("[\x1c-\x1f]")
+# The surfaces of n = 2..128, shared by the specs parse_spec builds:
+# SurfaceParams is immutable and compares and hashes by value.
+_SURFACES = {n: SurfaceParams(n) for n in range(2, 130, 2)}
 
 
 class LiteralSyntaxError(ValueError):
@@ -133,7 +138,12 @@ def parse_literal(text: str) -> SystemLiteral:
     fields = _match(text)
     if fields is None:
         return _scan_literal(text)
-    n, d, runs = fields
+    n, d, mults, _ = fields
+    runs = []
+    if mults:
+        for item in mults.split(","):
+            value, _, count = item.partition("^")
+            runs.append((int(value), int(count) if count else 1))
     return SystemLiteral(source=text, n=n, d=d, runs=tuple(runs))
 
 
@@ -151,19 +161,22 @@ def parse_spec(text: str) -> LinearSystemSpec:
     fields = _match(text)
     if fields is None:
         return _scan_literal(text).to_spec()
-    n, d, runs = fields
-    raw = []
-    for value, count in runs:
-        raw += [value] * count
+    n, d, _, raw = fields
     mults = sorted(raw, reverse=True)
     if mults and not mults[-1]:
         del mults[mults.index(0) :]
-    return LinearSystemSpec._from_canonical(SurfaceParams(n), d, tuple(mults), mults == raw)
+    surface = _SURFACES.get(n) or SurfaceParams(n)
+    return LinearSystemSpec._from_canonical(surface, d, tuple(mults), mults == raw)
 
 
-def _match(text: str) -> tuple[int, int, list[tuple[int, int]]] | None:
-    """(n, d, runs) of a literal the regex accepts with an even n >= 2 and
-    at most MAX_POINTS points; None sends `text` to the scanner."""
+def _match(text: str) -> tuple[int, int, str, list[int]] | None:
+    """(n, d, mults, raw) of a literal the regex accepts with an even n >= 2
+    and at most MAX_POINTS points; None sends `text` to the scanner.
+
+    `mults` is the multiplicity group ("" if none), with the whitespace
+    int() rejects removed, and `raw` its multiplicities in source order,
+    zeros kept.  A run's count is checked before the run is expanded.
+    """
     match = _LITERAL.fullmatch(text)
     if match is None:
         return None
@@ -171,17 +184,26 @@ def _match(text: str) -> tuple[int, int, list[tuple[int, int]]] | None:
     n = int(n_digits)
     if n % 2 != 0 or n < 2:
         return None
-    runs = []
-    if mults is not None:
-        points = 0
-        for item in "".join(mults.split()).split(","):
+    if mults is None:
+        return n, int(d_digits), "", []
+    if _INT_REJECTS.search(mults):
+        mults = "".join(mults.split())
+    if "^" not in mults:
+        raw = list(map(int, mults.split(",")))
+    else:
+        raw = []
+        for item in mults.split(","):
             value, _, count = item.partition("^")
-            count = int(count) if count else 1
-            points += count
-            runs.append((int(value), count))
-        if points > MAX_POINTS:
-            return None
-    return n, int(d_digits), runs
+            if not count:
+                raw.append(int(value))
+                continue
+            count = int(count)
+            if len(raw) + count > MAX_POINTS:
+                return None
+            raw += [int(value)] * count
+    if len(raw) > MAX_POINTS:
+        return None
+    return n, int(d_digits), mults, raw
 
 
 def _scan_literal(text: str) -> SystemLiteral:

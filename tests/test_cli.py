@@ -475,6 +475,57 @@ class TestBatch:
         code, _, err = run(capsys, "batch", str(path))
         assert code == 2 and "not UTF-8" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_leading_byte_order_mark_is_skipped(self, capsys, tmp_path, fmt):
+        text = "L2(3;2^4,1)\n# note\nL4(1;2)\n"
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        expected = run(capsys, "batch", str(plain), "--format", fmt)
+        assert expected[0] == 0 and expected[1]
+        assert run(capsys, "batch", str(marked), "--format", fmt) == expected
+
+    def test_byte_order_mark_elsewhere_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "marks.txt"
+        path.write_bytes("\ufeffL2(1)\n\ufeffL2(2)\nL2(\ufeff3)\n".encode())
+        code, out, err = run(capsys, "batch", str(path), "--format", "json")
+        assert code == 2
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records[0]["free_part"] == "L2(1)"
+        assert [rec["error"] for rec in records[1:]] == [
+            {"line": 2, "position": 0, "message": "expected 'L' at start of system, found '\\ufeff'", "source": "\ufeffL2(2)"},
+            {"line": 3, "position": 3, "message": "expected integer for the degree d, found '\\ufeff'", "source": "L2(\ufeff3)"},
+        ]  # fmt: skip
+        assert err.splitlines() == [
+            f"{path}:2: expected 'L' at start of system, found '\\ufeff' (byte 0)",
+            f"{path}:3: expected integer for the degree d, found '\\ufeff' (byte 3)",
+        ]
+
+    @pytest.mark.parametrize("piece", [1, 2, 3, 4, 5, 7, 8])
+    def test_chunked_reader_on_text_mode_files(self, tmp_path, monkeypatch, piece):
+        # Each break lands on every offset of a piece as the prefix grows:
+        # CR LF and lone CR (one LF once text mode has read them), form
+        # feed, file separator and line separator; then a line over the cap
+        # that spans pieces, and a last line with no break after it.
+        cap = 12
+        monkeypatch.setattr(cli, "READ_CHARS", piece)
+        monkeypatch.setattr(cli, "MAX_LINE_CHARS", cap)
+        for shift in range(piece + 1):
+            for brk in ("\r\n", "\r", "\x0c", "\x1c", "\u2028"):
+                text = "a" * shift + brk + "L2(1)" + brk + brk + "b" * 40 + brk + "L4(1;2)"
+                path = tmp_path / "piece.txt"
+                path.write_text(text, encoding="utf-8", newline="")
+                with open(path, encoding="utf-8-sig") as handle:
+                    expected = handle.read().splitlines()
+                with open(path, encoding="utf-8-sig") as handle:
+                    got = list(cli._file_lines(handle))
+                assert len(got) == len(expected), (shift, brk)
+                for line, full in zip(got, expected):
+                    if len(full) <= cap:
+                        assert line == full
+                    else:
+                        assert full.startswith(line) and cap < len(line) <= cap + piece
+
     def test_csv_error_row_empty(self, capsys, tmp_path):
         code, out, _ = run(capsys, "batch", self.bad_file(tmp_path), "--format", "csv")
         rows = parse_csv(out)

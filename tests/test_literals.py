@@ -1,5 +1,7 @@
 """Literal parser: grammar coverage, positioned diagnostics, round trips."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from k3linsys.literals import (
     SystemLiteral,
     _scan_literal,
     parse_literal,
+    parse_spec,
 )
 
 
@@ -208,3 +211,30 @@ def test_regex_path_boundaries(text, parses):
     outcome = _outcome(parse_literal, text)
     assert outcome == _outcome(_scan_literal, text)
     assert isinstance(outcome, SystemLiteral) == parses
+    expected = _scan_literal(text).to_spec() if parses else outcome
+    spec = _outcome(parse_spec, text)
+    assert spec == expected
+    if parses:
+        assert vars(spec) == vars(expected)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("L2(1;1^1000000000)", id="billion"),
+        pytest.param("L2(1;1^60000,1^60000)", id="two-runs"),
+        pytest.param("L2(1;0^" + "9" * MAX_INTEGER_DIGITS + ")", id="1000-digit-count"),
+    ],
+)
+def test_hostile_run_counts_fail_without_expanding(text):
+    # parse_spec checks a run's count before it builds the run's points.
+    expected = _outcome(_scan_literal, text)
+    assert expected[0] == f"literal expands to more than {MAX_POINTS} points"
+    tracemalloc.start()
+    try:
+        assert _outcome(parse_spec, text) == expected
+        assert _outcome(parse_literal, text) == expected
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
