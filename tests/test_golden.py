@@ -1,12 +1,13 @@
 """Byte identity of the classification record path.
 
-tests/golden/batch.txt holds one d >= 1 line per decompose branch, then
-spaced, unsorted, zero-padded, run-compressed, comment and malformed
-lines.  Its batch output in each format (stdout, the shared stderr and the
-exit code) was frozen from the renderer that went through a record dict
-and json.dumps; the fused path must reproduce it byte for byte.  The CI
-workflow diffs the installed console script's output against the same
-files.
+tests/golden/batch.txt holds one line per decompose branch, the d = 0
+face included, then spaced, unsorted, zero-padded, run-compressed, comment
+and malformed lines.  Its batch output in each format (stdout, the shared
+stderr and the exit code) was frozen from the renderer that went through a
+record dict and json.dumps; the fused path must reproduce it byte for byte.
+`<command>.<format>.out` holds, for each literal of that file in order, the
+stdout, stderr and exit code of `dim` or `classify` on it.  The CI workflow
+diffs the installed console script's output against the same files.
 """
 
 import json
@@ -32,6 +33,17 @@ def test_batch_matches_golden(capsys, monkeypatch, fmt):
     assert code == 2
     assert captured.out == (ROOT / GOLDEN / f"batch.{fmt}.out").read_text(encoding="utf-8")
     assert captured.err == (ROOT / GOLDEN / "batch.err").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+@pytest.mark.parametrize("command", ["dim", "classify"])
+def test_single_system_commands_match_golden(capsys, command, fmt):
+    blocks = []
+    for text in _golden_literals():
+        code = cli.main([command, text, "--format", fmt])
+        captured = capsys.readouterr()
+        blocks.append(f"{captured.out}{captured.err}exit {code}\n")
+    assert "".join(blocks) == (ROOT / GOLDEN / f"{command}.{fmt}.out").read_text(encoding="utf-8")
 
 
 def _golden_literals():
