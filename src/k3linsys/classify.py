@@ -20,7 +20,7 @@ v and e are unconditional, and so is the whole verdict when d = 0.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .lattice import DivisorClass, SurfaceParams
@@ -277,6 +277,13 @@ class Decomposition:
     the free part.  h1 is None when only the lower bound
     h1 >= h1_lower_bound is known (conjecturally empty systems with
     v < -1); otherwise h1 = dim - v.
+
+    `dimension` is an unconditional lower bound on dim |D|; only the upper
+    bound rests on the conjecture.  Every fixed component has t >= 1 and
+    v >= 0, so h^2 = 0 and chi = v + 1 >= 1 make it effective; the free
+    part, when there is one, has v(free) = dimension.  As the parts sum to
+    D, dim D >= dim(free) >= v(free) = dimension, and dimension is 0 when
+    only fixed parts remain and -1 when the system is empty.
     """
 
     spec: LinearSystemSpec
@@ -308,18 +315,25 @@ class Decomposition:
         return total == self.spec.divisor_class()
 
 
-_DECOMPOSITION_DEFAULTS = {f.name: f.default for f in fields(Decomposition) if f.default is not MISSING}
+def _decomposition(
+    spec, v, dimension, member_kind, fixed_part=(), free_part=None,
+    special=None, pencil=None, pencil_count=0, conjectural=True,
+) -> Decomposition:
+    """The Decomposition of these facts, filled in one step without __init__.
 
-
-def _decomposition(**values) -> Decomposition:
-    """The Decomposition of `values`, filled in one step without __init__.
-
-    Precondition: `values` names every field without a default and no
-    other name.  The result then equals, hashes and prints as
-    Decomposition(**values) and stays frozen.
+    h^1 = h^0 - chi + h^2 = dim - v wherever h^0 is known, so h1 is
+    derived here: it is unknown only for a conjecturally empty system with
+    v < -1, which has h1 >= -1 - v.  The result equals, hashes and prints
+    as the Decomposition built by __init__ from the same fields and stays
+    frozen.
     """
+    h1 = None if v < -1 and dimension < 0 and conjectural else dimension - v
     dec = object.__new__(Decomposition)
-    dec.__dict__.update(_DECOMPOSITION_DEFAULTS, **values)
+    dec.__dict__.update(
+        spec=spec, v=v, special=special, dimension=dimension, h1=h1,
+        h1_lower_bound=-1 - v if h1 is None else h1, member_kind=member_kind, fixed_part=fixed_part,
+        free_part=free_part, pencil=pencil, pencil_count=pencil_count, conjectural=conjectural,
+    )
     return dec
 
 
@@ -331,118 +345,43 @@ def decompose(spec: LinearSystemSpec) -> Decomposition:
     (rigid), the composite pencil square L^2(2;2), empty (v < 0),
     irreducible (v > 0).  The explicit patterns are mutually exclusive, so
     only priority between a pattern and the generic v-sign branches matters.
+    Each branch states its dimension, member kind and parts; _decomposition
+    derives h1 from them.
     """
     v = virtual_dim(spec)
     if spec.d == 0:
         # Unconditional.  Without points the one member is the zero divisor,
         # which has no components; no degree-0 curve passes through a point.
-        # h^0 is known either way, so h^1 = h^0 - chi + h^2 = dim - v.
-        dimension = -1 if spec.mults else 0
-        return _decomposition(
-            spec=spec,
-            v=v,
-            special=None,
-            dimension=dimension,
-            h1=dimension - v,
-            h1_lower_bound=max(0, -1 - v),
-            member_kind=MemberKind.EMPTY if spec.mults else MemberKind.RIGID,
-            conjectural=False,
-        )
+        if spec.mults:
+            return _decomposition(spec, v, -1, MemberKind.EMPTY, conjectural=False)
+        return _decomposition(spec, v, 0, MemberKind.RIGID, conjectural=False)
     matched = pattern_matches(spec)
     branch = matched[0] if matched else None
-    n = spec.n
+    surface = spec.surface
 
     if branch in (1, 2):
-        d = spec.d
-        curve = (
-            LinearSystemSpec(spec.surface, 1, (2,))
-            if branch == 1
-            else LinearSystemSpec(spec.surface, 1, (1, 1))
-        )
+        curve = LinearSystemSpec(surface, 1, (2,) if branch == 1 else (1, 1))
         return _decomposition(
-            spec=spec,
-            v=v,
-            special=special_family(spec),
-            dimension=0,
-            h1=0 - v,  # = d - 1
-            h1_lower_bound=0 - v,
-            member_kind=MemberKind.RIGID,
-            fixed_part=((d, curve),),
+            spec, v, 0, MemberKind.RIGID, ((spec.d, curve),), special=special_family(spec)
         )
     if branch == 3:
-        m = spec.d - 1
-        fixed = LinearSystemSpec(spec.surface, 1, (1, 1))
-        free = LinearSystemSpec(spec.surface, 1, (1,))
-        return _decomposition(
-            spec=spec,
-            v=v,
-            special=None,
-            dimension=1,
-            h1=1 - v,  # v = 1 here, so h1 = 0
-            h1_lower_bound=1 - v,
-            member_kind=MemberKind.FIXED_PLUS_PENCIL,
-            fixed_part=((m, fixed),),
-            free_part=free,
-        )
+        fixed = LinearSystemSpec(surface, 1, (1, 1))
+        free = LinearSystemSpec(surface, 1, (1,))
+        return _decomposition(spec, v, 1, MemberKind.FIXED_PLUS_PENCIL, ((spec.d - 1, fixed),), free)
     if branch == 4:
-        cn, ct, cm = _DOUBLE_CURVES[(n, spec.d, spec.mults)]
+        cn, ct, cm = _DOUBLE_CURVES[(spec.n, spec.d, spec.mults)]
         curve = LinearSystemSpec(SurfaceParams(cn), ct, cm)
-        return _decomposition(
-            spec=spec,
-            v=v,
-            special=None,
-            dimension=0,
-            h1=0,
-            h1_lower_bound=0,
-            member_kind=MemberKind.RIGID,
-            fixed_part=((2, curve),),
-        )
+        return _decomposition(spec, v, 0, MemberKind.RIGID, ((2, curve),))
     if branch == 6:
-        pencil = LinearSystemSpec(spec.surface, 1, (1,))
+        pencil = LinearSystemSpec(surface, 1, (1,))
         return _decomposition(
-            spec=spec,
-            v=v,
-            special=None,
-            dimension=2,
-            h1=0,
-            h1_lower_bound=0,
-            member_kind=MemberKind.COMPOSITE_WITH_PENCIL,
-            free_part=spec,
-            pencil=pencil,
-            pencil_count=2,
+            spec, v, 2, MemberKind.COMPOSITE_WITH_PENCIL, free_part=spec, pencil=pencil, pencil_count=2
         )
     if v == 0:
-        return _decomposition(
-            spec=spec,
-            v=v,
-            special=None,
-            dimension=0,
-            h1=0,
-            h1_lower_bound=0,
-            member_kind=MemberKind.RIGID,
-            fixed_part=((1, spec),),
-        )
+        return _decomposition(spec, v, 0, MemberKind.RIGID, ((1, spec),))
     if v < 0:
-        h1 = 0 if v == -1 else None
-        return _decomposition(
-            spec=spec,
-            v=v,
-            special=None,
-            dimension=-1,
-            h1=h1,
-            h1_lower_bound=max(0, -1 - v),
-            member_kind=MemberKind.EMPTY,
-        )
-    return _decomposition(
-        spec=spec,
-        v=v,
-        special=None,
-        dimension=v,
-        h1=0,
-        h1_lower_bound=0,
-        member_kind=MemberKind.IRREDUCIBLE,
-        free_part=spec,
-    )
+        return _decomposition(spec, v, -1, MemberKind.EMPTY)
+    return _decomposition(spec, v, v, MemberKind.IRREDUCIBLE, free_part=spec)
 
 
 def general_member_multiplicities(spec: LinearSystemSpec) -> tuple[int, ...]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 RECORD_FIELDS = (
@@ -43,6 +44,9 @@ READ_CHARS = 1 << 13
 MAX_LINE_CHARS = 1 << 20
 # The characters str.splitlines() breaks lines at.
 _LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+# The characters the surrogateescape handler decodes bytes that are not
+# UTF-8 to; UTF-8 text never decodes to them.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 # The names this module takes from the package's modules; json and csv are
 # bound under their own names.  They are bound into this module's globals
@@ -122,23 +126,25 @@ class _Output:
         print(text, file=sys.stderr)
 
 
+def record_values(dec: Decomposition) -> tuple:
+    """The values of dec's record, in RECORD_FIELDS order.
+
+    mults is the spec's tuple and fixed_part a list of "mult*literal"
+    strings; special, h1 and free_part are None when absent.  Enum members are read
+    through _value_ and _name_, not the value/name descriptors.
+    """
+    spec, v, family, free = dec.spec, dec.v, dec.special, dec.free_part
+    return (
+        spec.surface.n, spec.d, spec.mults, v, max(v, -1), dec.dimension,
+        family._value_ if family else None, dec.h1, dec.h1_lower_bound, dec.member_kind._name_,
+        [f"{mult}*{comp.literal()}" for mult, comp in dec.fixed_part],
+        free.literal() if free else None, dec.conjectural,
+    )  # fmt: skip
+
+
 def classification_record(dec: Decomposition) -> dict:
-    spec = dec.spec
-    return {
-        "n": spec.n,
-        "d": spec.d,
-        "mults": list(spec.mults),
-        "v": dec.v,
-        "e": max(dec.v, -1),
-        "dim": dec.dimension,
-        "special": dec.special.value if dec.special else None,
-        "h1": dec.h1,
-        "h1_lower_bound": dec.h1_lower_bound,
-        "member_kind": dec.member_kind.name,
-        "fixed_part": [f"{mult}*{comp.literal()}" for mult, comp in dec.fixed_part],
-        "free_part": dec.free_part.literal() if dec.free_part else None,
-        "conjectural": dec.conjectural,
-    }
+    n, d, mults, *rest = record_values(dec)
+    return dict(zip(RECORD_FIELDS, (n, d, list(mults), *rest)))
 
 
 def json_record(dec: Decomposition) -> str:
@@ -147,20 +153,17 @@ def json_record(dec: Decomposition) -> str:
     Every string in a record is a canonical literal, a family value or a
     member-kind name, none with a character JSON escapes, so quoting it
     is its JSON form.  The spec's fields are ints, as the parser builds them,
-    so str() of the list of multiplicities is its JSON form.  Enum members
-    are read through _value_ and _name_, not the value/name descriptors.
+    so str() of the list of multiplicities is its JSON form.
     """
-    spec, v, h1 = dec.spec, dec.v, dec.h1
-    family, fixed, free = dec.special, dec.fixed_part, dec.free_part
-    special = f'"{family._value_}"' if family else "null"
-    fixed = ", ".join([f'"{mult}*{comp.literal()}"' for mult, comp in fixed]) if fixed else ""
-    free = f'"{free.literal()}"' if free else "null"
+    n, d, mults, v, e, dim, special, h1, lower, kind, fixed, free, conjectural = record_values(dec)
+    special = f'"{special}"' if special else "null"
+    fixed = ", ".join([f'"{part}"' for part in fixed])
+    free = f'"{free}"' if free else "null"
     return (
-        f'{{"n": {spec.surface.n}, "d": {spec.d}, "mults": {list(spec.mults)}, "v": {v}, '
-        f'"e": {max(v, -1)}, "dim": {dec.dimension}, "special": {special}, '
-        f'"h1": {"null" if h1 is None else h1}, "h1_lower_bound": {dec.h1_lower_bound}, '
-        f'"member_kind": "{dec.member_kind._name_}", "fixed_part": [{fixed}], '
-        f'"free_part": {free}, "conjectural": {"true" if dec.conjectural else "false"}}}'
+        f'{{"n": {n}, "d": {d}, "mults": {list(mults)}, "v": {v}, "e": {e}, "dim": {dim}, '
+        f'"special": {special}, "h1": {"null" if h1 is None else h1}, "h1_lower_bound": {lower}, '
+        f'"member_kind": "{kind}", "fixed_part": [{fixed}], "free_part": {free}, '
+        f'"conjectural": {"true" if conjectural else "false"}}}'
     )
 
 
@@ -182,24 +185,16 @@ def _write_csv(out: _Output, header, rows) -> None:
     writer.writerows(rows)
 
 
-def _record_row(record: dict) -> list[str]:
-    return [_csv_cell(key, record[key]) for key in RECORD_FIELDS]
+def _h1_text(h1: int | None, lower: int) -> str:
+    return f"h1 >= {lower}" if h1 is None else f"h1 = {h1}"
 
 
-def _h1_text(record: dict) -> str:
-    if record["h1"] is None:
-        return f"h1 >= {record['h1_lower_bound']}"
-    return f"h1 = {record['h1']}"
-
-
-def _record_line(record: dict, source: str) -> str:
-    fixed = "+".join(record["fixed_part"]) or "-"
-    free = record["free_part"] or "-"
-    special = record["special"] or "-"
+def _record_line(dec: Decomposition, source: str) -> str:
+    _, _, _, v, e, dim, special, h1, lower, kind, fixed, free, _ = record_values(dec)
     return (
-        f"{source}: dim={record['dim']} v={record['v']} e={record['e']} "
-        f"special={special} {_h1_text(record).replace(' ', '')} "
-        f"kind={record['member_kind']} fixed={fixed} free={free}"
+        f"{source}: dim={dim} v={v} e={e} special={special or '-'} "
+        f"{_h1_text(h1, lower).replace(' ', '')} "
+        f"kind={kind} fixed={'+'.join(fixed) or '-'} free={free or '-'}"
     )
 
 
@@ -217,11 +212,11 @@ def _record_writer(fmt: str, out: _Output):
         rows.writerow(RECORD_FIELDS)
         blank = [""] * len(RECORD_FIELDS)
         return (
-            lambda spec: rows.writerow(_record_row(classification_record(decompose(spec)))),
+            lambda spec: rows.writerow(map(_csv_cell, RECORD_FIELDS, record_values(decompose(spec)))),
             lambda err, text: rows.writerow(blank),
         )
     return (
-        lambda spec: out.line(_record_line(classification_record(decompose(spec)), spec.literal())),
+        lambda spec: out.line(_record_line(decompose(spec), spec.literal())),
         lambda err, text: out.line(f"{text}: error: {err['message']} (byte {err['position']})"),
     )
 
@@ -248,42 +243,30 @@ def _file_lines(handle):
         yield head
 
 
-def _cmd_dim(args, out: _Output) -> int:
+def _cmd_record(args, out: _Output) -> int:
+    """dim and classify: the same json and csv record, each its own text."""
     dec = decompose(parse_spec(args.system))
     if args.format == "json":
         out.line(json_record(dec))
         return 0
-    record = classification_record(dec)
-    if args.format == "text":
-        dim, v = record["dim"], record["v"]
-        if record["special"]:
-            out.line(f"{dim} (special; v = {v}, h1 = {record['h1']})")
-        elif dim == -1:
-            out.line(f"-1 (empty; v = {v}, {_h1_text(record)})")
-        else:
-            out.line(str(dim))
-    else:
-        _write_csv(out, RECORD_FIELDS, [_record_row(record)])
-    return 0
-
-
-def _cmd_classify(args, out: _Output) -> int:
-    dec = decompose(parse_spec(args.system))
-    if args.format == "json":
-        out.line(json_record(dec))
+    values = record_values(dec)
+    if args.format == "csv":
+        _write_csv(out, RECORD_FIELDS, [map(_csv_cell, RECORD_FIELDS, values)])
         return 0
-    record = classification_record(dec)
-    if args.format == "text":
-        out.line(dec.spec.literal())
-        out.line(f"  v = {record['v']}, e = {record['e']}")
-        out.line(f"  dim = {record['dim']}{' (conjectural)' if dec.conjectural else ''}")
-        out.line(f"  special: {record['special'] if record['special'] else 'no'}")
-        out.line(f"  {_h1_text(record)}")
-        out.line(f"  member kind: {record['member_kind']}")
-        out.line(f"  fixed part: {'+'.join(record['fixed_part']) or '-'}")
-        out.line(f"  free part: {record['free_part'] or '-'}")
+    _, _, _, v, e, dim, special, h1, lower, kind, fixed, free, conjectural = values
+    if args.command == "classify":
+        out.write(
+            f"{dec.spec.literal()}\n  v = {v}, e = {e}\n"
+            f"  dim = {dim}{' (conjectural)' if conjectural else ''}\n"
+            f"  special: {special or 'no'}\n  {_h1_text(h1, lower)}\n  member kind: {kind}\n"
+            f"  fixed part: {'+'.join(fixed) or '-'}\n  free part: {free or '-'}\n"
+        )
+    elif special:
+        out.line(f"{dim} (special; v = {v}, h1 = {h1})")
+    elif dim == -1:
+        out.line(f"-1 (empty; v = {v}, {_h1_text(h1, lower)})")
     else:
-        _write_csv(out, RECORD_FIELDS, [_record_row(record)])
+        out.line(str(dim))
     return 0
 
 
@@ -390,38 +373,35 @@ def _cmd_hunt(args, out: _Output) -> int:
 
 def _cmd_batch(args, out: _Output) -> int:
     try:
-        # utf-8-sig drops a byte-order mark at the start of the file only.
-        handle = open(args.file, encoding="utf-8-sig")
+        # utf-8-sig drops a byte-order mark at the start of the file only;
+        # bytes that are not UTF-8 are read, then end the run at their line.
+        handle = open(args.file, encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:
         _Output.error(f"cannot read batch file: {exc}")
         return 2
     emit, emit_error = _record_writer(args.format, out)
     failed = False
-    lineno = 0
     with handle:
-        try:
-            for lineno, raw in enumerate(_file_lines(handle), start=1):
-                try:
-                    if len(raw) > MAX_LINE_CHARS:
-                        # name the line by its start, not by a megabyte of it
-                        text = raw[:40].strip() + "..."
-                        raise LiteralSyntaxError(
-                            f"line longer than {MAX_LINE_CHARS} characters", MAX_LINE_CHARS
-                        )
-                    text = raw.partition("#")[0].strip()
-                    if not text:
-                        continue
-                    spec = parse_spec(text)
-                except LiteralSyntaxError as exc:
-                    failed = True
-                    _Output.error(f"{args.file}:{lineno}: {exc.message} (byte {exc.position})")
-                    error = {"line": lineno, "position": exc.position, "message": exc.message, "source": text}
-                    emit_error(error, text)
+        for lineno, raw in enumerate(_file_lines(handle), start=1):
+            if not raw.isascii() and _NOT_UTF8.search(raw):
+                _Output.error(f"{args.file}: not UTF-8 at line {lineno}")
+                return 2
+            try:
+                if len(raw) > MAX_LINE_CHARS:
+                    # name the line by its start, not by a megabyte of it
+                    text = raw[:40].strip() + "..."
+                    raise LiteralSyntaxError(f"line longer than {MAX_LINE_CHARS} characters", MAX_LINE_CHARS)
+                text = raw.partition("#")[0].strip()
+                if not text:
                     continue
-                emit(spec)
-        except UnicodeDecodeError as exc:
-            _Output.error(f"{args.file}: not UTF-8 after line {lineno}: {exc.reason}")
-            return 2
+                spec = parse_spec(text)
+            except LiteralSyntaxError as exc:
+                failed = True
+                _Output.error(f"{args.file}:{lineno}: {exc.message} (byte {exc.position})")
+                error = {"line": lineno, "position": exc.position, "message": exc.message, "source": text}
+                emit_error(error, text)
+                continue
+            emit(spec)
     return 2 if failed else 0
 
 
@@ -486,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
 # command: (handler, the _LAZY modules it runs, the formats it renders with
 # the module of that name)
 _COMMANDS = {
-    "dim": (_cmd_dim, ("literals", "classify"), ("csv",)),
-    "classify": (_cmd_classify, ("literals", "classify"), ("csv",)),
+    "dim": (_cmd_record, ("literals", "classify"), ("csv",)),
+    "classify": (_cmd_record, ("literals", "classify"), ("csv",)),
     "intersect": (_cmd_intersect, ("literals", "lattice"), ("json", "csv")),
     "enumerate": (_cmd_enumerate, ("verify", "classify", "json"), ("csv",)),
     "verify": (_cmd_verify, ("verify", "json"), ("csv",)),

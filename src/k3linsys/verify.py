@@ -579,9 +579,10 @@ def verify_addition_identity(
 
 
 _HUNT_NOTE = (
-    "any certificate from this scan is a counterexample candidate: it would "
-    "falsify the speciality conjecture (or its explicit structure patterns), "
-    "not the implementation."
+    "any certificate from this scan is an implementation fault, not a counterexample: "
+    "decompose makes every v < 0 spec outside the two special families EMPTY, and the "
+    "other structure patterns all have v >= 0, so the scan compares decompose with its "
+    "own patterns and the patterns with each other."
 )
 
 

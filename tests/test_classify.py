@@ -419,6 +419,27 @@ def test_degree_zero_records():
     assert (dec.v, dec.dimension, dec.h1, dec.fixed_part, dec.free_part) == (0, 0, 0, (), None)
 
 
+def test_dimension_is_witnessed_by_the_parts():
+    # Each fixed component is effective unconditionally (t >= 1 and v >= 0,
+    # so h^2 = 0 and chi >= 1), and the free part has v = dimension; the
+    # printed dimension is therefore a lower bound that needs no conjecture.
+    vectors = list(_mult_vectors(20, 40))
+    for n in range(2, 21, 2):
+        surface = SurfaceParams(n)
+        for d in range(0, 7):
+            for mults in vectors:
+                dec = decompose(LinearSystemSpec(surface, d, mults))
+                assert dec.reconstructs(), dec.spec
+                for _, comp in dec.fixed_part:
+                    assert comp.d >= 1 and virtual_dim(comp) >= 0, dec.spec
+                if dec.free_part is not None:
+                    assert virtual_dim(dec.free_part) == dec.dimension, dec.spec
+                elif dec.member_kind is MemberKind.EMPTY:
+                    assert dec.dimension == expected_dim(dec.spec) == -1, dec.spec
+                else:
+                    assert dec.dimension == 0, dec.spec
+
+
 def reference_pattern_matches(spec):
     """pattern_matches without its early return."""
     fam = special_family(spec)

@@ -476,6 +476,20 @@ class TestBatch:
         assert code == 2 and "not UTF-8" in err
 
     @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_undecodable_line_is_named_after_every_earlier_record(self, capsys, tmp_path, fmt):
+        # The bad byte sits past the first 8 KB the decoder reads at once.
+        path = tmp_path / "late.txt"
+        path.write_bytes("L2(1)  # \u00e9\n".encode() * 3000 + b"L2(\xff)\nL2(2)\n")
+        code, out, err = run(capsys, "batch", str(path), "--format", fmt)
+        assert code == 2 and err == f"{path}: not UTF-8 at line 3001\n"
+        one = tmp_path / "one.txt"
+        one.write_text("L2(1)\n")
+        _, single, _ = run(capsys, "batch", str(one), "--format", fmt)
+        header = f"{','.join(RECORD_FIELDS)}\n" if fmt == "csv" else ""
+        record = single.removeprefix(header)
+        assert out == header + record * 3000
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
     def test_leading_byte_order_mark_is_skipped(self, capsys, tmp_path, fmt):
         text = "L2(3;2^4,1)\n# note\nL4(1;2)\n"
         plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"

@@ -477,7 +477,7 @@ class TestHunt:
         report = hunt_counterexamples(max_n=6, max_degree=3, mass_bound=24, max_points=5)
         assert report.passed
         assert report.details["specs_scanned"] > 0
-        assert any("falsify" in note for note in report.notes)
+        assert any("implementation fault" in note for note in report.notes)
 
     def test_broken_pattern_guard_reported(self):
         report = hunt_counterexamples(
