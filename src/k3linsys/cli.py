@@ -133,11 +133,11 @@ def record_values(dec: Decomposition) -> tuple:
     strings; special, h1 and free_part are None when absent.  Enum members are read
     through _value_ and _name_, not the value/name descriptors.
     """
-    spec, v, family, free = dec.spec, dec.v, dec.special, dec.free_part
+    spec, v, family, fixed, free = dec.spec, dec.v, dec.special, dec.fixed_part, dec.free_part
     return (
         spec.surface.n, spec.d, spec.mults, v, max(v, -1), dec.dimension,
         family._value_ if family else None, dec.h1, dec.h1_lower_bound, dec.member_kind._name_,
-        [f"{mult}*{comp.literal()}" for mult, comp in dec.fixed_part],
+        [f"{mult}*{comp.literal()}" for mult, comp in fixed] if fixed else [],
         free.literal() if free else None, dec.conjectural,
     )  # fmt: skip
 
@@ -157,7 +157,7 @@ def json_record(dec: Decomposition) -> str:
     """
     n, d, mults, v, e, dim, special, h1, lower, kind, fixed, free, conjectural = record_values(dec)
     special = f'"{special}"' if special else "null"
-    fixed = ", ".join([f'"{part}"' for part in fixed])
+    fixed = '"' + '", "'.join(fixed) + '"' if fixed else ""
     free = f'"{free}"' if free else "null"
     return (
         f'{{"n": {n}, "d": {d}, "mults": {list(mults)}, "v": {v}, "e": {e}, "dim": {dim}, '
