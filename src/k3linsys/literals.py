@@ -15,9 +15,9 @@ byte offset of the first offending character, including integers over
 MAX_INTEGER_DIGITS digits and literals over MAX_POINTS points.
 `parse_spec` accepts a well-formed literal by one anchored regular
 expression and goes straight to its canonical LinearSystemSpec; any other
-input goes through the scanner.  Printing emits one canonical form per system:
-multiplicities sorted non-increasing, zeros dropped, runs compressed with
-'^'.
+input goes through the scanner.  Printing emits one canonical form per
+system: multiplicities sorted non-increasing, zeros dropped, runs
+compressed with '^'.
 """
 
 from __future__ import annotations
