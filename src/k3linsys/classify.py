@@ -316,8 +316,16 @@ class Decomposition:
 
 
 def _decomposition(
-    spec, v, dimension, member_kind, fixed_part=(), free_part=None,
-    special=None, pencil=None, pencil_count=0, conjectural=True,
+    spec,
+    v,
+    dimension,
+    member_kind,
+    fixed_part=(),
+    free_part=None,
+    special=None,
+    pencil=None,
+    pencil_count=0,
+    conjectural=True,
 ) -> Decomposition:
     """The Decomposition of these facts, filled in one step without __init__.
 
@@ -330,9 +338,18 @@ def _decomposition(
     h1 = None if v < -1 and dimension < 0 and conjectural else dimension - v
     dec = object.__new__(Decomposition)
     dec.__dict__.update(
-        spec=spec, v=v, special=special, dimension=dimension, h1=h1,
-        h1_lower_bound=-1 - v if h1 is None else h1, member_kind=member_kind, fixed_part=fixed_part,
-        free_part=free_part, pencil=pencil, pencil_count=pencil_count, conjectural=conjectural,
+        spec=spec,
+        v=v,
+        special=special,
+        dimension=dimension,
+        h1=h1,
+        h1_lower_bound=-1 - v if h1 is None else h1,
+        member_kind=member_kind,
+        fixed_part=fixed_part,
+        free_part=free_part,
+        pencil=pencil,
+        pencil_count=pencil_count,
+        conjectural=conjectural,
     )
     return dec
 

@@ -135,11 +135,20 @@ def record_values(dec: Decomposition) -> tuple:
     """
     spec, v, family, fixed, free = dec.spec, dec.v, dec.special, dec.fixed_part, dec.free_part
     return (
-        spec.surface.n, spec.d, spec.mults, v, max(v, -1), dec.dimension,
-        family._value_ if family else None, dec.h1, dec.h1_lower_bound, dec.member_kind._name_,
+        spec.surface.n,
+        spec.d,
+        spec.mults,
+        v,
+        max(v, -1),
+        dec.dimension,
+        family._value_ if family else None,
+        dec.h1,
+        dec.h1_lower_bound,
+        dec.member_kind._name_,
         [f"{mult}*{comp.literal()}" for mult, comp in fixed] if fixed else [],
-        free.literal() if free else None, dec.conjectural,
-    )  # fmt: skip
+        free.literal() if free else None,
+        dec.conjectural,
+    )
 
 
 def classification_record(dec: Decomposition) -> dict:
@@ -199,8 +208,9 @@ def _record_line(dec: Decomposition, source: str) -> str:
 
 
 def _record_writer(fmt: str, out: _Output):
-    """Batch renderers (record, error): record(spec) writes a spec's record,
-    error(err, text) the error record of the stripped line `text`."""
+    """Record renderers (record, error) of batch, and of dim and classify in
+    json and csv: record(spec) writes a spec's record, error(err, text) the
+    error record of the stripped line `text`."""
     if fmt == "json":
         write = out.write
         return (
@@ -226,9 +236,10 @@ def _file_lines(handle):
     min(READ_CHARS, BLOCK_CHARS) characters.
 
     A line longer than MAX_LINE_CHARS comes out as a prefix still longer
-    than MAX_LINE_CHARS, of at most MAX_LINE_CHARS plus one piece.  Text
-    mode turns every CR and CR LF into LF, so each line break is one
-    character and no break spans two pieces.
+    than MAX_LINE_CHARS, of at most MAX_LINE_CHARS plus one piece, and
+    U+DCFF after it when a dropped piece holds a byte that is not UTF-8
+    (see _NOT_UTF8).  Text mode turns every CR and CR LF into LF, so each
+    line break is one character and no break spans two pieces.
     """
     size = min(READ_CHARS, BLOCK_CHARS)
     head = ""  # the start of the line the previous piece left unfinished
@@ -236,6 +247,8 @@ def _file_lines(handle):
         lines = piece.splitlines()
         if len(head) <= MAX_LINE_CHARS:
             head += lines[0]
+        elif head[-1] != "\udcff" and not lines[0].isascii() and _NOT_UTF8.search(lines[0]):
+            head += "\udcff"
         lines[0] = head
         head = "" if piece[-1] in _LINE_BREAKS else lines.pop()
         yield from lines
@@ -243,30 +256,35 @@ def _file_lines(handle):
         yield head
 
 
-def _cmd_record(args, out: _Output) -> int:
-    """dim and classify: the same json and csv record, each its own text."""
-    dec = decompose(parse_spec(args.system))
-    if args.format == "json":
-        out.line(json_record(dec))
+def _cmd_dim(args, out: _Output) -> int:
+    spec = parse_spec(args.system)
+    if args.format != "text":
+        _record_writer(args.format, out)[0](spec)
         return 0
-    values = record_values(dec)
-    if args.format == "csv":
-        _write_csv(out, RECORD_FIELDS, [map(_csv_cell, RECORD_FIELDS, values)])
-        return 0
-    _, _, _, v, e, dim, special, h1, lower, kind, fixed, free, conjectural = values
-    if args.command == "classify":
-        out.write(
-            f"{dec.spec.literal()}\n  v = {v}, e = {e}\n"
-            f"  dim = {dim}{' (conjectural)' if conjectural else ''}\n"
-            f"  special: {special or 'no'}\n  {_h1_text(h1, lower)}\n  member kind: {kind}\n"
-            f"  fixed part: {'+'.join(fixed) or '-'}\n  free part: {free or '-'}\n"
-        )
-    elif special:
+    _, _, _, v, _, dim, special, h1, lower, *_ = record_values(decompose(spec))
+    if special:
         out.line(f"{dim} (special; v = {v}, h1 = {h1})")
     elif dim == -1:
         out.line(f"-1 (empty; v = {v}, {_h1_text(h1, lower)})")
     else:
         out.line(str(dim))
+    return 0
+
+
+def _cmd_classify(args, out: _Output) -> int:
+    spec = parse_spec(args.system)
+    if args.format != "text":
+        _record_writer(args.format, out)[0](spec)
+        return 0
+    _, _, _, v, e, dim, special, h1, lower, kind, fixed, free, conjectural = record_values(decompose(spec))
+    out.line(spec.literal())
+    out.line(f"  v = {v}, e = {e}")
+    out.line(f"  dim = {dim}{' (conjectural)' if conjectural else ''}")
+    out.line(f"  special: {special or 'no'}")
+    out.line(f"  {_h1_text(h1, lower)}")
+    out.line(f"  member kind: {kind}")
+    out.line(f"  fixed part: {'+'.join(fixed) or '-'}")
+    out.line(f"  free part: {free or '-'}")
     return 0
 
 
@@ -466,8 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
 # command: (handler, the _LAZY modules it runs, the formats it renders with
 # the module of that name)
 _COMMANDS = {
-    "dim": (_cmd_record, ("literals", "classify"), ("csv",)),
-    "classify": (_cmd_record, ("literals", "classify"), ("csv",)),
+    "dim": (_cmd_dim, ("literals", "classify"), ("csv",)),
+    "classify": (_cmd_classify, ("literals", "classify"), ("csv",)),
     "intersect": (_cmd_intersect, ("literals", "lattice"), ("json", "csv")),
     "enumerate": (_cmd_enumerate, ("verify", "classify", "json"), ("csv",)),
     "verify": (_cmd_verify, ("verify", "json"), ("csv",)),

@@ -229,7 +229,3 @@ def parse_literal(text: str) -> SystemLiteral:
     if sc.pos != len(sc.text):
         raise LiteralSyntaxError(f"unexpected trailing input {sc._found()}", sc.pos)
     return SystemLiteral(source=text, n=n, d=d, runs=tuple(runs))
-
-
-# The scanner under the name the regex path is tested against.
-_scan_literal = parse_literal

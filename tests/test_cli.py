@@ -489,6 +489,25 @@ class TestBatch:
         record = single.removeprefix(header)
         assert out == header + record * 3000
 
+    @pytest.mark.parametrize("piece", [1, 8, 64])
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_undecodable_byte_past_the_kept_prefix_ends_the_run(self, capsys, tmp_path, monkeypatch, fmt, piece):
+        # The reader drops the pieces of a line past MAX_LINE_CHARS; a byte
+        # that is not UTF-8 in them still names the line and ends the run.
+        monkeypatch.setattr(cli, "READ_CHARS", piece)
+        monkeypatch.setattr(cli, "MAX_LINE_CHARS", 50)
+        path = tmp_path / "long.txt"
+        path.write_bytes(b"L2(1)\nL2(1" + (b" " * 100 + b"\xff") * 3 + b")\nL2(2)\n")
+        code, out, err = run(capsys, "batch", str(path), "--format", fmt)
+        assert code == 2 and err == f"{path}: not UTF-8 at line 2\n"
+        one = tmp_path / "one.txt"
+        one.write_text("L2(1)\n")
+        assert out == run(capsys, "batch", str(one), "--format", fmt)[1]
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
+            lines = list(cli._file_lines(handle))
+        assert len(lines) == 3 and 50 < len(lines[1]) <= 50 + piece + 1
+        assert lines[1].count("\udcff") == 1
+
     @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
     def test_leading_byte_order_mark_is_skipped(self, capsys, tmp_path, fmt):
         text = "L2(3;2^4,1)\n# note\nL4(1;2)\n"

@@ -13,7 +13,6 @@ from k3linsys.literals import (
     MAX_POINTS,
     LiteralSyntaxError,
     SystemLiteral,
-    _scan_literal,
     parse_literal,
     parse_spec,
 )
@@ -187,9 +186,23 @@ def near_literals(draw):
     return "".join(pieces)
 
 
+def _scanned_spec(text):
+    return parse_literal(text).to_spec()
+
+
+def _assert_spec_matches_scanner(text):
+    # parse_spec's regex path builds the scanner's spec, fields and all, or
+    # hands the text to the scanner for its error.
+    spec = _outcome(parse_spec, text)
+    expected = _outcome(_scanned_spec, text)
+    assert spec == expected
+    if not isinstance(expected, tuple):
+        assert vars(spec) == vars(expected)
+
+
 @given(st.text(alphabet=_ALPHABET, max_size=24) | near_literals())
 def test_regex_path_agrees_with_scanner(text):
-    assert _outcome(parse_literal, text) == _outcome(_scan_literal, text)
+    _assert_spec_matches_scanner(text)
 
 
 @pytest.mark.parametrize(
@@ -208,14 +221,8 @@ def test_regex_path_agrees_with_scanner(text):
     ],
 )
 def test_regex_path_boundaries(text, parses):
-    outcome = _outcome(parse_literal, text)
-    assert outcome == _outcome(_scan_literal, text)
-    assert isinstance(outcome, SystemLiteral) == parses
-    expected = _scan_literal(text).to_spec() if parses else outcome
-    spec = _outcome(parse_spec, text)
-    assert spec == expected
-    if parses:
-        assert vars(spec) == vars(expected)
+    assert isinstance(_outcome(parse_literal, text), SystemLiteral) == parses
+    _assert_spec_matches_scanner(text)
 
 
 @pytest.mark.parametrize(
@@ -228,12 +235,12 @@ def test_regex_path_boundaries(text, parses):
 )
 def test_hostile_run_counts_fail_without_expanding(text):
     # parse_spec checks a run's count before it builds the run's points.
-    expected = _outcome(_scan_literal, text)
+    expected = _outcome(parse_literal, text)
     assert expected[0] == f"literal expands to more than {MAX_POINTS} points"
     tracemalloc.start()
     try:
         assert _outcome(parse_spec, text) == expected
-        assert _outcome(parse_literal, text) == expected
+        assert _outcome(parse_literal, text) == expected  # for the scanner's peak
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
