@@ -66,9 +66,9 @@ class LinearSystemSpec:
 
     There are two construction paths.  The public constructor checks its
     fields and raises TypeError or NormalizationError on bad data.
-    `_from_canonical` checks nothing and is for callers that have already
-    checked the data, such as the hunt grid, which checks each multiplicity
-    vector once and reuses it for every (n, d).
+    `_from_canonical` checks nothing and is for callers whose data is
+    canonical by construction, such as the hunt grid, whose multiplicity
+    vectors come from an enumerator of non-increasing ints >= 1.
     """
 
     surface: SurfaceParams
@@ -243,9 +243,9 @@ def pattern_matches(spec: LinearSystemSpec) -> tuple[int, ...]:
     1/2: the two special families; 3: the fixed-plus-pencil chain
     L^2(m+1; m+1, m); 4: doubles 2C of the three C^2 = 1 rigid curves;
     6: the composite-with-pencil system L^2(2; 2).  The patterns are
-    pairwise disjoint; `hunt_counterexamples` rescans that claim.  Every
-    pattern needs d >= 2, at most three points and a surface in
-    _PATTERN_SURFACES, so other specs return () at once.
+    pairwise disjoint; `hunt_counterexamples` rescans that claim on its
+    domain.  Every pattern needs d >= 2, at most three points and a
+    surface in _PATTERN_SURFACES, so other specs return () at once.
     """
     if spec.d < 2 or len(spec.mults) > 3 or spec.n not in _PATTERN_SURFACES:
         return ()

@@ -470,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=1729)
 
-    p = sub.add_parser("hunt", parents=[common], help="scan for conjecture counterexamples")
+    p = sub.add_parser("hunt", parents=[common], help="coherence scan: any certificate is a bug")
     p.add_argument("--max-n", type=int, default=10)
     p.add_argument("--max-degree", type=int, default=6)
     p.add_argument("--mass-bound", type=int, default=60)

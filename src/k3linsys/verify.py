@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from math import isqrt
 
 from . import classify
-from .classify import LinearSystemSpec
+from .classify import _PATTERN_SURFACES, LinearSystemSpec
 from .lattice import (
     DivisorClass,
     SurfaceParams,
@@ -598,13 +598,17 @@ def hunt_counterexamples(
 ) -> VerificationReport:
     """Coherence scan of the classifier over all specs within bounds.
 
-    Checks: (a) every spec with v < 0 is EMPTY or one of the two special
-    families; (c) no spec matches two structure patterns.  There is no
-    pair check: v(C + C') = 0 <=> C.C' = 1 for v = 0 classes is the v
-    additivity identity, which verify_addition_identity covers.
+    Checks: (a) every spec with d >= 1 and v < 0 is EMPTY or one of the
+    two special families; (c) no spec matches two structure patterns.
+    There is no pair check: v(C + C') = 0 <=> C.C' = 1 for v = 0 classes
+    is the v additivity identity, which verify_addition_identity covers.
     decompose_fn/patterns_fn exist for harness self-tests.  checked_count
-    counts scanned specs.  Negative mass_bound or max_points raise
-    ValueError; empty n and degree ranges scan nothing.
+    counts the grid's specs, but a spec is built only where a check can
+    fire: (a) on every spec with d >= 1 and v < 0; (c) with the default
+    pattern_matches only where a pattern can match (d >= 2, at most 3
+    points, n in _PATTERN_SURFACES), with an injected patterns_fn on every
+    spec.  Negative mass_bound or max_points raise ValueError; empty n and
+    degree ranges scan nothing.
     """
     start = time.perf_counter()
     if bounds is not None:
@@ -616,57 +620,64 @@ def hunt_counterexamples(
         max_points = mass_bound // 2
     if mass_bound < 0 or max_points < 0:
         raise ValueError("mass_bound and max_points must be >= 0")
+    # An injected patterns_fn has no known domain: it is consulted everywhere.
+    everywhere = patterns_fn is not None
     decompose_fn = decompose_fn or classify.decompose
     patterns_fn = patterns_fn or classify.pattern_matches
 
-    # The (n, d) grid, each cell with v of its spec without points and the
-    # cell's certificates; each SurfaceParams is checked once, and d >= 0
-    # comes from the range.
+    # The (n, d) grid, each cell with v of its spec without points, whether
+    # patterns are consulted in it, and its certificates; each SurfaceParams
+    # is checked once, and d >= 0 comes from the range.
     surfaces = [(n, SurfaceParams(n)) for n in range(2, max_n + 1, 2)]
     grid = [
-        (surface, n, d, n * d * d // 2 + 1, [])
+        (surface, n, d, n * d * d // 2 + 1, everywhere or d >= 2 and n in _PATTERN_SURFACES, [])
         for n, surface in surfaces
-        for d in range(0, max_degree + 1)
+        for d in range(max_degree + 1)
     ]
     new_spec = LinearSystemSpec._from_canonical
     vector_count = 0
-    # One vector at a time, checked once and then reused for every cell.
+    # _mult_vectors yields canonical tuples (ints >= 1, non-increasing), so
+    # specs are built without checks, and only in cells where a check fires.
     for mults in _mult_vectors(max_points, mass_bound):
-        classify._check_spec_fields(0, mults)
         vector_count += 1
         conditions = _mass(mults) // 2
-        for surface, n, d, v_no_points, certs in grid:
+        few_points = everywhere or len(mults) <= 3
+        for surface, n, d, v_no_points, pattern_cell, certs in grid:
+            v = v_no_points - conditions  # = classify.virtual_dim(spec) when d >= 1
+            check_patterns = pattern_cell and few_points  # check (c)
+            check_empty = v < 0 < d  # check (a): d >= 1 and v < 0
+            if not (check_patterns or check_empty):
+                continue
             spec = new_spec(surface, d, mults)
-            patterns = patterns_fn(spec)
-            if len(patterns) > 1:
-                certs.append(
-                    Certificate(
-                        kind="branch-overlap",
-                        message=f"{spec.literal()} matches patterns {list(patterns)}",
-                        data={"n": n, "d": d, "mults": list(mults), "patterns": list(patterns)},
-                    )
-                )
-            if d >= 1:
-                v = v_no_points - conditions  # = classify.virtual_dim(spec)
-                if v < 0:
-                    dec = decompose_fn(spec)
-                    if dec.member_kind is not classify.MemberKind.EMPTY and not dec.is_special:
-                        certs.append(
-                            Certificate(
-                                kind="speciality-candidate",
-                                message=(
-                                    f"{spec.literal()} has v = {v} < 0 but is neither empty "
-                                    f"nor in a special family"
-                                ),
-                                data={
-                                    "n": n,
-                                    "d": d,
-                                    "mults": list(mults),
-                                    "v": v,
-                                    "member_kind": dec.member_kind.name,
-                                },
-                            )
+            if check_patterns:
+                patterns = patterns_fn(spec)
+                if len(patterns) > 1:
+                    certs.append(
+                        Certificate(
+                            kind="branch-overlap",
+                            message=f"{spec.literal()} matches patterns {list(patterns)}",
+                            data={"n": n, "d": d, "mults": list(mults), "patterns": list(patterns)},
                         )
+                    )
+            if check_empty:
+                dec = decompose_fn(spec)
+                if dec.member_kind is not classify.MemberKind.EMPTY and not dec.is_special:
+                    certs.append(
+                        Certificate(
+                            kind="speciality-candidate",
+                            message=(
+                                f"{spec.literal()} has v = {v} < 0 but is neither empty "
+                                f"nor in a special family"
+                            ),
+                            data={
+                                "n": n,
+                                "d": d,
+                                "mults": list(mults),
+                                "v": v,
+                                "member_kind": dec.member_kind.name,
+                            },
+                        )
+                    )
     # Cell by cell, the certificates are in (n, d, vector) order.
     violations = tuple(cert for *_, certs in grid for cert in certs)
     specs_scanned = vector_count * len(grid)

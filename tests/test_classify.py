@@ -18,6 +18,7 @@ from k3linsys.classify import (
     EmptySystemError,
     LinearSystemSpec,
     MemberKind,
+    _PATTERN_SURFACES,
     NormalizationError,
     SpecialFamily,
     _check_spec_fields,
@@ -468,6 +469,37 @@ def test_pattern_prefilter_is_exact():
                 assert pattern_matches(s) == reference_pattern_matches(s), s
                 matched += bool(pattern_matches(s))
     assert matched > 0
+
+
+def test_patterns_live_on_their_domain():
+    # The domain hunt_counterexamples calls pattern_matches on: d >= 2, at
+    # most 3 points, n in _PATTERN_SURFACES.  Outside it no pattern matches,
+    # even without pattern_matches' early return, and decompose takes none
+    # of its pattern branches (the special families, a fixed-plus-pencil or
+    # composite-with-pencil system, a fixed component other than the spec).
+    # Mass 42 reaches every pattern, L10(2;6) included.
+    vectors = list(_mult_vectors(21, 42))
+    inside = outside = 0
+    for n in range(2, 25, 2):
+        surface = SurfaceParams(n)
+        for d in range(0, 11):
+            for mults in vectors:
+                s = LinearSystemSpec(surface, d, mults)
+                dec = decompose(s)
+                pattern_branch = (
+                    dec.is_special
+                    or dec.member_kind
+                    in (MemberKind.FIXED_PLUS_PENCIL, MemberKind.COMPOSITE_WITH_PENCIL)
+                    or any(comp != s for _, comp in dec.fixed_part)
+                )
+                assert pattern_branch == bool(pattern_matches(s)), s
+                if d >= 2 and len(mults) <= 3 and n in _PATTERN_SURFACES:
+                    inside += pattern_branch
+                else:
+                    assert pattern_matches(s) == reference_pattern_matches(s) == (), s
+                    assert not pattern_branch, s
+                    outside += 1
+    assert inside > 0 and outside > 0
 
 
 class _Level(IntEnum):

@@ -6,8 +6,11 @@ and malformed lines.  Its batch output in each format (stdout, the shared
 stderr and the exit code) was frozen from the renderer that went through a
 record dict and json.dumps; the fused path must reproduce it byte for byte.
 `<command>.<format>.out` holds, for each literal of that file in order, the
-stdout, stderr and exit code of `dim` or `classify` on it.  The CI workflow
-diffs the installed console script's output against the same files.
+stdout, stderr and exit code of `dim` or `classify` on it.  `hunt.json`
+holds the hunt report without `elapsed` at the CLI defaults and at the
+benchmark's hunt_grid bounds, frozen from the scan that called every check
+on every spec.  The CI workflow diffs the installed console script's output
+against the same files.
 """
 
 import json
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 import k3linsys.cli as cli
 from k3linsys.classify import decompose, normalize
 from k3linsys.literals import parse_literal, parse_spec
+from k3linsys.verify import hunt_counterexamples
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path("tests") / "golden"
@@ -44,6 +48,21 @@ def test_single_system_commands_match_golden(capsys, command, fmt):
         captured = capsys.readouterr()
         blocks.append(f"{captured.out}{captured.err}exit {code}\n")
     assert "".join(blocks) == (ROOT / GOLDEN / f"{command}.{fmt}.out").read_text(encoding="utf-8")
+
+
+_HUNT_ARGS = {"defaults": [], "hunt_grid": ["--max-n", "12", "--max-degree", "7", "--mass-bound", "64"]}
+
+
+@pytest.mark.parametrize("label", _HUNT_ARGS)
+def test_hunt_matches_golden(capsys, label):
+    argv = _HUNT_ARGS[label]
+    golden = json.loads((ROOT / GOLDEN / "hunt.json").read_text(encoding="utf-8"))[label]
+    code = cli.main(["hunt", *argv, "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report.pop("elapsed") >= 0
+    assert report == golden
+    bounds = {key.strip("-").replace("-", "_"): int(value) for key, value in zip(argv[::2], argv[1::2])}
+    assert hunt_counterexamples(**bounds).canonical_json() == json.dumps(golden, sort_keys=True)
 
 
 def _golden_literals():

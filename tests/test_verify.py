@@ -134,6 +134,19 @@ def naive_pair_scan(bounds):
     }
 
 
+def naive_mult_vectors(max_points, mass_bound, sum_bound=None):
+    """Every multiset of at most max_points multiplicities >= 1 within the
+    mass (and sum) bound, as a non-increasing tuple."""
+    top = (isqrt(4 * mass_bound + 1) - 1) // 2
+    return [
+        mults
+        for r in range(max_points + 1)
+        for mults in combinations_with_replacement(range(top, 0, -1), r)
+        if sum(m * (m + 1) for m in mults) <= mass_bound
+        and (sum_bound is None or sum(mults) <= sum_bound)
+    ]
+
+
 def naive_hunt_scan(max_n, max_degree, mass_bound, max_points, decompose_fn, patterns_fn):
     """hunt_counterexamples' checks, with the vectors enumerated per (n, d)
     and v from classify.virtual_dim per spec."""
@@ -472,6 +485,20 @@ class TestAdditionIdentity:
         assert a.canonical_json() == b.canonical_json()
 
 
+@pytest.mark.parametrize(
+    "max_points,mass_bound,sum_bound",
+    [(0, 30, None), (6, 0, None), (0, 0, None), (5, 30, None), (20, 40, None), (8, 40, 6), (4, 20, 0)],
+)
+def test_mult_vectors_are_canonical(max_points, mass_bound, sum_bound):
+    # hunt builds its specs from these vectors without checking them
+    vectors = list(_mult_vectors(max_points, mass_bound, sum_bound))
+    for mults in vectors:
+        assert type(mults) is tuple
+        classify._check_spec_fields(0, mults)
+    expected = naive_mult_vectors(max_points, mass_bound, sum_bound)
+    assert len(vectors) == len(set(vectors)) and set(vectors) == set(expected)
+
+
 class TestHunt:
     def test_clean_at_small_bounds(self):
         report = hunt_counterexamples(max_n=6, max_degree=3, mass_bound=24, max_points=5)
@@ -516,6 +543,68 @@ class TestHunt:
         at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
         window = slice(max(0, at - 100), at + 100)
         assert got[window] == want[window]
+
+    @pytest.mark.parametrize("max_n,max_degree,mass_bound,max_points", [(12, 5, 30, 15), (4, 3, 12, 2)])
+    def test_checks_are_called_only_where_they_can_fire(
+        self, monkeypatch, max_n, max_degree, mass_bound, max_points
+    ):
+        built, pattern_calls, decompose_calls, inside_decompose = [], [], [], []
+        original_patterns, original_decompose = classify.pattern_matches, classify.decompose
+        original_new = LinearSystemSpec._from_canonical.__func__
+
+        def counting_new(cls, surface, d, mults):
+            built.append((surface.n, d, mults))
+            return original_new(cls, surface, d, mults)
+
+        def counting_patterns(spec):
+            if not inside_decompose:  # decompose consults the patterns itself
+                pattern_calls.append((spec.n, spec.d, spec.mults))
+            return original_patterns(spec)
+
+        def counting_decompose(spec):
+            decompose_calls.append((spec.n, spec.d, spec.mults))
+            inside_decompose.append(spec)
+            try:
+                return original_decompose(spec)
+            finally:
+                inside_decompose.pop()
+
+        monkeypatch.setattr(classify, "pattern_matches", counting_patterns)
+        monkeypatch.setattr(classify, "decompose", counting_decompose)
+        monkeypatch.setattr(LinearSystemSpec, "_from_canonical", classmethod(counting_new))
+        bounds = dict(max_n=max_n, max_degree=max_degree, mass_bound=mass_bound, max_points=max_points)
+        report = hunt_counterexamples(**bounds)
+        assert report.passed
+
+        vectors = naive_mult_vectors(max_points, mass_bound)
+        surfaces = range(2, max_n + 1, 2)
+        degrees = range(0, max_degree + 1)
+        assert report.checked_count == len(surfaces) * len(degrees) * len(vectors)
+        # (c): the pattern-domain cells times the vectors with at most 3 points
+        domain_cells = sum(n in classify._PATTERN_SURFACES for n in surfaces) * max(0, max_degree - 1)
+        few_points = sum(len(mults) <= 3 for mults in vectors)
+        assert len(pattern_calls) == len(set(pattern_calls)) == domain_cells * few_points
+        assert all(
+            d >= 2 and len(mults) <= 3 and n in classify._PATTERN_SURFACES
+            for n, d, mults in pattern_calls
+        )
+        # (a): the d >= 1 cells with v < 0, where 2v = n*d^2 + 2 - sum m(m+1)
+        masses = [sum(m * (m + 1) for m in mults) for mults in vectors]
+        negative = sum(
+            n * d * d + 2 < mass for n in surfaces for d in degrees if d >= 1 for mass in masses
+        )
+        assert len(decompose_calls) == len(set(decompose_calls)) == negative
+        assert all(
+            d >= 1 and classify.virtual_dim(LinearSystemSpec(SurfaceParams(n), d, mults)) < 0
+            for n, d, mults in decompose_calls
+        )
+        # a spec is built only where a check is called
+        assert sorted(built) == sorted(set(pattern_calls) | set(decompose_calls))
+
+        # An injected patterns_fn has no known domain: it sees every spec.
+        injected = []
+        report = hunt_counterexamples(**bounds, patterns_fn=lambda spec: injected.append(spec) or ())
+        assert len(injected) == report.details["specs_scanned"] == report.checked_count
 
     def test_holds_one_vector_at_a_time(self):
         # 11,619 vectors at mass 120; a list of them all peaks near 2.7 MB
