@@ -20,10 +20,9 @@ v and e are unconditional, and so is the whole verdict when d = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
-from .lattice import DivisorClass, SurfaceParams
+from .lattice import DivisorClass, SurfaceParams, Value
 
 
 class NormalizationError(ValueError):
@@ -55,8 +54,7 @@ class MemberKind(Enum):
     FIXED_PLUS_PENCIL = "fixed-plus-pencil"  # rigid fixed part plus a moving pencil
 
 
-@dataclass(frozen=True)
-class LinearSystemSpec:
+class LinearSystemSpec(Value):
     """Canonical description of L^n(d; m_1, ..., m_r).
 
     Multiplicities are stored sorted non-increasing with zeros removed;
@@ -74,10 +72,10 @@ class LinearSystemSpec:
     surface: SurfaceParams
     d: int
     mults: tuple[int, ...] = ()
-    input_was_canonical: bool = field(default=True, compare=False)
+    input_was_canonical: bool = True
 
-    def __post_init__(self) -> None:
-        d, mults = self.d, tuple(self.mults)
+    def __init__(self, surface: SurfaceParams, d: int, mults: tuple = (), input_was_canonical: bool = True):
+        mults = tuple(mults)
         # Canonical data passes these whole-tuple checks; anything else is
         # diagnosed element by element.
         if not (
@@ -88,18 +86,22 @@ class LinearSystemSpec:
             and list(mults) == sorted(mults, reverse=True)
         ):
             _check_spec_fields(d, mults)
-        object.__setattr__(self, "mults", mults)
+        self.__dict__.update(surface=surface, d=d, mults=mults, input_was_canonical=input_was_canonical)
+
+    def _key(self) -> tuple:
+        return self.surface, self.d, self.mults
 
     @classmethod
     def _from_canonical(
         cls, surface: SurfaceParams, d: int, mults: tuple[int, ...], input_was_canonical: bool = True
     ):
-        """The spec with these fields, set without running any check.
+        """The spec with these fields, set without `__init__` and its checks.
 
         Precondition: `surface` is a SurfaceParams, and `d` and `mults` pass
         `_check_spec_fields` with `mults` a tuple.  The result then equals,
         hashes and prints as `cls(surface, d, mults, input_was_canonical)`
-        and stays frozen.
+        and stays frozen.  The whole-tuple checks alone make `__init__` about
+        twice as slow as this path.
         """
         spec = object.__new__(cls)
         spec.__dict__.update(surface=surface, d=d, mults=mults, input_was_canonical=input_was_canonical)
@@ -264,8 +266,7 @@ def pattern_matches(spec: LinearSystemSpec) -> tuple[int, ...]:
     return tuple(matched)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Value):
     """Conjectural structure of a system: dimension, speciality, fixed/free parts.
 
     v is the unconditional virtual dimension of the input.  fixed_part is a
@@ -327,13 +328,13 @@ def _decomposition(
     pencil_count=0,
     conjectural=True,
 ) -> Decomposition:
-    """The Decomposition of these facts, filled in one step without __init__.
+    """The Decomposition of these facts, its fields set in one dict update.
 
     h^1 = h^0 - chi + h^2 = dim - v wherever h^0 is known, so h1 is
     derived here: it is unknown only for a conjecturally empty system with
     v < -1, which has h1 >= -1 - v.  The result equals, hashes and prints
-    as the Decomposition built by __init__ from the same fields and stays
-    frozen.
+    as `Decomposition(**fields)` and stays frozen; it skips the shared
+    keyword `__init__`, which takes about twice as long for twelve fields.
     """
     h1 = None if v < -1 and dimension < 0 and conjectural else dimension - v
     dec = object.__new__(Decomposition)

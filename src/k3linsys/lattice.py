@@ -13,13 +13,61 @@ itself is (t=0, l_i=-1), and the canonical class of S' is K = E_1 + ... + E_r
 
 All arithmetic is exact over Python integers, so values of any size are
 computed correctly rather than wrapped.  Classes are immutable and every
-operation is a pure function.
+operation is a pure function.  The value classes of the package derive from
+`Value`, which gives them what `@dataclass(frozen=True)` would, without
+importing `dataclasses` or generating code at import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
+
+
+class Value:
+    """An immutable record of the fields its subclass annotates, in order.
+
+    Defaults are class attributes.  Instances hold the fields in `__dict__`;
+    equality holds only within one class, over `_key()`, which the hash
+    uses too; the repr is `Name(field=value, ...)`; assignment and deletion
+    raise `dataclasses.FrozenInstanceError`.  Hot classes write `__init__`.
+    """
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        if args or tuple(kwargs) != cls._fields:  # bind as a dataclass constructor does
+            given = dict(zip(cls._fields, args), **kwargs)
+            repeated = len(given) != len(args) + len(kwargs)
+            for name in cls._fields:
+                if name not in given and name in vars(cls):
+                    default = vars(cls)[name]  # a dict default is copied, never shared
+                    given[name] = dict(default) if type(default) is dict else default
+            if repeated or given.keys() != set(cls._fields):
+                raise TypeError(f"{cls.__name__} takes the fields {cls._fields}, got {args} and {kwargs}")
+            kwargs = {name: given[name] for name in cls._fields}
+        self.__dict__.update(kwargs)
+
+    def _key(self) -> tuple:
+        return tuple(self.__dict__.values())
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        from dataclasses import FrozenInstanceError  # imported on this error path only
+
+        raise FrozenInstanceError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
 class SurfaceMismatchError(ValueError):
@@ -30,8 +78,7 @@ class ConeError(ValueError):
     """Cohomological quantity requested outside the supported cone t >= 0."""
 
 
-@dataclass(frozen=True)
-class SurfaceParams:
+class SurfaceParams(Value):
     """A generic K3 surface polarized by H with H^2 = n = 2g - 2.
 
     n must be even (it equals 2g - 2 for the sectional genus g) and at least
@@ -40,13 +87,14 @@ class SurfaceParams:
 
     n: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise TypeError(f"polarization degree n must be an int, got {self.n!r}")
-        if self.n % 2 != 0:
-            raise ValueError(f"n must be even (n = 2g-2), got n = {self.n}")
-        if self.n < 2:
-            raise ValueError(f"n must be at least 2, got n = {self.n}")
+    def __init__(self, n: int) -> None:
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TypeError(f"polarization degree n must be an int, got {n!r}")
+        if n % 2 != 0:
+            raise ValueError(f"n must be even (n = 2g-2), got n = {n}")
+        if n < 2:
+            raise ValueError(f"n must be at least 2, got n = {n}")
+        self.__dict__.update(n=n)
 
     @property
     def genus(self) -> int:
@@ -54,8 +102,7 @@ class SurfaceParams:
         return self.n // 2 + 1
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Value):
     """Lattice element t*H - sum(l_i * E_i) on the blown-up surface.
 
     Trailing zero coefficients are dropped at construction, so classes that
@@ -68,14 +115,14 @@ class DivisorClass:
     t: int
     l: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.l)
-        for c in (self.t, *coeffs):
+    def __init__(self, surface: SurfaceParams, t: int, l: tuple[int, ...] = ()) -> None:
+        coeffs = tuple(l)
+        for c in (t, *coeffs):
             if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError(f"lattice coefficients must be ints, got {c!r}")
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "l", coeffs)
+        self.__dict__.update(surface=surface, t=t, l=coeffs)
 
     # The operators make DivisorClass a Z-module so algebraic identities can
     # be expressed (and property-tested) with arbitrary integer coefficients.
@@ -137,7 +184,7 @@ def zero(surface: SurfaceParams) -> DivisorClass:
 
 
 def _require_same_surface(a: DivisorClass, b: DivisorClass) -> None:
-    if a.surface != b.surface:
+    if a.surface.n != b.surface.n:
         raise SurfaceMismatchError(
             f"classes live on different surfaces: n = {a.surface.n} vs n = {b.surface.n}"
         )

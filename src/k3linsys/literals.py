@@ -23,10 +23,9 @@ compressed with '^'.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .classify import LinearSystemSpec, normalize
-from .lattice import DivisorClass, SurfaceParams
+from .lattice import DivisorClass, SurfaceParams, Value
 
 # Derived values such as v ~ n*d^2/2 and n*t*t' have up to three times an
 # input's digits, and Python prints no integer over 4300 digits.
@@ -58,8 +57,7 @@ class LiteralSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class SystemLiteral:
+class SystemLiteral(Value):
     """A parsed literal: source text plus (n, d, multiplicity runs).
 
     Runs are (value, count) pairs in source order, zeros included, so the

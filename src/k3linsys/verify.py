@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from math import isqrt
 
 from . import classify
@@ -31,6 +30,7 @@ from .classify import _PATTERN_SURFACES, LinearSystemSpec
 from .lattice import (
     DivisorClass,
     SurfaceParams,
+    Value,
     euler_characteristic,
     intersect,
     virtual_dimension,
@@ -44,8 +44,7 @@ def _mass(mults) -> int:
     return sum(m * (m + 1) for m in mults)
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class SearchBounds(Value):
     """Finite search window for the enumerators.
 
     mass_bound caps sum m_i(m_i+1) per class, max_points caps r, n_range is
@@ -60,13 +59,14 @@ class SearchBounds:
     t_range: tuple[int, int]
     self_int_range: tuple[int, int] | None = None
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         if self.mass_bound < 0 or self.max_points < 0:
             raise ValueError("mass_bound and max_points must be >= 0")
         n_lo, n_hi = self.n_range
         n_lo = max(2, n_lo + (n_lo % 2))
         n_hi = n_hi - (n_hi % 2)
-        object.__setattr__(self, "n_range", (n_lo, n_hi))
+        self.__dict__.update(n_range=(n_lo, n_hi))
         t_lo, t_hi = self.t_range
         if t_lo < 1:
             raise ValueError(f"t_range must be positive, got lower end {t_lo}")
@@ -102,8 +102,7 @@ def derive_bounds_v0(self_int_range: tuple[int, int]) -> SearchBounds:
     )
 
 
-@dataclass(frozen=True)
-class NumericalClass:
+class NumericalClass(Value):
     """A class (n, t, mults) with its recomputed v and C^2.
 
     Instances are only built through the enumerators, which recompute v and
@@ -140,8 +139,7 @@ class NumericalClass:
         }
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Value):
     """Replayable record of one violation or permitted exception.
 
     `data` holds every input and intermediate integer needed to re-verify
@@ -156,8 +154,7 @@ class Certificate:
         return {"kind": self.kind, "message": self.message, "data": self.data}
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Value):
     name: str
     bounds: dict
     checked_count: int
@@ -165,7 +162,12 @@ class VerificationReport:
     expected_exceptions_found: tuple[Certificate, ...]
     elapsed: float
     notes: tuple[str, ...] = ()
-    details: dict = field(default_factory=dict)
+    details: dict = {}
+
+    # Unlike the other values, a report is mutable, so it has no hash.
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
     @property
     def passed(self) -> bool:
@@ -608,10 +610,20 @@ def hunt_counterexamples(
     pattern_matches only where a pattern can match (d >= 2, at most 3
     points, n in _PATTERN_SURFACES), with an injected patterns_fn on every
     spec.  Negative mass_bound or max_points raise ValueError; empty n and
-    degree ranges scan nothing.
+    degree ranges scan nothing.  The grid starts at n = 2 and d = 0 and has
+    no C^2 filter, so `bounds` gives only upper ends: a SearchBounds with
+    n_range not starting at 2, t_range not starting at 1 or a
+    self_int_range raises ValueError naming that field.
     """
     start = time.perf_counter()
     if bounds is not None:
+        for name, ok, reason in (
+            ("n_range", bounds.n_range[0] == 2, "scans n from 2, so n_range must start at 2"),
+            ("t_range", bounds.t_range[0] == 1, "scans d from 0, so t_range must start at 1"),
+            ("self_int_range", bounds.self_int_range is None, "has no C^2 filter, so self_int_range must be None"),
+        ):
+            if not ok:
+                raise ValueError(f"hunt {reason}, got {name} = {getattr(bounds, name)!r}")
         max_n = bounds.n_range[1]
         max_degree = bounds.t_range[1]
         mass_bound = bounds.mass_bound

@@ -33,8 +33,9 @@ from k3linsys.classify import (
     special_family,
     virtual_dim,
 )
-from k3linsys.lattice import SurfaceParams, expected_dimension, intersect, virtual_dimension
-from k3linsys.verify import _mult_vectors
+from k3linsys.lattice import DivisorClass, SurfaceParams, expected_dimension, intersect, virtual_dimension
+from k3linsys.literals import SystemLiteral, parse_literal
+from k3linsys.verify import Certificate, NumericalClass, SearchBounds, VerificationReport, _mult_vectors
 
 
 def spec(n, d, *mults):
@@ -587,9 +588,145 @@ _BRANCH_SPECS = [
 def test_decomposition_equals_dataclass_built(args, kind):
     dec = decompose(spec(*args))
     assert dec.member_kind is kind
-    rebuilt = dataclasses.replace(dec)  # through the generated __init__
+    rebuilt = Decomposition(**vars(dec))  # through the shared __init__
     assert dec == rebuilt and hash(dec) == hash(rebuilt)
     assert repr(dec) == repr(rebuilt)
     assert vars(dec) == vars(rebuilt)
     with pytest.raises(dataclasses.FrozenInstanceError):
         dec.dimension = 5
+
+
+# The value classes outside the lattice behave as the frozen dataclasses
+# they replace (test_lattice checks SurfaceParams and DivisorClass);
+# VerificationReport stays mutable and unhashable.
+S2, S4 = SurfaceParams(2), SurfaceParams(4)
+_RIGID_DEC = decompose(LinearSystemSpec(S4, 3, (6,)))
+_REPRS = [
+    (
+        LinearSystemSpec(S2, 3, (2, 1), input_was_canonical=False),
+        "LinearSystemSpec(surface=SurfaceParams(n=2), d=3, mults=(2, 1), input_was_canonical=False)",
+    ),
+    (
+        _RIGID_DEC,
+        "Decomposition(spec=LinearSystemSpec(surface=SurfaceParams(n=4), d=3, mults=(6,), "
+        "input_was_canonical=True), v=-2, special=<SpecialFamily.QUARTIC_DOUBLE_POINT: 'L4(d;2d)'>, "
+        "dimension=0, h1=2, h1_lower_bound=2, member_kind=<MemberKind.RIGID: 'rigid'>, "
+        "fixed_part=((3, LinearSystemSpec(surface=SurfaceParams(n=4), d=1, mults=(2,), "
+        "input_was_canonical=True)),), free_part=None, pencil=None, pencil_count=0, conjectural=True)",
+    ),
+    (
+        SearchBounds(12, 4, (1, 9), (1, 2)),
+        "SearchBounds(mass_bound=12, max_points=4, n_range=(2, 8), t_range=(1, 2), self_int_range=None)",
+    ),
+    (NumericalClass(n=4, t=1, mults=(2,), v=0, c2=0), "NumericalClass(n=4, t=1, mults=(2,), v=0, c2=0)"),
+    (Certificate("k", "m", {"n": 2}), "Certificate(kind='k', message='m', data={'n': 2})"),
+    (parse_literal("L2(3;2^2,0)"), "SystemLiteral(source='L2(3;2^2,0)', n=2, d=3, runs=((2, 2), (0, 1)))"),
+    (
+        VerificationReport("x", {}, 1, (), (), 0.5),
+        "VerificationReport(name='x', bounds={}, checked_count=1, violations=(), "
+        "expected_exceptions_found=(), elapsed=0.5, notes=(), details={})",
+    ),
+]
+
+
+@pytest.mark.parametrize("value, text", _REPRS, ids=[type(v).__name__ for v, _ in _REPRS])
+def test_value_repr(value, text):
+    assert repr(value) == text
+
+
+_EQUAL_PAIRS = [
+    (
+        LinearSystemSpec(S2, 3, (2, 1)),
+        LinearSystemSpec(surface=SurfaceParams(2), d=3, mults=[2, 1]),
+        LinearSystemSpec(S4, 3, (2, 1)),
+    ),
+    (_RIGID_DEC, Decomposition(**vars(_RIGID_DEC)), decompose(LinearSystemSpec(S4, 4, (8,)))),
+    (
+        SearchBounds(12, 4, (1, 9), (1, 2)),
+        SearchBounds(mass_bound=12, max_points=4, n_range=(2, 8), t_range=(1, 2)),
+        SearchBounds(12, 4, (2, 8), (1, 2), (0, 1)),
+    ),
+    (NumericalClass(4, 1, (2,), 0, 0), NumericalClass(n=4, t=1, mults=(2,), v=0, c2=0), NumericalClass(4, 1, (2,), 0, 1)),
+    (Certificate("k", "m", {}), Certificate(kind="k", message="m", data={}), Certificate("k", "m", {"n": 2})),
+    (parse_literal("L2(3;2^2)"), SystemLiteral("L2(3;2^2)", 2, 3, ((2, 2),)), parse_literal("L2(3;2,2)")),
+]
+
+
+@pytest.mark.parametrize("a, b, other", _EQUAL_PAIRS, ids=[type(a).__name__ for a, _, _ in _EQUAL_PAIRS])
+def test_value_equality_and_hash_agree(a, b, other):
+    assert a == b and not a != b
+    if type(a) is not Certificate:  # its data is a dict
+        assert hash(a) == hash(b)
+    assert a != other and not a == other
+    assert list(vars(a)) == list(vars(b)) == list(type(a).__annotations__)
+    assert a != tuple(vars(a).values()) and a != vars(a)
+
+
+def test_equal_fields_in_different_classes_are_not_equal():
+    assert DivisorClass(S2, 1, ()) != LinearSystemSpec(S2, 1, ())
+    assert LinearSystemSpec(S2, 1, ()) != DivisorClass(S2, 1, ())
+    assert not DivisorClass(S2, 1, ()) == LinearSystemSpec(S2, 1, ())
+    assert NumericalClass(2, 1, (1, 1), 0, 0) != (2, 1, (1, 1), 0, 0)
+    assert SystemLiteral("L2(1)", 2, 1) != LinearSystemSpec(S2, 1)
+
+
+def test_input_was_canonical_is_ignored_by_equality_and_hash_but_shown():
+    a = LinearSystemSpec(S2, 3, (2, 1), True)
+    b = LinearSystemSpec(S2, 3, (2, 1), input_was_canonical=False)
+    assert a == b and hash(a) == hash(b) == hash((S2, 3, (2, 1)))
+    assert repr(a) != repr(b) and repr(b).endswith("input_was_canonical=False)")
+    assert len({a, b}) == 1
+
+
+_FROZEN = [v for v, _ in _REPRS if type(v) is not VerificationReport]
+
+
+@pytest.mark.parametrize("value", _FROZEN, ids=[type(v).__name__ for v in _FROZEN])
+def test_value_assignment_and_deletion_raise(value):
+    before = repr(value)
+    for name in [*vars(value), "other"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+    assert repr(value) == before
+
+
+def test_report_is_mutable_and_unhashable():
+    report = VerificationReport("x", {}, 1, (), (), 0.5)
+    report.elapsed = 1.5
+    assert report.elapsed == 1.5
+    del report.elapsed
+    assert "elapsed" not in vars(report)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(VerificationReport("x", {}, 1, (), (), 0.5))
+    assert VerificationReport("x", {}, 1, (), (), 0.5) == VerificationReport("x", {}, 1, (), (), 0.5)
+
+
+def test_value_keyword_construction_with_defaults():
+    s = LinearSystemSpec(surface=S2, d=2)
+    assert s.mults == () and s.input_was_canonical is True
+    dec = Decomposition(
+        spec=s, v=2, special=None, dimension=2, h1=0, h1_lower_bound=0, member_kind=MemberKind.IRREDUCIBLE
+    )
+    assert (dec.fixed_part, dec.free_part, dec.pencil, dec.pencil_count, dec.conjectural) == ((), None, None, 0, True)
+    assert list(vars(dec)) == list(vars(_RIGID_DEC))
+    assert SearchBounds(mass_bound=1, max_points=1, n_range=(2, 4), t_range=(1, 2)).self_int_range is None
+    assert SystemLiteral(source="L2(1)", n=2, d=1).runs == ()
+    a = VerificationReport(name="x", bounds={}, checked_count=0, violations=(), expected_exceptions_found=(), elapsed=0.0)
+    b = VerificationReport("x", {}, 0, (), (), 0.0)
+    assert a.notes == () and a.details == {} and a.details is not b.details
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        (("k", "m", {}, 4), {}),  # too many positional
+        (("k", "m"), {"message": "m", "data": {}}),  # repeated
+        (("k", "m", {}), {"extra": 1}),  # unknown
+        (("k", "m"), {}),  # missing
+    ],
+)
+def test_value_construction_errors(args, kwargs):
+    with pytest.raises(TypeError):
+        Certificate(*args, **kwargs)

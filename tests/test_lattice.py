@@ -4,6 +4,8 @@ Frozen integers were computed with an independent Gram-matrix oracle
 (diag(n, -1, ..., -1) over exact rationals) before this module existed.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,6 +90,56 @@ class TestDivisorClass:
     def test_str(self):
         assert str(D(S2, 3, 2, 1)) == "3H - (2, 1)"
         assert str(D(S4, 2)) == "2H"
+
+
+class TestValueContract:
+    """SurfaceParams and DivisorClass behave as frozen dataclasses would
+    (test_classify checks the other value classes)."""
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (SurfaceParams(2), "SurfaceParams(n=2)"),
+            (D(S2, 3, 2, 1, 0), "DivisorClass(surface=SurfaceParams(n=2), t=3, l=(2, 1))"),
+            (D(S4, -1), "DivisorClass(surface=SurfaceParams(n=4), t=-1, l=())"),
+        ],
+    )
+    def test_repr(self, value, text):
+        assert repr(value) == text
+
+    @pytest.mark.parametrize(
+        "a, b, other",
+        [
+            (SurfaceParams(4), SurfaceParams(n=4), S6),
+            (D(S2, 1, 1), DivisorClass(surface=SurfaceParams(2), t=1, l=(1, 0)), D(S2, 1, 2)),
+            (D(S2, 1, 1), DivisorClass(S2, 1, [1]), D(S4, 1, 1)),
+        ],
+    )
+    def test_equality_and_hash_agree(self, a, b, other):
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a != other and not a == other
+        assert a != vars(a) and a != tuple(vars(a).values())
+
+    @pytest.mark.parametrize("value", [S2, D(S2, 3, 2, 1)], ids=["SurfaceParams", "DivisorClass"])
+    def test_assignment_and_deletion_raise(self, value):
+        before = repr(value)
+        for name in [*vars(value), "other"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, name)
+        assert repr(value) == before
+
+    def test_keyword_construction_and_defaults(self):
+        assert SurfaceParams(n=6) == S6
+        c = DivisorClass(surface=S2, t=3)
+        assert c == D(S2, 3) and c.l == ()
+        assert list(vars(c)) == ["surface", "t", "l"]
+        assert DivisorClass(S2, t=1, l=(2,)) == D(S2, 1, 2)
+        with pytest.raises(TypeError):
+            DivisorClass(S2, 1, (), 4)
+        with pytest.raises(TypeError):
+            DivisorClass(S2, 1, m=())
 
 
 class TestHelpers:

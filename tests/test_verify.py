@@ -17,7 +17,7 @@ from math import isqrt
 import pytest
 
 from k3linsys import classify
-from k3linsys.classify import LinearSystemSpec, MemberKind, decompose
+from k3linsys.classify import Decomposition, LinearSystemSpec, MemberKind, decompose
 from k3linsys.lattice import (
     DivisorClass,
     SurfaceParams,
@@ -210,7 +210,7 @@ def overlapping_patterns(spec):
 def bad_decompose(spec):
     dec = decompose(spec)
     if dec.member_kind is MemberKind.EMPTY:
-        return dataclasses.replace(dec, member_kind=MemberKind.IRREDUCIBLE)
+        return Decomposition(**{**vars(dec), "member_kind": MemberKind.IRREDUCIBLE})
     return dec
 
 
@@ -632,6 +632,20 @@ class TestHunt:
         report = hunt_counterexamples(bounds)
         assert report.passed
         assert report.bounds["max_n"] == 4 and report.bounds["max_degree"] == 2
+
+    @pytest.mark.parametrize(
+        "field, bounds",
+        [
+            ("n_range", SearchBounds(mass_bound=12, max_points=4, n_range=(6, 8), t_range=(1, 4))),
+            ("t_range", SearchBounds(mass_bound=12, max_points=4, n_range=(2, 8), t_range=(3, 4))),
+            ("self_int_range", SearchBounds(12, 4, (2, 8), (1, 4), self_int_range=(0, 4))),
+        ],
+    )
+    def test_bounds_the_grid_cannot_honour_are_rejected(self, field, bounds):
+        # The grid starts at n = 2 and d = 0 and has no C^2 filter, so these
+        # bounds would be silently widened to the default grid's lower ends.
+        with pytest.raises(ValueError, match=field):
+            hunt_counterexamples(bounds)
 
 
 class TestReportShape:
