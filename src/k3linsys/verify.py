@@ -222,7 +222,7 @@ def _v0_classes(bounds: SearchBounds) -> tuple[list[NumericalClass], int]:
     read off the divisors of mass - 2, and C^2 = n*t^2 - sum m_i^2 is
     sum m_i - 2.
     """
-    lo_c2, hi_c2 = bounds.self_int_range if bounds.self_int_range else (None, None)
+    lo_c2, hi_c2 = bounds.self_int_range or (None, None)
     sum_bound = None if hi_c2 is None else max(0, hi_c2 + 2)
     n_lo, n_hi = bounds.n_range
     t_lo, t_hi = bounds.t_range
@@ -253,17 +253,14 @@ def enumerate_v0_classes(self_int_range: tuple[int, int]) -> list[NumericalClass
     return classes
 
 
-def _table_entry(n, t, mults, c2):
-    return NumericalClass(n=n, t=t, mults=mults, v=0, c2=c2)
-
-
-# The five v = 0 classes with t >= 1 and C^2 <= 1 (none exist at C^2 <= -1).
+# The five v = 0 classes with t >= 1 and C^2 <= 1 (none exist at C^2 <= -1),
+# as (n, t, mults, v, C^2).
 LEMMA_TABLE = (
-    _table_entry(2, 1, (1, 1), 0),
-    _table_entry(4, 1, (2,), 0),
-    _table_entry(4, 1, (1, 1, 1), 1),
-    _table_entry(6, 1, (2, 1), 1),
-    _table_entry(10, 1, (3,), 1),
+    NumericalClass(2, 1, (1, 1), 0, 0),
+    NumericalClass(4, 1, (2,), 0, 0),
+    NumericalClass(4, 1, (1, 1, 1), 0, 1),
+    NumericalClass(6, 1, (2, 1), 0, 1),
+    NumericalClass(10, 1, (3,), 0, 1),
 )
 
 _TABLE_C2_WINDOW = (-2, 1)
@@ -294,15 +291,13 @@ def verify_lemma_table(
     out_of_scope = [c for c in classes if not (scope_lo <= c.c2 <= scope_hi)]
     expected_in_scope = {c for c in expected if scope_lo <= c.c2 <= scope_hi}
 
-    violations = []
-    for c in sorted(expected_in_scope - in_scope, key=lambda c: c.sort_key):
-        violations.append(
-            Certificate("missing-class", f"expected class {c.literal()} was not found", c.to_dict())
-        )
-    for c in sorted(in_scope - expected_in_scope, key=lambda c: c.sort_key):
-        violations.append(
-            Certificate("unexpected-class", f"found class {c.literal()} not in the table", c.to_dict())
-        )
+    violations = [
+        Certificate("missing-class", f"expected class {c.literal()} was not found", c.to_dict())
+        for c in sorted(expected_in_scope - in_scope, key=lambda c: c.sort_key)
+    ] + [
+        Certificate("unexpected-class", f"found class {c.literal()} not in the table", c.to_dict())
+        for c in sorted(in_scope - expected_in_scope, key=lambda c: c.sort_key)
+    ]
     exceptions = [
         Certificate(
             "outside-table-scope",
@@ -401,12 +396,21 @@ _PAIR_NOTE = (
 )
 
 
+def _keyword_bounds(bounds: SearchBounds | None, **keywords: tuple) -> list:
+    """Each keyword bound's value, from its (value or None, default) pair.
+    Passing one with `bounds`, which would override it, raises TypeError."""
+    given = [name for name, (value, _) in keywords.items() if value is not None]
+    if bounds is not None and given:
+        raise TypeError(f"bounds and {', '.join(given)} conflict: pass one or the other")
+    return [default if value is None else value for value, default in keywords.values()]
+
+
 def verify_pair_inequality(
     bounds: SearchBounds | None = None,
     *,
-    mass_bound: int = 200,
-    max_points: int = 6,
-    max_n: int = 40,
+    mass_bound: int | None = None,
+    max_points: int | None = None,
+    max_n: int | None = None,
 ) -> VerificationReport:
     """Check v(C + C') >= 0 for all same-surface pairs of v = 0 classes.
 
@@ -430,8 +434,13 @@ def verify_pair_inequality(
     inequality), the full alignment set only when that dips below zero.
     checked_count counts every unordered same-surface pair, proved or
     evaluated; details["alignments_checked"] counts alignments evaluated.
+    Without `bounds` the keywords default to mass 200, 6 points, n <= 40;
+    with it, passing any of them raises TypeError.
     """
     start = time.perf_counter()
+    mass_bound, max_points, max_n = _keyword_bounds(
+        bounds, mass_bound=(mass_bound, 200), max_points=(max_points, 6), max_n=(max_n, 40)
+    )
     if bounds is None:
         bounds = SearchBounds(
             mass_bound=mass_bound,
@@ -457,10 +466,8 @@ def verify_pair_inequality(
                 break  # sorted by C^2: every remaining pair has both squares >= 1
             for cb in group[i:]:
                 # worst alignment: both sorted vectors overlap index by index
-                la = ca.mults + (0,) * max(0, len(cb.mults) - len(ca.mults))
-                lb = cb.mults + (0,) * max(0, len(ca.mults) - len(cb.mults))
-                a_cls = DivisorClass(surface, ca.t, la)
-                b_cls = DivisorClass(surface, cb.t, lb)
+                a_cls = DivisorClass(surface, ca.t, ca.mults + (0,) * (len(cb.mults) - len(ca.mults)))
+                b_cls = DivisorClass(surface, cb.t, cb.mults + (0,) * (len(ca.mults) - len(cb.mults)))
                 alignments_checked += 1
                 if virtual_dimension(a_cls + b_cls) >= 0:
                     continue
@@ -473,10 +480,9 @@ def verify_pair_inequality(
                     v_sum = virtual_dimension(a_al + b_al)
                     if v_sum >= 0:
                         continue
-                    matched_count = sum(cnt for _, _, cnt in matching)
                     fully_aligned = (
                         is_self
-                        and matched_count == len(ca.mults)
+                        and sum(cnt for _, _, cnt in matching) == len(ca.mults)
                         and all(x == y for x, y, _ in matching)
                     )
                     cert = Certificate(
@@ -591,9 +597,9 @@ _HUNT_NOTE = (
 def hunt_counterexamples(
     bounds: SearchBounds | None = None,
     *,
-    max_n: int = 10,
-    max_degree: int = 6,
-    mass_bound: int = 60,
+    max_n: int | None = None,
+    max_degree: int | None = None,
+    mass_bound: int | None = None,
     max_points: int | None = None,
     decompose_fn=None,
     patterns_fn=None,
@@ -613,9 +619,18 @@ def hunt_counterexamples(
     degree ranges scan nothing.  The grid starts at n = 2 and d = 0 and has
     no C^2 filter, so `bounds` gives only upper ends: a SearchBounds with
     n_range not starting at 2, t_range not starting at 1 or a
-    self_int_range raises ValueError naming that field.
+    self_int_range raises ValueError naming that field.  Without `bounds`
+    the keywords default to n <= 10, d <= 6, mass 60 and mass // 2 points;
+    with it, passing any of them raises TypeError.
     """
     start = time.perf_counter()
+    max_n, max_degree, mass_bound, max_points = _keyword_bounds(
+        bounds,
+        max_n=(max_n, 10),
+        max_degree=(max_degree, 6),
+        mass_bound=(mass_bound, 60),
+        max_points=(max_points, None),
+    )
     if bounds is not None:
         for name, ok, reason in (
             ("n_range", bounds.n_range[0] == 2, "scans n from 2, so n_range must start at 2"),

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import pytest
@@ -581,6 +582,172 @@ class TestBatch:
                 assert cell == cli._csv_cell(key, rec[key])
 
 
+def parts_file(path, bad_line=None):
+    """A 40-line batch file in three parts of at least 8 lines (lines 1-13,
+    14-26, 27-40; see _part_starts): a byte-order mark, CR LF endings,
+    comments, error lines, wide lines, lines over a MAX_LINE_CHARS of 100 on
+    both sides of the first boundary, and the bytes of `bad_line`, if given,
+    not UTF-8."""
+    lines = [f"L{2 * (i % 5 + 1)}({i % 9};{i % 4 + 1}^{i % 3 + 1},{i % 2})" for i in range(40)]
+    lines[2] = "# comment only"
+    lines[4] = "L3(2;1)  # odd n: an error record"
+    lines[7] = "L2(6;" + ",".join(str(m % 4 + 1) for m in range(30)) + ")"  # wide
+    lines[12] = "L2(1" + " " * 130 + ")"  # over the cap, last line of part 0
+    lines[13] = "L4(2" + " " * 130 + ")"  # over the cap, first line of part 1
+    lines[17] = ""
+    lines[21] = "L2(1;1"  # unclosed
+    lines[30] = "L2(12;" + ",".join("1" * 40) + ")  # wide"
+    data = b"\xef\xbb\xbf" + "".join(line + "\r\n" for line in lines).encode()
+    if bad_line:
+        head = data.split(b"\r\n")
+        head[bad_line - 1] = b"L2(\xff)"
+        data = b"\r\n".join(head)
+    path.write_bytes(data)
+    return str(path)
+
+
+class TestBatchParts:
+    """batch in parts, forked children included, writes the serial loop's
+    stdout, stderr and exit code, and leaves no process behind."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        monkeypatch.setattr(cli, "MIN_PART_LINES", 8)
+        monkeypatch.setattr(cli, "MAX_LINE_CHARS", 100)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        made, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
+        yield made
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_part_starts(self, tmp_path, monkeypatch, forks):
+        with cli._open_batch(parts_file(tmp_path / "parts.txt")) as handle:
+            assert cli._part_starts(handle) == [1, 14, 27, 41]
+            assert handle.read(5) == "L2(0;"  # back at the start, past the mark
+            monkeypatch.setattr(cli, "MIN_PART_LINES", 14)  # 40 lines: two parts
+            assert cli._part_starts(handle) == [1, 21, 41]
+            monkeypatch.setattr(cli, "MIN_PART_LINES", 21)  # fewer than two parts
+            assert cli._part_starts(handle) == []
+            monkeypatch.setattr(cli, "MIN_PART_LINES", 8)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+            assert cli._part_starts(handle) == []
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            monkeypatch.delattr(os, "memfd_create")
+            assert cli._part_starts(handle) == []
+        assert forks == []
+
+    @pytest.mark.parametrize("bad_line", [None, 5, 20], ids=["clean", "part0", "part1"])
+    @pytest.mark.parametrize("quiet", [False, True], ids=["", "quiet"])
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_parts_write_the_serial_output(self, capsys, tmp_path, monkeypatch, forks, fmt, quiet, bad_line):
+        argv = ["batch", parts_file(tmp_path / "parts.txt", bad_line), "--format", fmt] + ["--quiet"] * quiet
+        parallel = run(capsys, *argv)
+        assert len(forks) == 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = run(capsys, *argv)
+        assert len(forks) == 2
+        assert parallel == serial
+        code, out, err = serial
+        assert code == 2 and (out == "") == quiet
+        assert err.count(": line longer than 100 characters") == (0 if bad_line == 5 else 2)
+        if bad_line:
+            assert err.endswith(f"not UTF-8 at line {bad_line}\n")
+
+    def test_crash_in_a_child_is_reported(self, capsys, tmp_path, monkeypatch, forks):
+        parent, parse_spec = os.getpid(), cli.parse_spec
+
+        def crash_in_children(text):
+            if os.getpid() != parent:
+                raise RuntimeError("part crashed")
+            return parse_spec(text)
+
+        path = parts_file(tmp_path / "parts.txt")
+        monkeypatch.setattr(cli, "parse_spec", crash_in_children)
+        code, out, err = run(capsys, "batch", path, "--format", "json")
+        assert code == 1 and len(forks) == 2
+        assert "Traceback" in err and "RuntimeError: part crashed" in err
+        assert err.endswith(f"{path}: the part of lines 14-26 ended with exit status 1\n")
+        assert [json.loads(line).get("error", {}).get("line") for line in out.splitlines()] == [
+            None, None, None, 5, None, None, None, None, None, None, None, 13
+        ]  # fmt: skip
+
+    def test_killed_child_is_reported(self, capsys, tmp_path, monkeypatch, forks):
+        parent, parse_spec = os.getpid(), cli.parse_spec
+
+        def kill_children(text):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), 9)
+            return parse_spec(text)
+
+        path = parts_file(tmp_path / "parts.txt")
+        monkeypatch.setattr(cli, "parse_spec", kill_children)
+        code, _, err = run(capsys, "batch", path, "--format", "text")
+        assert code == 1 and len(forks) == 2
+        assert err.endswith(f"{path}: the part of lines 14-26 ended with exit status -9\n")
+
+    def test_fifo_stays_serial(self, capsys, tmp_path, forks):
+        path = parts_file(tmp_path / "parts.txt")
+        expected = run(capsys, "batch", path, "--format", "json")
+        assert len(forks) == 2
+        fifo = tmp_path / "parts.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(Path(path).read_bytes(),), daemon=True)
+        writer.start()
+        got = run(capsys, "batch", str(fifo), "--format", "json")
+        writer.join(timeout=60)
+        assert not writer.is_alive() and len(forks) == 2
+        assert got == (expected[0], expected[1], expected[2].replace(path, str(fifo)))
+
+
+# Runs the console entry point with batch forced into parts of at least
+# argv[1] lines on two CPUs, then reports on stderr any child left behind.
+PARTS_PROBE = """
+import os, sys
+from k3linsys import cli
+cli.MIN_PART_LINES = int(sys.argv.pop(1))
+os.sched_getaffinity = lambda pid: {0, 1}
+try:
+    cli.entrypoint()
+finally:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        sys.stderr.write("a child is left\\n")
+    except ChildProcessError:
+        pass
+"""
+
+
+def test_parts_on_closed_stdout_exit_141_and_leave_no_child(tmp_path):
+    path = tmp_path / "many.txt"
+    path.write_text("L2(4;4,3)\nL4(5;2^6,1)\n" * 10_000)  # about 4 MB of JSON
+    proc = subprocess.Popen(
+        [sys.executable, "-c", PARTS_PROBE, "1000", "batch", str(path), "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV,
+    )  # fmt: skip
+    try:
+        assert proc.stdout.readline().startswith(b"{")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 141
+    assert err == b""
+
+
+def test_dev_stdin_stays_serial(tmp_path):
+    path = parts_file(tmp_path / "parts.txt")
+    argv = [sys.executable, "-c", PARTS_PROBE, "8", "batch"]
+    from_file = subprocess.run([*argv, path], capture_output=True, env=CHILD_ENV, timeout=120)
+    piped = subprocess.run(
+        [*argv, "/dev/stdin"], input=Path(path).read_bytes(), capture_output=True, env=CHILD_ENV, timeout=120
+    )
+    assert from_file.returncode == piped.returncode == 2
+    assert piped.stdout == from_file.stdout and piped.stdout
+    assert piped.stderr == from_file.stderr.replace(path.encode(), b"/dev/stdin")
+
+
 class TestQuietAndUsage:
     def test_quiet_suppresses_stdout(self, capsys):
         code, out, _ = run(capsys, "classify", "L2(2;2)", "--quiet")
@@ -631,6 +798,8 @@ with open(sys.argv[1], "w") as handle:
 MATH = {"k3linsys.lattice", "k3linsys.classify", "k3linsys.literals", "k3linsys.verify"}
 # No command builds its value classes with dataclasses, which imports inspect.
 CODEGEN = {"dataclasses", "inspect"}
+# batch forks its parts by hand.
+POOLS = {"multiprocessing", "tempfile", "threading", "subprocess"}
 GOLDEN_BATCH = str(Path(__file__).parent / "golden" / "batch.txt")
 
 
@@ -642,8 +811,8 @@ GOLDEN_BATCH = str(Path(__file__).parent / "golden" / "batch.txt")
         (["dim", "L2(3;2^4,1)"], CODEGEN | {"k3linsys.verify", "json", "csv"}, {"k3linsys.literals"}),
         (["classify", "L2(4;4,3)", "--format", "json"], CODEGEN | {"k3linsys.verify", "json", "csv"}, set()),
         (["classify", "L2(4;4,3)", "--format", "csv"], CODEGEN | {"k3linsys.verify"}, {"csv"}),
-        (["batch", GOLDEN_BATCH, "--format", "json"], CODEGEN | {"k3linsys.verify", "csv"}, {"json"}),
-        (["batch", GOLDEN_BATCH, "--format", "csv"], CODEGEN | {"k3linsys.verify"}, {"csv"}),
+        (["batch", GOLDEN_BATCH, "--format", "json"], CODEGEN | POOLS | {"k3linsys.verify", "csv"}, {"json"}),
+        (["batch", GOLDEN_BATCH, "--format", "csv"], CODEGEN | POOLS | {"k3linsys.verify"}, {"csv"}),
         (
             ["verify", "pairs", "--mass-bound", "40", "--max-points", "4", "--max-n", "12", "--format", "json"],
             CODEGEN | {"k3linsys.literals", "csv"},
@@ -664,6 +833,14 @@ def test_command_imports_only_its_modules(tmp_path, argv, absent, present):
     assert "k3linsys.cli" in loaded
     assert not loaded & absent
     assert present <= loaded
+
+
+def test_batch_in_parts_imports_no_pool(tmp_path):
+    # 280 copies of the golden file: parts on a host with two usable CPUs
+    path = tmp_path / "many.txt"
+    path.write_text(Path(GOLDEN_BATCH).read_text(encoding="utf-8") * 280, encoding="utf-8")
+    absent = CODEGEN | POOLS | {"k3linsys.verify"}
+    test_command_imports_only_its_modules(tmp_path, ["batch", str(path)], absent, set())
 
 
 def test_console_entrypoint_subprocess():

@@ -423,6 +423,15 @@ class TestPairInequality:
         assert report.bounds["mass_bound"] == 40
         assert report.passed
 
+    def test_bounds_with_keyword_bounds_is_a_type_error(self):
+        # the SearchBounds would override the keywords without a word
+        bounds = SearchBounds(12, 4, (2, 8), (1, 4))
+        with pytest.raises(TypeError, match=r"bounds and mass_bound, max_n conflict"):
+            verify_pair_inequality(bounds, mass_bound=40, max_n=30)
+        assert verify_pair_inequality(bounds, max_points=None).bounds == bounds.to_dict()
+        defaults = verify_pair_inequality(max_n=2).bounds
+        assert (defaults["mass_bound"], defaults["max_points"], defaults["n_range"]) == (200, 6, [2, 2])
+
     @pytest.mark.parametrize(
         "bounds,exceptions",
         [
@@ -632,6 +641,17 @@ class TestHunt:
         report = hunt_counterexamples(bounds)
         assert report.passed
         assert report.bounds["max_n"] == 4 and report.bounds["max_degree"] == 2
+
+    def test_bounds_with_keyword_bounds_is_a_type_error(self):
+        # the SearchBounds would override the keywords without a word
+        bounds = SearchBounds(12, 4, (2, 8), (1, 4))
+        with pytest.raises(TypeError, match=r"bounds and max_n, max_degree conflict"):
+            hunt_counterexamples(bounds, max_n=4, max_degree=2)
+        with pytest.raises(TypeError, match=r"bounds and max_points conflict"):
+            hunt_counterexamples(bounds, max_points=0)
+        assert hunt_counterexamples(bounds, decompose_fn=decompose).checked_count == 220
+        defaults = hunt_counterexamples(max_degree=0).bounds
+        assert defaults == {"max_n": 10, "max_degree": 0, "mass_bound": 60, "max_points": 30}
 
     @pytest.mark.parametrize(
         "field, bounds",
