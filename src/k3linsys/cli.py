@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import re
-import stat
 import sys
 
 RECORD_FIELDS = (
@@ -43,9 +42,6 @@ READ_CHARS = 1 << 13
 # A batch line longer than this is an error record; the reader keeps at most
 # this plus one piece of any line, however long the line is.
 MAX_LINE_CHARS = 1 << 20
-# batch splits a file of at least twice this many lines into contiguous
-# parts, one per usable CPU (see _cmd_batch).
-MIN_PART_LINES = 1500
 # _batch_lines' result when a line that is not UTF-8 ended the run.
 _STOPPED = 3
 # The characters str.splitlines() breaks lines at.
@@ -70,6 +66,7 @@ _LAZY = {
         "verify_lemma_table",
         "verify_pair_inequality",
     ),
+    "parts": ("run_parts",),
     "json": None,
     "csv": None,
 }
@@ -403,21 +400,15 @@ def _open_batch(path: str):
     return open(path, encoding="utf-8-sig", errors="surrogateescape")
 
 
-def _batch_lines(
-    args, out: _Output, handle, first: int = 1, stop: int = sys.maxsize, header: bool = True
-) -> int:
-    """Write the records of lines first..stop-1 of `handle` to `out`; a csv
-    writer writes the header row first if `header`.
+def _batch_lines(args, numbered, emit, emit_error) -> int:
+    """Write the records of the (line number, line) pairs `numbered` with
+    the renderers emit and emit_error of _record_writer.
 
     Returns 0 if every line gave a record or none, 2 if some line gave an
     error record, _STOPPED if a line that is not UTF-8 ended the run.
     """
-    emit, emit_error = _record_writer(args.format, out, header)
-    lines = _file_lines(handle)
-    for _ in zip(range(1, first), lines):
-        pass  # the lines of earlier parts
     failed = False
-    for lineno, raw in zip(range(first, stop), lines):
+    for lineno, raw in numbered:
         if not raw.isascii() and _NOT_UTF8.search(raw):
             _Output.error(f"{args.file}: not UTF-8 at line {lineno}")
             return _STOPPED
@@ -440,104 +431,20 @@ def _batch_lines(
     return 2 if failed else 0
 
 
-def _part_starts(handle) -> list[int]:
-    """The first line of each part batch splits handle's file into, then one
-    past its last line: one part per usable CPU, each of at least
-    MIN_PART_LINES lines.  [] where batch stays serial: on a file that is
-    not regular (a pipe cannot be read twice), with one usable CPU, fewer
-    than two parts' lines, or no fork, memfd_create or sched_getaffinity."""
-    if not all(hasattr(os, name) for name in ("fork", "memfd_create", "sched_getaffinity")):
-        return []
-    parts = len(os.sched_getaffinity(0))
-    if parts < 2 or not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-        return []
-    count = sum(1 for _ in _file_lines(handle))
-    handle.seek(0)
-    parts = min(parts, count // MIN_PART_LINES)
-    return [count * k // parts + 1 for k in range(parts + 1)] if parts > 1 else []
-
-
-def _batch_child(args, first: int, stop: int, sinks) -> None:
-    """Run lines first..stop-1 of args.file in a forked child whose stdout
-    and stderr are the files `sinks`; exit with _batch_lines' result, or
-    with 1 after writing the traceback of a crash.  Never returns."""
-    code = 1
-    try:
-        sys.stdout, sys.stderr = sinks
-        out = _Output(args.quiet)
-        with _open_batch(args.file) as handle:
-            part = _batch_lines(args, out, handle, first, stop, header=False)
-        out.flush()
-        for sink in sinks:
-            sink.flush()
-        code = part
-    except BaseException:  # ends here: a forked child never unwinds into its parent's callers
-        import traceback
-
-        traceback.print_exc()
-        sys.stderr.flush()
-    finally:
-        os._exit(code)
-
-
-def _memfd():
-    """A text file in memory, for a part's stdout or stderr: memfd pages are
-    in no process's RSS."""
-    fd = os.memfd_create("k3linsys-batch")
-    return open(fd, "w+", encoding="utf-8", errors="surrogateescape", newline="")
-
-
 def _cmd_batch(args, out: _Output) -> int:
-    """Classify the lines of args.file in one pass, or in the parts of
-    _part_starts: part 0 here, each later part in a child forked for it that
-    writes its stdout and stderr to _memfd files.  This process then copies
-    each child's output out in order, so stdout, stderr and the exit code
-    are the one pass's; a part that ends the run (a line that is not UTF-8,
-    a crash) ends it after its own output, and no child outlives batch."""
+    """Classify the lines of args.file in one pass, or in parts, one process
+    per usable CPU, with the same output (see k3linsys.parts)."""
     try:
         handle = _open_batch(args.file)
     except OSError as exc:
         _Output.error(f"cannot read batch file: {exc}")
         return 2
     with handle:
-        starts = _part_starts(handle)
-        if not starts:
-            return min(_batch_lines(args, out, handle), 2)
-        sys.stdout.flush()
-        sys.stderr.flush()
-        children = []  # [pid, or 0 once reaped; stdout file; stderr file] of parts 1, 2, ...
-        try:
-            for first, stop in zip(starts[1:], starts[2:]):
-                sinks = [_memfd(), _memfd()]
-                children.append([0, *sinks])
-                pid = os.fork()
-                if not pid:
-                    _batch_child(args, first, stop, sinks)
-                children[-1][0] = pid
-            # results so far: any but 0 and 2 ends the run
-            codes = {_batch_lines(args, out, handle, 1, starts[1])}
-            for child, first, stop in zip(children, starts[1:], starts[2:]):
-                if not codes <= {0, 2}:
-                    break
-                code = os.waitstatus_to_exitcode(os.waitpid(child[0], 0)[1])
-                child[0] = 0
-                for sink, write in zip(child[1:], (out.write, sys.stderr.write)):
-                    sink.seek(0)
-                    while piece := sink.read(BLOCK_CHARS):
-                        write(piece)
-                if code not in (0, 2, _STOPPED):
-                    part = f"the part of lines {first}-{stop - 1}"
-                    _Output.error(f"{args.file}: {part} ended with exit status {code}")
-                    code = 1  # as a crash of the one pass
-                codes.add(code)
-            return 1 if 1 in codes else min(max(codes), 2)
-        finally:
-            for pid, *sinks in children:
-                if pid:
-                    os.kill(pid, 9)  # SIGKILL, without importing signal
-                    os.waitpid(pid, 0)
-                for sink in sinks:
-                    sink.close()
+        code = run_parts(args, out, handle)
+        if code is None:
+            numbered = enumerate(_file_lines(handle), start=1)
+            code = min(_batch_lines(args, numbered, *_record_writer(args.format, out)), 2)
+        return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -607,7 +514,7 @@ _COMMANDS = {
     "enumerate": (_cmd_enumerate, ("verify", "classify", "json"), ("csv",)),
     "verify": (_cmd_verify, ("verify", "json"), ("csv",)),
     "hunt": (_cmd_hunt, ("verify", "json"), ("csv",)),
-    "batch": (_cmd_batch, ("literals", "classify"), ("json", "csv")),
+    "batch": (_cmd_batch, ("literals", "classify", "parts"), ("json", "csv")),
 }
 
 

@@ -222,7 +222,7 @@ def _v0_classes(bounds: SearchBounds) -> tuple[list[NumericalClass], int]:
     read off the divisors of mass - 2, and C^2 = n*t^2 - sum m_i^2 is
     sum m_i - 2.
     """
-    lo_c2, hi_c2 = bounds.self_int_range or (None, None)
+    lo_c2, hi_c2 = bounds.self_int_range if bounds.self_int_range else (None, None)
     sum_bound = None if hi_c2 is None else max(0, hi_c2 + 2)
     n_lo, n_hi = bounds.n_range
     t_lo, t_hi = bounds.t_range
@@ -253,14 +253,17 @@ def enumerate_v0_classes(self_int_range: tuple[int, int]) -> list[NumericalClass
     return classes
 
 
-# The five v = 0 classes with t >= 1 and C^2 <= 1 (none exist at C^2 <= -1),
-# as (n, t, mults, v, C^2).
+def _table_entry(n, t, mults, c2):
+    return NumericalClass(n=n, t=t, mults=mults, v=0, c2=c2)
+
+
+# The five v = 0 classes with t >= 1 and C^2 <= 1 (none exist at C^2 <= -1).
 LEMMA_TABLE = (
-    NumericalClass(2, 1, (1, 1), 0, 0),
-    NumericalClass(4, 1, (2,), 0, 0),
-    NumericalClass(4, 1, (1, 1, 1), 0, 1),
-    NumericalClass(6, 1, (2, 1), 0, 1),
-    NumericalClass(10, 1, (3,), 0, 1),
+    _table_entry(2, 1, (1, 1), 0),
+    _table_entry(4, 1, (2,), 0),
+    _table_entry(4, 1, (1, 1, 1), 1),
+    _table_entry(6, 1, (2, 1), 1),
+    _table_entry(10, 1, (3,), 1),
 )
 
 _TABLE_C2_WINDOW = (-2, 1)
@@ -291,13 +294,15 @@ def verify_lemma_table(
     out_of_scope = [c for c in classes if not (scope_lo <= c.c2 <= scope_hi)]
     expected_in_scope = {c for c in expected if scope_lo <= c.c2 <= scope_hi}
 
-    violations = [
-        Certificate("missing-class", f"expected class {c.literal()} was not found", c.to_dict())
-        for c in sorted(expected_in_scope - in_scope, key=lambda c: c.sort_key)
-    ] + [
-        Certificate("unexpected-class", f"found class {c.literal()} not in the table", c.to_dict())
-        for c in sorted(in_scope - expected_in_scope, key=lambda c: c.sort_key)
-    ]
+    violations = []
+    for c in sorted(expected_in_scope - in_scope, key=lambda c: c.sort_key):
+        violations.append(
+            Certificate("missing-class", f"expected class {c.literal()} was not found", c.to_dict())
+        )
+    for c in sorted(in_scope - expected_in_scope, key=lambda c: c.sort_key):
+        violations.append(
+            Certificate("unexpected-class", f"found class {c.literal()} not in the table", c.to_dict())
+        )
     exceptions = [
         Certificate(
             "outside-table-scope",
@@ -466,8 +471,10 @@ def verify_pair_inequality(
                 break  # sorted by C^2: every remaining pair has both squares >= 1
             for cb in group[i:]:
                 # worst alignment: both sorted vectors overlap index by index
-                a_cls = DivisorClass(surface, ca.t, ca.mults + (0,) * (len(cb.mults) - len(ca.mults)))
-                b_cls = DivisorClass(surface, cb.t, cb.mults + (0,) * (len(ca.mults) - len(cb.mults)))
+                la = ca.mults + (0,) * max(0, len(cb.mults) - len(ca.mults))
+                lb = cb.mults + (0,) * max(0, len(ca.mults) - len(cb.mults))
+                a_cls = DivisorClass(surface, ca.t, la)
+                b_cls = DivisorClass(surface, cb.t, lb)
                 alignments_checked += 1
                 if virtual_dimension(a_cls + b_cls) >= 0:
                     continue
@@ -480,9 +487,10 @@ def verify_pair_inequality(
                     v_sum = virtual_dimension(a_al + b_al)
                     if v_sum >= 0:
                         continue
+                    matched_count = sum(cnt for _, _, cnt in matching)
                     fully_aligned = (
                         is_self
-                        and sum(cnt for _, _, cnt in matching) == len(ca.mults)
+                        and matched_count == len(ca.mults)
                         and all(x == y for x, y, _ in matching)
                     )
                     cert = Certificate(

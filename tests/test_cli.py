@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import k3linsys
 import k3linsys.cli as cli
+import k3linsys.parts as parts
 from k3linsys.classify import decompose
 from k3linsys.cli import RECORD_FIELDS, main
 from k3linsys.literals import parse_literal
@@ -583,17 +584,20 @@ class TestBatch:
 
 
 def parts_file(path, bad_line=None):
-    """A 40-line batch file in three parts of at least 8 lines (lines 1-13,
-    14-26, 27-40; see _part_starts): a byte-order mark, CR LF endings,
-    comments, error lines, wide lines, lines over a MAX_LINE_CHARS of 100 on
-    both sides of the first boundary, and the bytes of `bad_line`, if given,
-    not UTF-8."""
+    """A 40-line batch file: a byte-order mark, CR LF endings, comments,
+    error lines, wide lines, lines over a MAX_LINE_CHARS of 100 on both
+    sides of the boundaries after lines 10 and 14, and the bytes of
+    `bad_line`, if given, not UTF-8.  On three processes it splits into
+    parts of 14 lines (1-14, 15-28, 29-40), or of 5 lines in three rounds
+    with MIN_PART_LINES and MAX_PART_LINES 5 (see parts._plan)."""
     lines = [f"L{2 * (i % 5 + 1)}({i % 9};{i % 4 + 1}^{i % 3 + 1},{i % 2})" for i in range(40)]
     lines[2] = "# comment only"
     lines[4] = "L3(2;1)  # odd n: an error record"
     lines[7] = "L2(6;" + ",".join(str(m % 4 + 1) for m in range(30)) + ")"  # wide
-    lines[12] = "L2(1" + " " * 130 + ")"  # over the cap, last line of part 0
-    lines[13] = "L4(2" + " " * 130 + ")"  # over the cap, first line of part 1
+    lines[9] = "L2(1" + " " * 130 + ")"  # over the cap, last line of a part of 5
+    lines[10] = "L4(2" + " " * 130 + ")"  # over the cap, first line of the next
+    lines[13] = "L6(1" + " " * 130 + ")"  # over the cap, last line of a part of 14
+    lines[14] = "L8(3" + " " * 130 + ")"  # over the cap, first line of the next
     lines[17] = ""
     lines[21] = "L2(1;1"  # unclosed
     lines[30] = "L2(12;" + ",".join("1" * 40) + ")  # wide"
@@ -612,7 +616,8 @@ class TestBatchParts:
 
     @pytest.fixture
     def forks(self, monkeypatch):
-        monkeypatch.setattr(cli, "MIN_PART_LINES", 8)
+        monkeypatch.setattr(parts, "MIN_PART_LINES", 8)
+        monkeypatch.setattr(parts, "CPU_QUOTA_FILES", ())
         monkeypatch.setattr(cli, "MAX_LINE_CHARS", 100)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         made, fork = [], os.fork
@@ -621,56 +626,102 @@ class TestBatchParts:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_part_starts(self, tmp_path, monkeypatch, forks):
+    def test_plan(self, tmp_path, monkeypatch, forks):
         with cli._open_batch(parts_file(tmp_path / "parts.txt")) as handle:
-            assert cli._part_starts(handle) == [1, 14, 27, 41]
+            assert parts._plan(handle) == (3, 14)
             assert handle.read(5) == "L2(0;"  # back at the start, past the mark
-            monkeypatch.setattr(cli, "MIN_PART_LINES", 14)  # 40 lines: two parts
-            assert cli._part_starts(handle) == [1, 21, 41]
-            monkeypatch.setattr(cli, "MIN_PART_LINES", 21)  # fewer than two parts
-            assert cli._part_starts(handle) == []
-            monkeypatch.setattr(cli, "MIN_PART_LINES", 8)
+            monkeypatch.setattr(parts, "MIN_PART_LINES", 5)
+            monkeypatch.setattr(parts, "MAX_PART_LINES", 5)  # rounds of three parts
+            assert parts._plan(handle) == (3, 5)
+            monkeypatch.setattr(parts, "MAX_PART_LINES", 100)
+            monkeypatch.setattr(parts, "MIN_PART_LINES", 14)  # 40 lines: two parts
+            assert parts._plan(handle)[0] == 2
+            monkeypatch.setattr(parts, "MIN_PART_LINES", 21)  # fewer than two parts
+            assert parts._plan(handle)[0] < 2
+            monkeypatch.setattr(parts, "MIN_PART_LINES", 8)
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
-            assert cli._part_starts(handle) == []
+            assert parts._plan(handle)[0] < 2
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            assert parts._plan(handle)[0] == 2
+            isdir = os.path.isdir
+            monkeypatch.setattr(os.path, "isdir", lambda path: path != "/proc/self/fd" and isdir(path))
+            assert parts._plan(handle)[0] < 2
+            monkeypatch.setattr(os.path, "isdir", isdir)
             monkeypatch.delattr(os, "memfd_create")
-            assert cli._part_starts(handle) == []
+            assert parts._plan(handle)[0] < 2
         assert forks == []
 
-    @pytest.mark.parametrize("bad_line", [None, 5, 20], ids=["clean", "part0", "part1"])
+    @pytest.mark.parametrize(
+        "files, cpus",
+        [
+            ([], 8),
+            ([["max 100000"]], 8),  # cgroup v2, no quota
+            ([["150000 100000"]], 2),  # 1.5 CPUs
+            ([["40000 100000"]], 1),  # never below one
+            ([["missing"], ["-1", "100000"]], 8),  # cgroup v1, no quota
+            ([["missing"], ["300000", "100000"]], 3),
+            ([["200000 100000"], ["100000", "100000"]], 1),  # the smaller quota
+        ],
+    )
+    def test_usable_cpus_keeps_to_the_cpu_quota(self, tmp_path, monkeypatch, files, cpus):
+        quota_files = []
+        for i, contents in enumerate(files):
+            paths = [tmp_path / f"{i}.{k}" for k in range(len(contents))]
+            for path, text in zip(paths, contents):
+                if text != "missing":
+                    path.write_text(text + "\n")
+            quota_files.append(tuple(map(str, paths)))
+        monkeypatch.setattr(parts, "CPU_QUOTA_FILES", tuple(quota_files))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        assert parts.usable_cpus() == cpus
+
+    @pytest.mark.parametrize("bad_line", [None, 3, 8, 23], ids=["clean", "part0", "part1", "round2"])
     @pytest.mark.parametrize("quiet", [False, True], ids=["", "quiet"])
     @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
-    def test_parts_write_the_serial_output(self, capsys, tmp_path, monkeypatch, forks, fmt, quiet, bad_line):
+    @pytest.mark.parametrize("max_part", [100, 5], ids=["one-round", "rounds"])
+    def test_parts_write_the_serial_output(
+        self, capsys, tmp_path, monkeypatch, forks, max_part, fmt, quiet, bad_line
+    ):
+        monkeypatch.setattr(parts, "MIN_PART_LINES", min(max_part, 8))
+        monkeypatch.setattr(parts, "MAX_PART_LINES", max_part)
+        copies, copy_part = [], parts._copy_part
+        monkeypatch.setattr(parts, "_copy_part", lambda *a: copies.append(a[3]) or copy_part(*a))
         argv = ["batch", parts_file(tmp_path / "parts.txt", bad_line), "--format", fmt] + ["--quiet"] * quiet
         parallel = run(capsys, *argv)
         assert len(forks) == 2
+        if bad_line is None:  # parts 1 and 2, or 1, 2, 4, 5 and 7 of 8, come from the children
+            assert copies == ([15, 29] if max_part == 100 else [6, 11, 21, 26, 36])
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         serial = run(capsys, *argv)
         assert len(forks) == 2
         assert parallel == serial
         code, out, err = serial
         assert code == 2 and (out == "") == quiet
-        assert err.count(": line longer than 100 characters") == (0 if bad_line == 5 else 2)
+        assert err.count(": line longer than 100 characters") == (0 if bad_line in (3, 8) else 4)
         if bad_line:
             assert err.endswith(f"not UTF-8 at line {bad_line}\n")
 
-    def test_crash_in_a_child_is_reported(self, capsys, tmp_path, monkeypatch, forks):
+    @pytest.mark.parametrize("max_part", [100, 5], ids=["one-round", "rounds"])
+    def test_crash_in_a_child_is_reported(self, capsys, tmp_path, monkeypatch, forks, max_part):
+        monkeypatch.setattr(parts, "MIN_PART_LINES", min(max_part, 8))
+        monkeypatch.setattr(parts, "MAX_PART_LINES", max_part)
         parent, parse_spec = os.getpid(), cli.parse_spec
 
         def crash_in_children(text):
-            if os.getpid() != parent:
+            if os.getpid() != parent and text == "L8(5;4^3,1)":  # line 24
                 raise RuntimeError("part crashed")
             return parse_spec(text)
 
         path = parts_file(tmp_path / "parts.txt")
+        _, expected, _ = run(capsys, "batch", path, "--format", "json")
         monkeypatch.setattr(cli, "parse_spec", crash_in_children)
         code, out, err = run(capsys, "batch", path, "--format", "json")
-        assert code == 1 and len(forks) == 2
+        assert code == 1 and len(forks) == 4
         assert "Traceback" in err and "RuntimeError: part crashed" in err
-        assert err.endswith(f"{path}: the part of lines 14-26 ended with exit status 1\n")
-        assert [json.loads(line).get("error", {}).get("line") for line in out.splitlines()] == [
-            None, None, None, 5, None, None, None, None, None, None, None, 13
-        ]  # fmt: skip
+        part = "15-28" if max_part == 100 else "21-25"
+        assert err.endswith(f"{path}: the part of lines {part} ended with exit status 1\n")
+        # the records of lines 1-23, of which line 3 is a comment and line 18 empty
+        assert out.splitlines() == expected.splitlines()[:21]
 
     def test_killed_child_is_reported(self, capsys, tmp_path, monkeypatch, forks):
         parent, parse_spec = os.getpid(), cli.parse_spec
@@ -684,7 +735,7 @@ class TestBatchParts:
         monkeypatch.setattr(cli, "parse_spec", kill_children)
         code, _, err = run(capsys, "batch", path, "--format", "text")
         assert code == 1 and len(forks) == 2
-        assert err.endswith(f"{path}: the part of lines 14-26 ended with exit status -9\n")
+        assert err.endswith(f"{path}: the part of lines 15-28 ended with exit status -9\n")
 
     def test_fifo_stays_serial(self, capsys, tmp_path, forks):
         path = parts_file(tmp_path / "parts.txt")
@@ -700,12 +751,14 @@ class TestBatchParts:
         assert got == (expected[0], expected[1], expected[2].replace(path, str(fifo)))
 
 
-# Runs the console entry point with batch forced into parts of at least
-# argv[1] lines on two CPUs, then reports on stderr any child left behind.
+# Runs the console entry point with batch forced into parts of argv[1] to
+# argv[2] lines on two CPUs, then reports on stderr any child left behind.
 PARTS_PROBE = """
 import os, sys
-from k3linsys import cli
-cli.MIN_PART_LINES = int(sys.argv.pop(1))
+from k3linsys import cli, parts
+parts.MIN_PART_LINES = int(sys.argv.pop(1))
+parts.MAX_PART_LINES = int(sys.argv.pop(1))
+parts.CPU_QUOTA_FILES = ()
 os.sched_getaffinity = lambda pid: {0, 1}
 try:
     cli.entrypoint()
@@ -718,11 +771,12 @@ finally:
 """
 
 
-def test_parts_on_closed_stdout_exit_141_and_leave_no_child(tmp_path):
+@pytest.mark.parametrize("max_part", ["100000", "1000"], ids=["one-round", "rounds"])
+def test_parts_on_closed_stdout_exit_141_and_leave_no_child(tmp_path, max_part):
     path = tmp_path / "many.txt"
     path.write_text("L2(4;4,3)\nL4(5;2^6,1)\n" * 10_000)  # about 4 MB of JSON
     proc = subprocess.Popen(
-        [sys.executable, "-c", PARTS_PROBE, "1000", "batch", str(path), "--format", "json"],
+        [sys.executable, "-c", PARTS_PROBE, "1000", max_part, "batch", str(path), "--format", "json"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV,
     )  # fmt: skip
     try:
@@ -738,7 +792,7 @@ def test_parts_on_closed_stdout_exit_141_and_leave_no_child(tmp_path):
 
 def test_dev_stdin_stays_serial(tmp_path):
     path = parts_file(tmp_path / "parts.txt")
-    argv = [sys.executable, "-c", PARTS_PROBE, "8", "batch"]
+    argv = [sys.executable, "-c", PARTS_PROBE, "5", "5", "batch"]
     from_file = subprocess.run([*argv, path], capture_output=True, env=CHILD_ENV, timeout=120)
     piped = subprocess.run(
         [*argv, "/dev/stdin"], input=Path(path).read_bytes(), capture_output=True, env=CHILD_ENV, timeout=120
@@ -798,29 +852,30 @@ with open(sys.argv[1], "w") as handle:
 MATH = {"k3linsys.lattice", "k3linsys.classify", "k3linsys.literals", "k3linsys.verify"}
 # No command builds its value classes with dataclasses, which imports inspect.
 CODEGEN = {"dataclasses", "inspect"}
-# batch forks its parts by hand.
+# batch forks its parts by hand, with a module no other command loads.
 POOLS = {"multiprocessing", "tempfile", "threading", "subprocess"}
+PARTS = {"k3linsys.parts"}
 GOLDEN_BATCH = str(Path(__file__).parent / "golden" / "batch.txt")
 
 
 @pytest.mark.parametrize(
     "argv, absent, present",
     [
-        (["--help"], MATH | CODEGEN | {"json", "csv"}, set()),
-        (["dim"], MATH | CODEGEN | {"json", "csv"}, set()),  # usage error
-        (["dim", "L2(3;2^4,1)"], CODEGEN | {"k3linsys.verify", "json", "csv"}, {"k3linsys.literals"}),
-        (["classify", "L2(4;4,3)", "--format", "json"], CODEGEN | {"k3linsys.verify", "json", "csv"}, set()),
-        (["classify", "L2(4;4,3)", "--format", "csv"], CODEGEN | {"k3linsys.verify"}, {"csv"}),
+        (["--help"], MATH | CODEGEN | PARTS | {"json", "csv"}, set()),
+        (["dim"], MATH | CODEGEN | PARTS | {"json", "csv"}, set()),  # usage error
+        (["dim", "L2(3;2^4,1)"], CODEGEN | PARTS | {"k3linsys.verify", "json", "csv"}, {"k3linsys.literals"}),
+        (["classify", "L2(4;4,3)", "--format", "json"], CODEGEN | PARTS | {"k3linsys.verify", "json", "csv"}, set()),
+        (["classify", "L2(4;4,3)", "--format", "csv"], CODEGEN | PARTS | {"k3linsys.verify"}, {"csv"}),
         (["batch", GOLDEN_BATCH, "--format", "json"], CODEGEN | POOLS | {"k3linsys.verify", "csv"}, {"json"}),
         (["batch", GOLDEN_BATCH, "--format", "csv"], CODEGEN | POOLS | {"k3linsys.verify"}, {"csv"}),
         (
             ["verify", "pairs", "--mass-bound", "40", "--max-points", "4", "--max-n", "12", "--format", "json"],
-            CODEGEN | {"k3linsys.literals", "csv"},
+            CODEGEN | PARTS | {"k3linsys.literals", "csv"},
             {"k3linsys.verify"},
         ),
-        (["verify", "lemma-table", "--format", "csv"], CODEGEN | {"k3linsys.literals"}, {"csv"}),
-        (["hunt", "--max-n", "4", "--max-degree", "2", "--format", "json"], CODEGEN | {"k3linsys.literals", "csv"}, set()),
-        (["enumerate", "v0", "--self-int=-2..2", "--format", "json"], CODEGEN | {"k3linsys.literals", "csv"}, set()),
+        (["verify", "lemma-table", "--format", "csv"], CODEGEN | PARTS | {"k3linsys.literals"}, {"csv"}),
+        (["hunt", "--max-n", "4", "--max-degree", "2", "--format", "json"], CODEGEN | PARTS | {"k3linsys.literals", "csv"}, set()),
+        (["enumerate", "v0", "--self-int=-2..2", "--format", "json"], CODEGEN | PARTS | {"k3linsys.literals", "csv"}, set()),
     ],
 )
 def test_command_imports_only_its_modules(tmp_path, argv, absent, present):
@@ -840,7 +895,7 @@ def test_batch_in_parts_imports_no_pool(tmp_path):
     path = tmp_path / "many.txt"
     path.write_text(Path(GOLDEN_BATCH).read_text(encoding="utf-8") * 280, encoding="utf-8")
     absent = CODEGEN | POOLS | {"k3linsys.verify"}
-    test_command_imports_only_its_modules(tmp_path, ["batch", str(path)], absent, set())
+    test_command_imports_only_its_modules(tmp_path, ["batch", str(path)], absent, PARTS)
 
 
 def test_console_entrypoint_subprocess():
