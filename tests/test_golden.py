@@ -9,8 +9,10 @@ record dict and json.dumps; the fused path must reproduce it byte for byte.
 stdout, stderr and exit code of `dim` or `classify` on it.  `hunt.json`
 holds the hunt report without `elapsed` at the CLI defaults and at the
 benchmark's hunt_grid bounds, frozen from the scan that called every check
-on every spec.  The CI workflow diffs the installed console script's output
-against the same files.
+on every spec.  `pairs.json` holds the `verify pairs` report the same way,
+at the CLI defaults and at the benchmark's verify_pairs bounds.  The CI
+workflow diffs the installed console script's output against the same
+files.
 """
 
 import json
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 import k3linsys.cli as cli
 from k3linsys.classify import decompose, normalize
 from k3linsys.literals import parse_literal, parse_spec
-from k3linsys.verify import hunt_counterexamples
+from k3linsys.verify import hunt_counterexamples, verify_pair_inequality
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path("tests") / "golden"
@@ -63,6 +65,21 @@ def test_hunt_matches_golden(capsys, label):
     assert report == golden
     bounds = {key.strip("-").replace("-", "_"): int(value) for key, value in zip(argv[::2], argv[1::2])}
     assert hunt_counterexamples(**bounds).canonical_json() == json.dumps(golden, sort_keys=True)
+
+
+_PAIRS_ARGS = {"defaults": [], "verify_pairs": ["--mass-bound", "180", "--max-points", "6", "--max-n", "36"]}
+
+
+@pytest.mark.parametrize("label", _PAIRS_ARGS)
+def test_pairs_matches_golden(capsys, label):
+    argv = _PAIRS_ARGS[label]
+    golden = json.loads((ROOT / GOLDEN / "pairs.json").read_text(encoding="utf-8"))[label]
+    code = cli.main(["verify", "pairs", *argv, "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report.pop("elapsed") >= 0
+    assert report == golden
+    bounds = {key.strip("-").replace("-", "_"): int(value) for key, value in zip(argv[::2], argv[1::2])}
+    assert verify_pair_inequality(**bounds).canonical_json() == json.dumps(golden, sort_keys=True)
 
 
 def _golden_literals():
