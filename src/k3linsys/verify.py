@@ -7,7 +7,8 @@ Four independent checks, all in exact integer arithmetic:
   * verify_pair_inequality: v(C + C') >= 0 for all same-surface pairs of
     v = 0 classes and every identification of their base points, proved by
     the Hodge index theorem except for pairs with a C^2 = 0 class, which are
-    evaluated; the only permitted failures are the two aligned self-pairs.
+    evaluated at their worst alignment; the only permitted failures are the
+    two aligned self-pairs.
   * verify_addition_identity: seeded random classes satisfy the chi and v
     additivity identities exactly.
   * hunt_counterexamples: coherence scan of the classifier over a grid of
@@ -326,88 +327,15 @@ def verify_lemma_table(
     )
 
 
-def _alignments(a: tuple[int, ...], b: tuple[int, ...], symmetric: bool):
-    """Distinct identifications of base points between two multiplicity vectors.
-
-    A matching is a multiset of (a-value, b-value) pairs; it is encoded as a
-    sorted tuple of (a_val, b_val, count) with count >= 1.  Enumeration runs
-    over count matrices between distinct values, so permutations of equal
-    multiplicities never produce duplicates.  For symmetric (self) pairs,
-    matchings equal to their own transpose-dual are kept once.
-    """
-    av = sorted(Counter(a).items(), reverse=True)
-    bv = sorted(Counter(b).items(), reverse=True)
-    results = []
-
-    def over_a(i, caps, matched):
-        if i == len(av):
-            results.append(tuple(sorted(matched)))
-            return
-        aval, acnt = av[i]
-
-        def over_b(j, rem, caps_now, cur):
-            if j == len(bv):
-                over_a(i + 1, caps_now, matched + cur)
-                return
-            bval = bv[j][0]
-            for take in range(min(rem, caps_now[j]) + 1):
-                nxt = caps_now
-                add = cur
-                if take:
-                    nxt = list(caps_now)
-                    nxt[j] -= take
-                    add = cur + [(aval, bval, take)]
-                over_b(j + 1, rem - take, nxt, add)
-
-        over_b(0, acnt, caps, [])
-
-    over_a(0, [cnt for _, cnt in bv], [])
-    if symmetric:
-        deduped = []
-        for m in results:
-            dual = tuple(sorted((y, x, c) for x, y, c in m))
-            if m <= dual:
-                deduped.append(m)
-        results = deduped
-    return results
-
-
-def _aligned_vectors(a, b, matching):
-    """Zero-padded coefficient vectors realizing a matching positionally."""
-    rest_a = Counter(a)
-    rest_b = Counter(b)
-    la, lb = [], []
-    for x, y, cnt in matching:
-        la.extend([x] * cnt)
-        lb.extend([y] * cnt)
-        rest_a[x] -= cnt
-        rest_b[y] -= cnt
-    for x, cnt in sorted(rest_a.items(), reverse=True):
-        la.extend([x] * cnt)
-        lb.extend([0] * cnt)
-    for y, cnt in sorted(rest_b.items(), reverse=True):
-        la.extend([0] * cnt)
-        lb.extend([y] * cnt)
-    return tuple(la), tuple(lb)
-
-
 # Aligned self-pairs allowed to fail the pair inequality, with v(C+C') = -1.
 PERMITTED_PAIR_EXCEPTIONS = ((2, 1, (1, 1)), (4, 1, (2,)))
 
 _PAIR_NOTE = (
     "pairs of classes with C^2 >= 1 pass by the Hodge index theorem "
     "(C.C' >= sqrt(C^2 C'^2) >= 1, so v(C + C') = C.C' - 1 >= 0) and are not "
-    "evaluated; every pair with a C^2 = 0 class is evaluated over its alignments."
+    "evaluated; every pair with a C^2 = 0 class is evaluated at its worst "
+    "alignment, which bounds the others."
 )
-
-
-def _keyword_bounds(bounds: SearchBounds | None, **keywords: tuple) -> list:
-    """Each keyword bound's value, from its (value or None, default) pair.
-    Passing one with `bounds`, which would override it, raises TypeError."""
-    given = [name for name, (value, _) in keywords.items() if value is not None]
-    if bounds is not None and given:
-        raise TypeError(f"bounds and {', '.join(given)} conflict: pass one or the other")
-    return [default if value is None else value for value, default in keywords.values()]
 
 
 def verify_pair_inequality(
@@ -433,26 +361,33 @@ def verify_pair_inequality(
     L2(1;1^2) and L4(1;2), lie on different surfaces, so each meets only
     itself, and C.C' = 0 only at the fully aligned alignment.
 
-    Each surface's classes are sorted by C^2, so only its leading C^2 = 0
-    rows are evaluated, against all their partners: the worst alignment
-    first (both sorted vectors overlapping, by the rearrangement
-    inequality), the full alignment set only when that dips below zero.
+    So one alignment per pair decides it.  C.C' = n*t*t' - sum l_i l'_i,
+    and by the rearrangement inequality the alignment that overlaps both
+    sorted vectors index by index maximises the sum, so this worst
+    alignment minimises C.C' and bounds all the others.  For an isotropic C
+    against itself, Cauchy-Schwarz gives C.C' >= C^2 = 0, with equality only
+    at the full alignment, which is the worst one.  Any other dip would
+    contradict the argument above, so it is a violation, reported once, at
+    its worst alignment.  Each surface's classes are sorted by C^2, so only
+    its leading C^2 = 0 rows are evaluated, against all their partners.
     checked_count counts every unordered same-surface pair, proved or
     evaluated; details["alignments_checked"] counts alignments evaluated.
     Without `bounds` the keywords default to mass 200, 6 points, n <= 40;
     with it, passing any of them raises TypeError.
     """
     start = time.perf_counter()
-    mass_bound, max_points, max_n = _keyword_bounds(
-        bounds, mass_bound=(mass_bound, 200), max_points=(max_points, 6), max_n=(max_n, 40)
-    )
+    keywords = {"mass_bound": mass_bound, "max_points": max_points, "max_n": max_n}
+    given = [name for name, value in keywords.items() if value is not None]
     if bounds is None:
+        mass_bound = 200 if mass_bound is None else mass_bound
         bounds = SearchBounds(
             mass_bound=mass_bound,
-            max_points=max_points,
-            n_range=(2, max_n),
+            max_points=6 if max_points is None else max_points,
+            n_range=(2, 40 if max_n is None else max_n),
             t_range=(1, max(1, isqrt(max(0, mass_bound - 2) // 2))),
         )
+    elif given:
+        raise TypeError(f"bounds and {', '.join(given)} conflict: pass one or the other")
     classes, _ = _v0_classes(bounds)
     by_n: dict[int, list[NumericalClass]] = {}
     for c in classes:
@@ -476,49 +411,30 @@ def verify_pair_inequality(
                 a_cls = DivisorClass(surface, ca.t, la)
                 b_cls = DivisorClass(surface, cb.t, lb)
                 alignments_checked += 1
-                if virtual_dimension(a_cls + b_cls) >= 0:
+                v_sum = virtual_dimension(a_cls + b_cls)
+                if v_sum >= 0:
                     continue
-                is_self = ca == cb
-                for matching in _alignments(ca.mults, cb.mults, symmetric=is_self):
-                    va, vb = _aligned_vectors(ca.mults, cb.mults, matching)
-                    a_al = DivisorClass(surface, ca.t, va)
-                    b_al = DivisorClass(surface, cb.t, vb)
-                    alignments_checked += 1
-                    v_sum = virtual_dimension(a_al + b_al)
-                    if v_sum >= 0:
-                        continue
-                    matched_count = sum(cnt for _, _, cnt in matching)
-                    fully_aligned = (
-                        is_self
-                        and matched_count == len(ca.mults)
-                        and all(x == y for x, y, _ in matching)
-                    )
-                    cert = Certificate(
-                        kind="pair-inequality",
-                        message=(
-                            f"v({ca.literal()} + {cb.literal()}) = {v_sum} < 0 "
-                            f"at alignment {list(matching)}"
-                        ),
-                        data={
-                            "n": n,
-                            "t1": ca.t,
-                            "mults1": list(ca.mults),
-                            "t2": cb.t,
-                            "mults2": list(cb.mults),
-                            "aligned_l1": list(va),
-                            "aligned_l2": list(vb),
-                            "intersection": intersect(a_al, b_al),
-                            "v1": virtual_dimension(a_al),
-                            "v2": virtual_dimension(b_al),
-                            "v_sum": v_sum,
-                        },
-                    )
-                    permitted = (
-                        fully_aligned
-                        and (n, ca.t, ca.mults) in PERMITTED_PAIR_EXCEPTIONS
-                        and v_sum == -1
-                    )
-                    (exceptions if permitted else violations).append(cert)
+                # the matched points as sorted (a-value, b-value, count) runs
+                runs = sorted((x, y, k) for (x, y), k in Counter(zip(la, lb)).items() if x and y)
+                cert = Certificate(
+                    kind="pair-inequality",
+                    message=f"v({ca.literal()} + {cb.literal()}) = {v_sum} < 0 at alignment {runs}",
+                    data={
+                        "n": n,
+                        "t1": ca.t,
+                        "mults1": list(ca.mults),
+                        "t2": cb.t,
+                        "mults2": list(cb.mults),
+                        "aligned_l1": list(la),
+                        "aligned_l2": list(lb),
+                        "intersection": intersect(a_cls, b_cls),
+                        "v1": virtual_dimension(a_cls),
+                        "v2": virtual_dimension(b_cls),
+                        "v_sum": v_sum,
+                    },
+                )
+                permitted = ca == cb and (n, ca.t, ca.mults) in PERMITTED_PAIR_EXCEPTIONS and v_sum == -1
+                (exceptions if permitted else violations).append(cert)
     return VerificationReport(
         name="pair-inequality",
         bounds=bounds.to_dict(),
@@ -603,11 +519,10 @@ _HUNT_NOTE = (
 
 
 def hunt_counterexamples(
-    bounds: SearchBounds | None = None,
     *,
-    max_n: int | None = None,
-    max_degree: int | None = None,
-    mass_bound: int | None = None,
+    max_n: int = 10,
+    max_degree: int = 6,
+    mass_bound: int = 60,
     max_points: int | None = None,
     decompose_fn=None,
     patterns_fn=None,
@@ -623,34 +538,12 @@ def hunt_counterexamples(
     fire: (a) on every spec with d >= 1 and v < 0; (c) with the default
     pattern_matches only where a pattern can match (d >= 2, at most 3
     points, n in _PATTERN_SURFACES), with an injected patterns_fn on every
-    spec.  Negative mass_bound or max_points raise ValueError; empty n and
-    degree ranges scan nothing.  The grid starts at n = 2 and d = 0 and has
-    no C^2 filter, so `bounds` gives only upper ends: a SearchBounds with
-    n_range not starting at 2, t_range not starting at 1 or a
-    self_int_range raises ValueError naming that field.  Without `bounds`
-    the keywords default to n <= 10, d <= 6, mass 60 and mass // 2 points;
-    with it, passing any of them raises TypeError.
+    spec.  The grid is n = 2..max_n even by d = 0..max_degree, over the
+    multiplicity vectors of at most max_points points (mass_bound // 2 when
+    None) within mass_bound.  Negative mass_bound or max_points raise
+    ValueError; empty n and degree ranges scan nothing.
     """
     start = time.perf_counter()
-    max_n, max_degree, mass_bound, max_points = _keyword_bounds(
-        bounds,
-        max_n=(max_n, 10),
-        max_degree=(max_degree, 6),
-        mass_bound=(mass_bound, 60),
-        max_points=(max_points, None),
-    )
-    if bounds is not None:
-        for name, ok, reason in (
-            ("n_range", bounds.n_range[0] == 2, "scans n from 2, so n_range must start at 2"),
-            ("t_range", bounds.t_range[0] == 1, "scans d from 0, so t_range must start at 1"),
-            ("self_int_range", bounds.self_int_range is None, "has no C^2 filter, so self_int_range must be None"),
-        ):
-            if not ok:
-                raise ValueError(f"hunt {reason}, got {name} = {getattr(bounds, name)!r}")
-        max_n = bounds.n_range[1]
-        max_degree = bounds.t_range[1]
-        mass_bound = bounds.mass_bound
-        max_points = bounds.max_points
     if max_points is None:
         max_points = mass_bound // 2
     if mass_bound < 0 or max_points < 0:

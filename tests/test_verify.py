@@ -5,18 +5,21 @@ it loops over the raw (n, t, mults) grid and tests v = 0 through the
 lattice, with no divisibility shortcuts.  The naive pair scan is the
 brute-force pair search that evaluates every same-surface pair, which the
 verifier replaces with the Hodge index argument for pairs of classes with
-C^2 >= 1.  The naive hunt scan is the grid loop that rebuilds the
-multiplicity vectors for every (n, d) and asks classify for every v.
+C^2 >= 1; on a dip it evaluates every alignment of the pair, from
+_alignments, where the verifier evaluates the worst alignment alone.  The
+naive hunt scan is the grid loop that rebuilds the multiplicity vectors for
+every (n, d) and asks classify for every v.
 """
 
 import dataclasses
 import tracemalloc
+from collections import Counter
 from itertools import combinations_with_replacement
 from math import isqrt
 
 import pytest
 
-from k3linsys import classify
+from k3linsys import classify, verify
 from k3linsys.classify import Decomposition, LinearSystemSpec, MemberKind, decompose
 from k3linsys.lattice import (
     DivisorClass,
@@ -33,8 +36,6 @@ from k3linsys.verify import (
     SearchBounds,
     _HUNT_NOTE,
     VerificationReport,
-    _aligned_vectors,
-    _alignments,
     _mult_vectors,
     _v0_classes,
     derive_bounds_v0,
@@ -66,6 +67,71 @@ def naive_v0_scan(lo, hi):
                     if virtual_dimension(d) == 0 and lo <= self_intersection(d) <= hi:
                         out.add((n, t, mults))
     return out
+
+
+def _alignments(a: tuple[int, ...], b: tuple[int, ...], symmetric: bool):
+    """Distinct identifications of base points between two multiplicity vectors.
+
+    A matching is a multiset of (a-value, b-value) pairs; it is encoded as a
+    sorted tuple of (a_val, b_val, count) with count >= 1.  Enumeration runs
+    over count matrices between distinct values, so permutations of equal
+    multiplicities never produce duplicates.  For symmetric (self) pairs,
+    matchings equal to their own transpose-dual are kept once.
+    """
+    av = sorted(Counter(a).items(), reverse=True)
+    bv = sorted(Counter(b).items(), reverse=True)
+    results = []
+
+    def over_a(i, caps, matched):
+        if i == len(av):
+            results.append(tuple(sorted(matched)))
+            return
+        aval, acnt = av[i]
+
+        def over_b(j, rem, caps_now, cur):
+            if j == len(bv):
+                over_a(i + 1, caps_now, matched + cur)
+                return
+            bval = bv[j][0]
+            for take in range(min(rem, caps_now[j]) + 1):
+                nxt = caps_now
+                add = cur
+                if take:
+                    nxt = list(caps_now)
+                    nxt[j] -= take
+                    add = cur + [(aval, bval, take)]
+                over_b(j + 1, rem - take, nxt, add)
+
+        over_b(0, acnt, caps, [])
+
+    over_a(0, [cnt for _, cnt in bv], [])
+    if symmetric:
+        deduped = []
+        for m in results:
+            dual = tuple(sorted((y, x, c) for x, y, c in m))
+            if m <= dual:
+                deduped.append(m)
+        results = deduped
+    return results
+
+
+def _aligned_vectors(a, b, matching):
+    """Zero-padded coefficient vectors realizing a matching positionally."""
+    rest_a = Counter(a)
+    rest_b = Counter(b)
+    la, lb = [], []
+    for x, y, cnt in matching:
+        la.extend([x] * cnt)
+        lb.extend([y] * cnt)
+        rest_a[x] -= cnt
+        rest_b[y] -= cnt
+    for x, cnt in sorted(rest_a.items(), reverse=True):
+        la.extend([x] * cnt)
+        lb.extend([0] * cnt)
+    for y, cnt in sorted(rest_b.items(), reverse=True):
+        la.extend([0] * cnt)
+        lb.extend([y] * cnt)
+    return tuple(la), tuple(lb)
 
 
 def naive_pair_scan(bounds):
@@ -456,6 +522,65 @@ class TestPairInequality:
         assert len(report.expected_exceptions_found) == exceptions
         assert any("Hodge index" in note for note in report.notes)
 
+    @pytest.mark.parametrize("dip,permitted", [(-1, 2), (-2, 0)])
+    def test_dips_are_reported_once_at_the_worst_alignment(self, monkeypatch, dip, permitted):
+        # A broken lattice where every evaluated pair dips to `dip`: each pair
+        # gives one certificate, at its worst alignment, and only the two
+        # aligned self-pairs at -1 are permitted.
+        monkeypatch.setattr(verify, "virtual_dimension", lambda d: dip)
+        report = verify_pair_inequality(mass_bound=40, max_points=4, max_n=12)
+        exceptions = [c.message for c in report.expected_exceptions_found]
+        assert exceptions == [
+            "v(L2(1;1^2) + L2(1;1^2)) = -1 < 0 at alignment [(1, 1, 2)]",
+            "v(L4(1;2) + L4(1;2)) = -1 < 0 at alignment [(2, 2, 1)]",
+        ][:permitted]
+        assert len(report.violations) + permitted == report.details["alignments_checked"] == 17
+        by_message = {c.message: c.data for c in report.violations}
+        for partner, runs, aligned in (
+            ("L2(2;2,1^2)", "[(1, 1, 1), (1, 2, 1)]", ([1, 1, 0], [2, 1, 1])),
+            ("L2(3;4)", "[(1, 4, 1)]", ([1, 1], [4, 0])),
+        ):
+            data = by_message[f"v(L2(1;1^2) + {partner}) = {dip} < 0 at alignment {runs}"]
+            assert (data["aligned_l1"], data["aligned_l2"]) == aligned
+
+    def test_every_alignment_of_every_pair(self):
+        # The proof with no shortcut: every alignment of every same-surface
+        # pair, 57 classes and 5,428 alignments.  Only the two fully aligned
+        # self-pairs dip, to v = -1, each at its pair's worst alignment.
+        classes, _ = _v0_classes(SearchBounds(60, 4, (2, 14), (1, 5)))
+        dips, alignments = [], 0
+        for i, ca in enumerate(classes):
+            for cb in classes[i:]:
+                if cb.n != ca.n:
+                    continue
+                surface = SurfaceParams(ca.n)
+                values = {}
+                for matching in _alignments(ca.mults, cb.mults, symmetric=ca == cb):
+                    va, vb = _aligned_vectors(ca.mults, cb.mults, matching)
+                    values[matching] = virtual_dimension(
+                        DivisorClass(surface, ca.t, va) + DivisorClass(surface, cb.t, vb)
+                    )
+                alignments += len(values)
+                # the verifier's worst alignment, both sorted vectors overlapping,
+                # is the minimum over all of them (the rearrangement inequality)
+                width = max(len(ca.mults), len(cb.mults))
+                worst = virtual_dimension(
+                    DivisorClass(surface, ca.t, ca.mults + (0,) * (width - len(ca.mults)))
+                    + DivisorClass(surface, cb.t, cb.mults + (0,) * (width - len(cb.mults)))
+                )
+                lowest = min(values.values())
+                assert lowest == worst, (ca.literal(), cb.literal())
+                dips += [
+                    (ca.literal(), cb.literal(), matching, v, lowest)
+                    for matching, v in values.items()
+                    if v < 0
+                ]
+        assert (len(classes), alignments) == (57, 5428)
+        assert dips == [
+            ("L2(1;1^2)", "L2(1;1^2)", ((1, 1, 2),), -1, -1),
+            ("L4(1;2)", "L4(1;2)", ((2, 2, 1),), -1, -1),
+        ]
+
 
 @dataclasses.dataclass(frozen=True)
 class _cert_key:
@@ -636,36 +761,12 @@ class TestHunt:
         b = hunt_counterexamples(max_n=4, max_degree=2, mass_bound=12)
         assert a.canonical_json() == b.canonical_json()
 
-    def test_bounds_object_accepted(self):
-        bounds = SearchBounds(mass_bound=12, max_points=4, n_range=(2, 4), t_range=(1, 2))
-        report = hunt_counterexamples(bounds)
-        assert report.passed
-        assert report.bounds["max_n"] == 4 and report.bounds["max_degree"] == 2
-
-    def test_bounds_with_keyword_bounds_is_a_type_error(self):
-        # the SearchBounds would override the keywords without a word
-        bounds = SearchBounds(12, 4, (2, 8), (1, 4))
-        with pytest.raises(TypeError, match=r"bounds and max_n, max_degree conflict"):
-            hunt_counterexamples(bounds, max_n=4, max_degree=2)
-        with pytest.raises(TypeError, match=r"bounds and max_points conflict"):
-            hunt_counterexamples(bounds, max_points=0)
-        assert hunt_counterexamples(bounds, decompose_fn=decompose).checked_count == 220
+    def test_keyword_defaults(self):
+        # the bounds are keywords only, with plain defaults
         defaults = hunt_counterexamples(max_degree=0).bounds
         assert defaults == {"max_n": 10, "max_degree": 0, "mass_bound": 60, "max_points": 30}
-
-    @pytest.mark.parametrize(
-        "field, bounds",
-        [
-            ("n_range", SearchBounds(mass_bound=12, max_points=4, n_range=(6, 8), t_range=(1, 4))),
-            ("t_range", SearchBounds(mass_bound=12, max_points=4, n_range=(2, 8), t_range=(3, 4))),
-            ("self_int_range", SearchBounds(12, 4, (2, 8), (1, 4), self_int_range=(0, 4))),
-        ],
-    )
-    def test_bounds_the_grid_cannot_honour_are_rejected(self, field, bounds):
-        # The grid starts at n = 2 and d = 0 and has no C^2 filter, so these
-        # bounds would be silently widened to the default grid's lower ends.
-        with pytest.raises(ValueError, match=field):
-            hunt_counterexamples(bounds)
+        with pytest.raises(TypeError):
+            hunt_counterexamples(SearchBounds(12, 4, (2, 8), (1, 4)))
 
 
 class TestReportShape:
