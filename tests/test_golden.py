@@ -10,9 +10,11 @@ stdout, stderr and exit code of `dim` or `classify` on it.  `hunt.json`
 holds the hunt report without `elapsed` at the CLI defaults and at the
 benchmark's hunt_grid bounds, frozen from the scan that called every check
 on every spec.  `pairs.json` holds the `verify pairs` report the same way,
-at the CLI defaults and at the benchmark's verify_pairs bounds.  The CI
-workflow diffs the installed console script's output against the same
-files.
+at the CLI defaults and at the benchmark's verify_pairs bounds.
+`lemma-table.json` holds the `verify lemma-table` report without `elapsed`,
+and `enumerate.<format>.out` the stdout of `enumerate v0 --self-int=-2..6`.
+The CI workflow diffs the installed console script's output against the
+same files.
 """
 
 import json
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 import k3linsys.cli as cli
 from k3linsys.classify import decompose, normalize
 from k3linsys.literals import parse_literal, parse_spec
-from k3linsys.verify import hunt_counterexamples, verify_pair_inequality
+from k3linsys.verify import hunt_counterexamples, verify_lemma_table, verify_pair_inequality
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path("tests") / "golden"
@@ -80,6 +82,23 @@ def test_pairs_matches_golden(capsys, label):
     assert report == golden
     bounds = {key.strip("-").replace("-", "_"): int(value) for key, value in zip(argv[::2], argv[1::2])}
     assert verify_pair_inequality(**bounds).canonical_json() == json.dumps(golden, sort_keys=True)
+
+
+def test_lemma_table_matches_golden(capsys):
+    golden = json.loads((ROOT / GOLDEN / "lemma-table.json").read_text(encoding="utf-8"))
+    code = cli.main(["verify", "lemma-table", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report.pop("elapsed") >= 0
+    assert report == golden
+    assert verify_lemma_table().canonical_json() == json.dumps(golden, sort_keys=True)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_enumerate_v0_matches_golden(capsys, fmt):
+    code = cli.main(["enumerate", "v0", "--self-int=-2..6", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out == (ROOT / GOLDEN / f"enumerate.{fmt}.out").read_text(encoding="utf-8")
 
 
 def _golden_literals():
