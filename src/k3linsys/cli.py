@@ -62,7 +62,6 @@ _LAZY = {
     "verify": (
         "enumerate_v0_classes",
         "hunt_counterexamples",
-        "verify_addition_identity",
         "verify_lemma_table",
         "verify_pair_inequality",
     ),
@@ -373,14 +372,12 @@ def _render_report(report: VerificationReport, fmt: str, out: _Output) -> int:
 
 
 def _cmd_verify(args, out: _Output) -> int:
-    if args.check == "lemma-table":
-        report = verify_lemma_table()
-    elif args.check == "pairs":
+    if args.check == "pairs":
         report = verify_pair_inequality(
             mass_bound=args.mass_bound, max_points=args.max_points, max_n=args.max_n
         )
     else:
-        report = verify_addition_identity(samples=args.samples, seed=args.seed)
+        report = verify_lemma_table()
     return _render_report(report, args.format, out)
 
 
@@ -487,12 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--self-int", type=_parse_range, required=True, metavar="A..B")
 
     p = sub.add_parser("verify", parents=[common], help="run a verification check")
-    p.add_argument("check", choices=("lemma-table", "pairs", "identity"))
+    checks = p.add_subparsers(dest="check", required=True)
+    checks.add_parser("lemma-table", parents=[common], help="the five v = 0 classes with C^2 <= 1")
+    p = checks.add_parser("pairs", parents=[common], help="v(C + C') >= 0 on pairs of v = 0 classes")
     p.add_argument("--mass-bound", type=int, default=200)
     p.add_argument("--max-points", type=int, default=6)
     p.add_argument("--max-n", type=int, default=40)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=1729)
 
     p = sub.add_parser("hunt", parents=[common], help="coherence scan: any certificate is a bug")
     p.add_argument("--max-n", type=int, default=10)

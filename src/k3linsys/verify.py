@@ -1,20 +1,18 @@
 """Bounded exhaustive verification of the numerical lemmas behind the classifier.
 
-Four independent checks, all in exact integer arithmetic:
+Three independent checks, all in exact integer arithmetic:
 
   * verify_lemma_table: enumerate every numerical class with v = 0, t >= 1
-    and C^2 in a window and compare against the known five-entry table.
+    and C^2 in [-2, 1] and compare against the known five-entry table.
   * verify_pair_inequality: v(C + C') >= 0 for all same-surface pairs of
     v = 0 classes and every identification of their base points, proved by
     the Hodge index theorem except for pairs with a C^2 = 0 class, which are
     evaluated at their worst alignment; the only permitted failures are the
     two aligned self-pairs.
-  * verify_addition_identity: seeded random classes satisfy the chi and v
-    additivity identities exactly.
   * hunt_counterexamples: coherence scan of the classifier over a grid of
     specs (v < 0 means empty or special; structure patterns disjoint).
 
-Reports are deterministic for fixed bounds/seed once wall-clock time is set
+Reports are deterministic for fixed bounds once wall-clock time is set
 aside: classes are enumerated in lexicographic (C^2, n, t, mults) order and
 `canonical_json` serializes everything except `elapsed`.
 """
@@ -28,16 +26,7 @@ from math import isqrt
 
 from . import classify
 from .classify import _PATTERN_SURFACES, LinearSystemSpec
-from .lattice import (
-    DivisorClass,
-    SurfaceParams,
-    Value,
-    euler_characteristic,
-    intersect,
-    virtual_dimension,
-)
-
-DEFAULT_IDENTITY_SEED = 1729
+from .lattice import DivisorClass, SurfaceParams, Value, intersect, virtual_dimension
 
 
 def _mass(mults) -> int:
@@ -45,62 +34,26 @@ def _mass(mults) -> int:
     return sum(m * (m + 1) for m in mults)
 
 
-class SearchBounds(Value):
-    """Finite search window for the enumerators.
-
-    mass_bound caps sum m_i(m_i+1) per class, max_points caps r, n_range is
-    an even interval for the surface degree, t_range a positive interval for
-    the curve degree; self_int_range optionally filters C^2.  Empty (hi < lo)
-    ranges are legal and enumerate nothing.
-    """
-
-    mass_bound: int
-    max_points: int
-    n_range: tuple[int, int]
-    t_range: tuple[int, int]
-    self_int_range: tuple[int, int] | None = None
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if self.mass_bound < 0 or self.max_points < 0:
-            raise ValueError("mass_bound and max_points must be >= 0")
-        n_lo, n_hi = self.n_range
-        n_lo = max(2, n_lo + (n_lo % 2))
-        n_hi = n_hi - (n_hi % 2)
-        self.__dict__.update(n_range=(n_lo, n_hi))
-        t_lo, t_hi = self.t_range
-        if t_lo < 1:
-            raise ValueError(f"t_range must be positive, got lower end {t_lo}")
-
-    def to_dict(self) -> dict:
-        return {
-            "mass_bound": self.mass_bound,
-            "max_points": self.max_points,
-            "n_range": list(self.n_range),
-            "t_range": list(self.t_range),
-            "self_int_range": None if self.self_int_range is None else list(self.self_int_range),
-        }
-
-
-def derive_bounds_v0(self_int_range: tuple[int, int]) -> SearchBounds:
+def derive_bounds_v0(self_int_range: tuple[int, int]) -> dict:
     """Finite bounds covering every v = 0, t >= 1 class with C^2 in range.
 
     For such classes C.K = C^2 + 2 with C.K = sum m_i and m_i >= 1, so
     r <= sum m_i <= hi + 2; and n*t^2 = C^2 + sum m_i^2 <= hi + (hi+2)^2,
-    bounding n (at t = 1) and t (at n = 2).
+    bounding n (at t = 1) and t (at n = 2).  n_range and t_range start at
+    2 and 1, and n_range ends even, as in the pair verifier's bounds.
     """
     lo, hi = self_int_range
     if lo > hi:
         raise ValueError(f"empty self-intersection range [{lo}, {hi}]")
     sum_m_max = max(0, hi + 2)
     nt2_max = max(0, hi + sum_m_max * sum_m_max)
-    return SearchBounds(
-        mass_bound=nt2_max + 2,
-        max_points=sum_m_max,
-        n_range=(2, nt2_max),
-        t_range=(1, isqrt(nt2_max // 2)),
-        self_int_range=(lo, hi),
-    )
+    return {
+        "mass_bound": nt2_max + 2,
+        "max_points": sum_m_max,
+        "n_range": [2, nt2_max - nt2_max % 2],
+        "t_range": [1, isqrt(nt2_max // 2)],
+        "self_int_range": [lo, hi],
+    }
 
 
 class NumericalClass(Value):
@@ -215,33 +168,35 @@ def _mult_vectors(max_points: int, mass_bound: int, sum_bound: int | None = None
     yield from extend((), mass_bound, sum_bound, mass_bound)
 
 
-def _v0_classes(bounds: SearchBounds) -> tuple[list[NumericalClass], int]:
-    """All v = 0 classes with t >= 1 in bounds, sorted, plus the probe count.
+def _v0_classes(bounds: dict) -> tuple[list[NumericalClass], int]:
+    """All v = 0 classes with t >= 1 in a report's bounds dict, sorted, plus
+    the probe count.
 
     v = 0 for t >= 1 is equivalent to n*t^2 = mass - 2 with mass equal to
     sum m_i(m_i+1), so for each multiplicity vector the (n, t) solutions are
     read off the divisors of mass - 2, and C^2 = n*t^2 - sum m_i^2 is
-    sum m_i - 2.
+    sum m_i - 2.  Only the upper ends of n_range and t_range are read: with
+    t^2 <= (mass - 2) / 2, every solution has n >= 2.
     """
-    lo_c2, hi_c2 = bounds.self_int_range if bounds.self_int_range else (None, None)
+    lo_c2, hi_c2 = bounds["self_int_range"] or (None, None)
     sum_bound = None if hi_c2 is None else max(0, hi_c2 + 2)
-    n_lo, n_hi = bounds.n_range
-    t_lo, t_hi = bounds.t_range
+    n_hi = bounds["n_range"][1]
+    t_hi = bounds["t_range"][1]
     found = []
     probes = 0
-    for mults in _mult_vectors(bounds.max_points, bounds.mass_bound, sum_bound):
+    for mults in _mult_vectors(bounds["max_points"], bounds["mass_bound"], sum_bound):
         target = _mass(mults) - 2
         if target < 2:
             continue
         if lo_c2 is not None and not (lo_c2 <= sum(mults) - 2 <= hi_c2):
             continue
-        for t in range(t_lo, min(t_hi, isqrt(target // 2)) + 1):
+        for t in range(1, min(t_hi, isqrt(target // 2)) + 1):
             probes += 1
             tt = t * t
             if target % tt != 0:
                 continue
             n = target // tt
-            if n % 2 != 0 or not (n_lo <= n <= n_hi):
+            if n % 2 != 0 or n > n_hi:
                 continue
             found.append(NumericalClass(n=n, t=t, mults=mults, v=0, c2=sum(mults) - 2))
     found.sort(key=lambda c: c.sort_key)
@@ -275,54 +230,35 @@ _EXCEPTIONAL_NOTE = (
 )
 
 
-def verify_lemma_table(
-    self_int_range: tuple[int, int] = _TABLE_C2_WINDOW,
-    expected=LEMMA_TABLE,
-) -> VerificationReport:
-    """Compare the enumerated v = 0 classes against the expected table.
+def verify_lemma_table() -> VerificationReport:
+    """Compare the v = 0 classes with C^2 in _TABLE_C2_WINDOW against LEMMA_TABLE.
 
-    Classes inside the C^2 window [-2, 1] must match `expected` as a set;
-    classes outside the window (reachable when the range is widened) are
-    reported as outside-table-scope exceptions, never as violations.
-    checked_count is the number of (vector, t) divisibility probes.
+    The enumerated classes must equal the table as a set; each class on one
+    side only is a violation.  checked_count is the number of (vector, t)
+    divisibility probes.
     """
     start = time.perf_counter()
-    bounds = derive_bounds_v0(self_int_range)
+    bounds = derive_bounds_v0(_TABLE_C2_WINDOW)
     classes, probes = _v0_classes(bounds)
-    scope_lo = max(self_int_range[0], _TABLE_C2_WINDOW[0])
-    scope_hi = min(self_int_range[1], _TABLE_C2_WINDOW[1])
-    in_scope = {c for c in classes if scope_lo <= c.c2 <= scope_hi}
-    out_of_scope = [c for c in classes if not (scope_lo <= c.c2 <= scope_hi)]
-    expected_in_scope = {c for c in expected if scope_lo <= c.c2 <= scope_hi}
-
-    violations = []
-    for c in sorted(expected_in_scope - in_scope, key=lambda c: c.sort_key):
-        violations.append(
-            Certificate("missing-class", f"expected class {c.literal()} was not found", c.to_dict())
-        )
-    for c in sorted(in_scope - expected_in_scope, key=lambda c: c.sort_key):
-        violations.append(
-            Certificate("unexpected-class", f"found class {c.literal()} not in the table", c.to_dict())
-        )
-    exceptions = [
-        Certificate(
-            "outside-table-scope",
-            f"class {c.literal()} has C^2 = {c.c2}, outside the table window",
-            c.to_dict(),
-        )
-        for c in out_of_scope
+    found, expected = set(classes), set(LEMMA_TABLE)
+    violations = [
+        Certificate("missing-class", f"expected class {c.literal()} was not found", c.to_dict())
+        for c in sorted(expected - found, key=lambda c: c.sort_key)
+    ] + [
+        Certificate("unexpected-class", f"found class {c.literal()} not in the table", c.to_dict())
+        for c in sorted(found - expected, key=lambda c: c.sort_key)
     ]
     return VerificationReport(
         name="lemma-table",
-        bounds=bounds.to_dict(),
+        bounds=bounds,
         checked_count=probes,
         violations=tuple(violations),
-        expected_exceptions_found=tuple(exceptions),
+        expected_exceptions_found=(),
         elapsed=time.perf_counter() - start,
         notes=(_EXCEPTIONAL_NOTE,),
         details={
             "classes": [c.to_dict() for c in classes],
-            "expected": [c.to_dict() for c in sorted(expected_in_scope, key=lambda c: c.sort_key)],
+            "expected": [c.to_dict() for c in sorted(expected, key=lambda c: c.sort_key)],
         },
     )
 
@@ -339,11 +275,7 @@ _PAIR_NOTE = (
 
 
 def verify_pair_inequality(
-    bounds: SearchBounds | None = None,
-    *,
-    mass_bound: int | None = None,
-    max_points: int | None = None,
-    max_n: int | None = None,
+    *, mass_bound: int = 200, max_points: int = 6, max_n: int = 40
 ) -> VerificationReport:
     """Check v(C + C') >= 0 for all same-surface pairs of v = 0 classes.
 
@@ -372,22 +304,19 @@ def verify_pair_inequality(
     its leading C^2 = 0 rows are evaluated, against all their partners.
     checked_count counts every unordered same-surface pair, proved or
     evaluated; details["alignments_checked"] counts alignments evaluated.
-    Without `bounds` the keywords default to mass 200, 6 points, n <= 40;
-    with it, passing any of them raises TypeError.
+    The classes have mass at most mass_bound, at most max_points points and
+    even n <= max_n.  Negative mass_bound or max_points raise ValueError.
     """
     start = time.perf_counter()
-    keywords = {"mass_bound": mass_bound, "max_points": max_points, "max_n": max_n}
-    given = [name for name, value in keywords.items() if value is not None]
-    if bounds is None:
-        mass_bound = 200 if mass_bound is None else mass_bound
-        bounds = SearchBounds(
-            mass_bound=mass_bound,
-            max_points=6 if max_points is None else max_points,
-            n_range=(2, 40 if max_n is None else max_n),
-            t_range=(1, max(1, isqrt(max(0, mass_bound - 2) // 2))),
-        )
-    elif given:
-        raise TypeError(f"bounds and {', '.join(given)} conflict: pass one or the other")
+    if mass_bound < 0 or max_points < 0:
+        raise ValueError("mass_bound and max_points must be >= 0")
+    bounds = {
+        "mass_bound": mass_bound,
+        "max_points": max_points,
+        "n_range": [2, max_n - max_n % 2],
+        "t_range": [1, max(1, isqrt(max(0, mass_bound - 2) // 2))],
+        "self_int_range": None,
+    }
     classes, _ = _v0_classes(bounds)
     by_n: dict[int, list[NumericalClass]] = {}
     for c in classes:
@@ -437,76 +366,13 @@ def verify_pair_inequality(
                 (exceptions if permitted else violations).append(cert)
     return VerificationReport(
         name="pair-inequality",
-        bounds=bounds.to_dict(),
+        bounds=bounds,
         checked_count=checked,
         violations=tuple(violations),
         expected_exceptions_found=tuple(exceptions),
         elapsed=time.perf_counter() - start,
         notes=(_PAIR_NOTE,),
         details={"v0_classes": len(classes), "alignments_checked": alignments_checked},
-    )
-
-
-def verify_addition_identity(
-    samples: int = 10_000, seed: int = DEFAULT_IDENTITY_SEED
-) -> VerificationReport:
-    """Exact check of chi and v additivity on seeded random classes.
-
-    Generated classes have t >= 1 so h^2 vanishes for A, B and A + B and
-    the v identity applies; coefficients may be negative, exercising the
-    identities beyond fat-point systems.  checked_count counts sample pairs.
-    A negative samples raises ValueError.
-    """
-    import random
-
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
-    start = time.perf_counter()
-    rng = random.Random(seed)
-    violations = []
-    for index in range(samples):
-        n = 2 * rng.randint(1, 10)
-        surface = SurfaceParams(n)
-
-        def rand_class():
-            r = rng.randint(0, 6)
-            return DivisorClass(
-                surface, rng.randint(1, 8), tuple(rng.randint(-4, 9) for _ in range(r))
-            )
-
-        a, b = rand_class(), rand_class()
-        ab = intersect(a, b)
-        chi_lhs = euler_characteristic(a + b)
-        chi_rhs = euler_characteristic(a) + euler_characteristic(b) + ab - 2
-        v_lhs = virtual_dimension(a + b)
-        v_rhs = virtual_dimension(a) + virtual_dimension(b) + ab - 1
-        for name, lhs, rhs in (("chi", chi_lhs, chi_rhs), ("v", v_lhs, v_rhs)):
-            if lhs != rhs:
-                violations.append(
-                    Certificate(
-                        kind=f"{name}-additivity",
-                        message=f"{name} additivity failed at sample {index}: {lhs} != {rhs}",
-                        data={
-                            "sample": index,
-                            "n": n,
-                            "t1": a.t,
-                            "l1": list(a.l),
-                            "t2": b.t,
-                            "l2": list(b.l),
-                            "intersection": ab,
-                            "lhs": lhs,
-                            "rhs": rhs,
-                        },
-                    )
-                )
-    return VerificationReport(
-        name="addition-identity",
-        bounds={"samples": samples, "seed": seed},
-        checked_count=samples,
-        violations=tuple(violations),
-        expected_exceptions_found=(),
-        elapsed=time.perf_counter() - start,
-        details={"seed": seed},
     )
 
 
@@ -524,21 +390,19 @@ def hunt_counterexamples(
     max_degree: int = 6,
     mass_bound: int = 60,
     max_points: int | None = None,
-    decompose_fn=None,
-    patterns_fn=None,
 ) -> VerificationReport:
     """Coherence scan of the classifier over all specs within bounds.
 
     Checks: (a) every spec with d >= 1 and v < 0 is EMPTY or one of the
-    two special families; (c) no spec matches two structure patterns.
+    two special families; (b) no spec matches two structure patterns.
     There is no pair check: v(C + C') = 0 <=> C.C' = 1 for v = 0 classes
-    is the v additivity identity, which verify_addition_identity covers.
-    decompose_fn/patterns_fn exist for harness self-tests.  checked_count
-    counts the grid's specs, but a spec is built only where a check can
-    fire: (a) on every spec with d >= 1 and v < 0; (c) with the default
-    pattern_matches only where a pattern can match (d >= 2, at most 3
-    points, n in _PATTERN_SURFACES), with an injected patterns_fn on every
-    spec.  The grid is n = 2..max_n even by d = 0..max_degree, over the
+    is the v additivity identity, which
+    tests/test_lattice.py::test_v_additivity_when_h2_vanishes covers.
+    checked_count counts the grid's specs, but a spec is built only where a
+    check can fire: (a) on every spec with d >= 1 and v < 0; (b) only where
+    a pattern can match (d >= 2, at most 3 points, n in _PATTERN_SURFACES).
+    classify.decompose and classify.pattern_matches are read at each call.
+    The grid is n = 2..max_n even by d = 0..max_degree, over the
     multiplicity vectors of at most max_points points (mass_bound // 2 when
     None) within mass_bound.  Negative mass_bound or max_points raise
     ValueError; empty n and degree ranges scan nothing.
@@ -548,17 +412,14 @@ def hunt_counterexamples(
         max_points = mass_bound // 2
     if mass_bound < 0 or max_points < 0:
         raise ValueError("mass_bound and max_points must be >= 0")
-    # An injected patterns_fn has no known domain: it is consulted everywhere.
-    everywhere = patterns_fn is not None
-    decompose_fn = decompose_fn or classify.decompose
-    patterns_fn = patterns_fn or classify.pattern_matches
+    decompose, pattern_matches = classify.decompose, classify.pattern_matches
 
     # The (n, d) grid, each cell with v of its spec without points, whether
     # patterns are consulted in it, and its certificates; each SurfaceParams
     # is checked once, and d >= 0 comes from the range.
     surfaces = [(n, SurfaceParams(n)) for n in range(2, max_n + 1, 2)]
     grid = [
-        (surface, n, d, n * d * d // 2 + 1, everywhere or d >= 2 and n in _PATTERN_SURFACES, [])
+        (surface, n, d, n * d * d // 2 + 1, d >= 2 and n in _PATTERN_SURFACES, [])
         for n, surface in surfaces
         for d in range(max_degree + 1)
     ]
@@ -569,16 +430,16 @@ def hunt_counterexamples(
     for mults in _mult_vectors(max_points, mass_bound):
         vector_count += 1
         conditions = _mass(mults) // 2
-        few_points = everywhere or len(mults) <= 3
+        few_points = len(mults) <= 3
         for surface, n, d, v_no_points, pattern_cell, certs in grid:
             v = v_no_points - conditions  # = classify.virtual_dim(spec) when d >= 1
-            check_patterns = pattern_cell and few_points  # check (c)
+            check_patterns = pattern_cell and few_points  # check (b)
             check_empty = v < 0 < d  # check (a): d >= 1 and v < 0
             if not (check_patterns or check_empty):
                 continue
             spec = new_spec(surface, d, mults)
             if check_patterns:
-                patterns = patterns_fn(spec)
+                patterns = pattern_matches(spec)
                 if len(patterns) > 1:
                     certs.append(
                         Certificate(
@@ -588,7 +449,7 @@ def hunt_counterexamples(
                         )
                     )
             if check_empty:
-                dec = decompose_fn(spec)
+                dec = decompose(spec)
                 if dec.member_kind is not classify.MemberKind.EMPTY and not dec.is_special:
                     certs.append(
                         Certificate(

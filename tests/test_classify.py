@@ -33,9 +33,9 @@ from k3linsys.classify import (
     special_family,
     virtual_dim,
 )
-from k3linsys.lattice import DivisorClass, SurfaceParams, expected_dimension, intersect, virtual_dimension
+from k3linsys.lattice import DivisorClass, SurfaceParams, Value, expected_dimension, intersect, virtual_dimension
 from k3linsys.literals import SystemLiteral, parse_literal
-from k3linsys.verify import Certificate, NumericalClass, SearchBounds, VerificationReport, _mult_vectors
+from k3linsys.verify import Certificate, NumericalClass, VerificationReport, _mult_vectors
 
 
 def spec(n, d, *mults):
@@ -600,6 +600,16 @@ def test_decomposition_equals_dataclass_built(args, kind):
 # they replace (test_lattice checks SurfaceParams and DivisorClass);
 # VerificationReport stays mutable and unhashable.
 S2, S4 = SurfaceParams(2), SurfaceParams(4)
+
+
+class Window(Value):
+    """A value class with a defaulted last field."""
+
+    n_range: tuple[int, int]
+    t_range: tuple[int, int]
+    self_int_range: tuple[int, int] | None = None
+
+
 _RIGID_DEC = decompose(LinearSystemSpec(S4, 3, (6,)))
 _REPRS = [
     (
@@ -614,10 +624,7 @@ _REPRS = [
         "fixed_part=((3, LinearSystemSpec(surface=SurfaceParams(n=4), d=1, mults=(2,), "
         "input_was_canonical=True)),), free_part=None, pencil=None, pencil_count=0, conjectural=True)",
     ),
-    (
-        SearchBounds(12, 4, (1, 9), (1, 2)),
-        "SearchBounds(mass_bound=12, max_points=4, n_range=(2, 8), t_range=(1, 2), self_int_range=None)",
-    ),
+    (Window((2, 8), (1, 2)), "Window(n_range=(2, 8), t_range=(1, 2), self_int_range=None)"),
     (NumericalClass(n=4, t=1, mults=(2,), v=0, c2=0), "NumericalClass(n=4, t=1, mults=(2,), v=0, c2=0)"),
     (Certificate("k", "m", {"n": 2}), "Certificate(kind='k', message='m', data={'n': 2})"),
     (parse_literal("L2(3;2^2,0)"), "SystemLiteral(source='L2(3;2^2,0)', n=2, d=3, runs=((2, 2), (0, 1)))"),
@@ -641,11 +648,7 @@ _EQUAL_PAIRS = [
         LinearSystemSpec(S4, 3, (2, 1)),
     ),
     (_RIGID_DEC, Decomposition(**vars(_RIGID_DEC)), decompose(LinearSystemSpec(S4, 4, (8,)))),
-    (
-        SearchBounds(12, 4, (1, 9), (1, 2)),
-        SearchBounds(mass_bound=12, max_points=4, n_range=(2, 8), t_range=(1, 2)),
-        SearchBounds(12, 4, (2, 8), (1, 2), (0, 1)),
-    ),
+    (Window((2, 8), (1, 2)), Window(n_range=(2, 8), t_range=(1, 2)), Window((2, 8), (1, 2), (0, 1))),
     (NumericalClass(4, 1, (2,), 0, 0), NumericalClass(n=4, t=1, mults=(2,), v=0, c2=0), NumericalClass(4, 1, (2,), 0, 1)),
     (Certificate("k", "m", {}), Certificate(kind="k", message="m", data={}), Certificate("k", "m", {"n": 2})),
     (parse_literal("L2(3;2^2)"), SystemLiteral("L2(3;2^2)", 2, 3, ((2, 2),)), parse_literal("L2(3;2,2)")),
@@ -711,7 +714,7 @@ def test_value_keyword_construction_with_defaults():
     )
     assert (dec.fixed_part, dec.free_part, dec.pencil, dec.pencil_count, dec.conjectural) == ((), None, None, 0, True)
     assert list(vars(dec)) == list(vars(_RIGID_DEC))
-    assert SearchBounds(mass_bound=1, max_points=1, n_range=(2, 4), t_range=(1, 2)).self_int_range is None
+    assert Window(n_range=(2, 4), t_range=(1, 2)).self_int_range is None
     assert SystemLiteral(source="L2(1)", n=2, d=1).runs == ()
     a = VerificationReport(name="x", bounds={}, checked_count=0, violations=(), expected_exceptions_found=(), elapsed=0.0)
     b = VerificationReport("x", {}, 0, (), (), 0.0)

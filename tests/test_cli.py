@@ -179,13 +179,40 @@ class TestVerifyCommands:
         assert "exceptions=2" in out
 
     def test_identity(self, capsys):
-        code, out, _ = run(capsys, "verify", "identity", "--samples", "500", "--seed", "5")
-        assert code == 0 and "addition-identity: PASS" in out
-
-    def test_identity_negative_samples_exits_2(self, capsys):
-        code, out, err = run(capsys, "verify", "identity", "--samples", "-5")
+        # the addition identities are tier-1 properties of the lattice, not a check
+        code, out, err = run(capsys, "verify", "identity", "--samples", "500", "--seed", "5")
         assert code == 2 and out == ""
-        assert err == "error: samples must be >= 0, got -5\n"
+        assert "invalid choice: 'identity' (choose from 'lemma-table', 'pairs')" in err
+
+    def test_lemma_table_rejects_pair_bounds(self, capsys):
+        code, out, err = run(capsys, "verify", "lemma-table", "--mass-bound", "5", "--max-n", "2")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --mass-bound 5 --max-n 2" in err
+
+    def test_pairs_rejects_sampling_options(self, capsys):
+        code, out, err = run(capsys, "verify", "pairs", "--samples", "3", "--seed", "9")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --samples 3 --seed 9" in err
+
+    def test_format_before_or_after_the_check(self, capsys):
+        bounds = ["--mass-bound", "40", "--max-points", "4", "--max-n", "12"]
+        reports = []
+        for argv in (
+            ["verify", "pairs", *bounds, "--format", "json"],
+            ["verify", "--format", "json", "pairs", *bounds],
+            ["--format", "json", "verify", "pairs", *bounds],
+        ):
+            code, out, _ = run(capsys, *argv)
+            report = json.loads(out)
+            assert code == 0 and report.pop("elapsed") >= 0
+            reports.append(report)
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0]["bounds"]["mass_bound"] == 40
+
+    def test_negative_pair_bounds_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "pairs", "--max-points", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: mass_bound and max_points must be >= 0\n"
 
     def test_json_report(self, capsys):
         _, out, _ = run(capsys, "verify", "lemma-table", "--format", "json")

@@ -359,6 +359,18 @@ def test_v_additivity_when_h2_vanishes(pair):
     )
 
 
+def test_addition_hand_examples():
+    # v(A + B) = v(A) + v(B) + A.B - 1 on v = 0 and v = 1 classes, and on
+    # the aligned self-pair L4(1;2) + L4(1;2), where it dips to -1
+    s = SurfaceParams(2)
+    a = DivisorClass(s, 1, (1, 1))
+    b = DivisorClass(s, 1, (1,))
+    assert virtual_dimension(a + b) == 1 == 0 + 1 + intersect(a, b) - 1
+    s4 = SurfaceParams(4)
+    c = DivisorClass(s4, 1, (2,))
+    assert virtual_dimension(c + c) == -1 == 0 + 0 + intersect(c, c) - 1
+
+
 @given(class_pairs(count=1))
 def test_v_closed_form_positive_t(single):
     (d,) = single
