@@ -519,7 +519,6 @@ class TestPairInequality:
     def test_keyword_defaults(self):
         # the bounds are keywords only, with plain defaults
         defaults = verify_pair_inequality(max_n=2).bounds
-        assert defaults == pair_bounds(200, 6, 2)
         assert defaults == {
             "mass_bound": 200,
             "max_points": 6,
