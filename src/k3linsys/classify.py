@@ -229,41 +229,8 @@ _UNIT_CURVES = (
     (10, 1, (3,)),
 )
 _DOUBLE_CURVES = {(n, 2 * t, tuple(2 * m for m in mults)): (n, t, mults) for n, t, mults in _UNIT_CURVES}
-# Surfaces some pattern can match: n = 2 and 4 for patterns 1, 2, 3 and 6,
-# the unit curves' surfaces for pattern 4.
+# The surfaces of the structure patterns: n = 2 and 4, and the unit curves'.
 _PATTERN_SURFACES = frozenset({2, 4}.union(n for n, _, _ in _UNIT_CURVES))
-
-
-def _matches_pencil_chain(spec):
-    # L^2(m+1; m+1, m), m >= 1: fixed part m copies of L^2(1;1,1), free pencil L^2(1;1)
-    return spec.n == 2 and spec.r == 2 and spec.mults == (spec.d, spec.d - 1) and spec.d >= 2
-
-
-def pattern_matches(spec: LinearSystemSpec) -> tuple[int, ...]:
-    """Identifiers of the explicit structure patterns matching the system.
-
-    1/2: the two special families; 3: the fixed-plus-pencil chain
-    L^2(m+1; m+1, m); 4: doubles 2C of the three C^2 = 1 rigid curves;
-    6: the composite-with-pencil system L^2(2; 2).  The patterns are
-    pairwise disjoint; `hunt_counterexamples` rescans that claim on its
-    domain.  Every pattern needs d >= 2, at most three points and a
-    surface in _PATTERN_SURFACES, so other specs return () at once.
-    """
-    if spec.d < 2 or len(spec.mults) > 3 or spec.n not in _PATTERN_SURFACES:
-        return ()
-    fam = special_family(spec)
-    matched = []
-    if fam is SpecialFamily.QUARTIC_DOUBLE_POINT:
-        matched.append(1)
-    if fam is SpecialFamily.QUADRIC_POINT_PAIR:
-        matched.append(2)
-    if _matches_pencil_chain(spec):
-        matched.append(3)
-    if (spec.n, spec.d, spec.mults) in _DOUBLE_CURVES:
-        matched.append(4)
-    if (spec.n, spec.d, spec.mults) == (2, 2, (2,)):
-        matched.append(6)
-    return tuple(matched)
 
 
 class Decomposition(Value):
@@ -358,43 +325,47 @@ def _decomposition(
 def decompose(spec: LinearSystemSpec) -> Decomposition:
     """Classify a system under the speciality conjecture.
 
-    Branch order: d = 0 (unconditional), the two special families, the
-    fixed-plus-pencil chain, the doubled C^2 = 1 curves, generic v = 0
-    (rigid), the composite pencil square L^2(2;2), empty (v < 0),
-    irreducible (v > 0).  The explicit patterns are mutually exclusive, so
-    only priority between a pattern and the generic v-sign branches matters.
-    Each branch states its dimension, member kind and parts; _decomposition
-    derives h1 from them.
+    Branch order: d = 0 (unconditional); the explicit patterns, all with
+    d >= 2, at most three points and n in _PATTERN_SURFACES: the two special
+    families, the fixed-plus-pencil chain L^2(m+1; m+1, m), the doubles 2C
+    of the C^2 = 1 rigid curves and the composite pencil square L^2(2;2);
+    then generic v = 0 (rigid), empty (v < 0) and irreducible (v > 0).  The
+    patterns are disjoint by the shapes of their (n, d, mults): the quartic
+    family has one point on n = 4; the quadric family and the chain have two,
+    (d, d) and (d, d - 1); the doubles are L4(2;2^3), L6(2;4,2) and L10(2;6);
+    L2(2;2) has one point on n = 2.  So only priority between a pattern and
+    the v-sign branches matters.  The patterns outside the special families
+    have v >= 0 (the chain v = 1, the doubles v = 0, L2(2;2) v = 2), so every
+    v < 0 system outside those families is EMPTY.  Each branch states its
+    dimension, member kind and parts; _decomposition derives h1 from them.
     """
     v = virtual_dim(spec)
-    if spec.d == 0:
+    d, mults, n, surface = spec.d, spec.mults, spec.n, spec.surface
+    if d == 0:
         # Unconditional.  Without points the one member is the zero divisor,
         # which has no components; no degree-0 curve passes through a point.
-        if spec.mults:
+        if mults:
             return _decomposition(spec, v, -1, MemberKind.EMPTY, conjectural=False)
         return _decomposition(spec, v, 0, MemberKind.RIGID, conjectural=False)
-    matched = pattern_matches(spec)
-    branch = matched[0] if matched else None
-    surface = spec.surface
-
-    if branch in (1, 2):
-        curve = LinearSystemSpec(surface, 1, (2,) if branch == 1 else (1, 1))
-        return _decomposition(
-            spec, v, 0, MemberKind.RIGID, ((spec.d, curve),), special=special_family(spec)
-        )
-    if branch == 3:
-        fixed = LinearSystemSpec(surface, 1, (1, 1))
-        free = LinearSystemSpec(surface, 1, (1,))
-        return _decomposition(spec, v, 1, MemberKind.FIXED_PLUS_PENCIL, ((spec.d - 1, fixed),), free)
-    if branch == 4:
-        cn, ct, cm = _DOUBLE_CURVES[(spec.n, spec.d, spec.mults)]
-        curve = LinearSystemSpec(SurfaceParams(cn), ct, cm)
-        return _decomposition(spec, v, 0, MemberKind.RIGID, ((2, curve),))
-    if branch == 6:
-        pencil = LinearSystemSpec(surface, 1, (1,))
-        return _decomposition(
-            spec, v, 2, MemberKind.COMPOSITE_WITH_PENCIL, free_part=spec, pencil=pencil, pencil_count=2
-        )
+    if d >= 2 and len(mults) <= 3 and n in _PATTERN_SURFACES:
+        special = special_family(spec)
+        if special is not None:
+            curve = LinearSystemSpec(surface, 1, (2,) if n == 4 else (1, 1))
+            return _decomposition(spec, v, 0, MemberKind.RIGID, ((d, curve),), special=special)
+        if n == 2 and mults == (d, d - 1):
+            fixed = LinearSystemSpec(surface, 1, (1, 1))
+            free = LinearSystemSpec(surface, 1, (1,))
+            return _decomposition(spec, v, 1, MemberKind.FIXED_PLUS_PENCIL, ((d - 1, fixed),), free)
+        double = _DOUBLE_CURVES.get((n, d, mults))
+        if double is not None:
+            cn, ct, cm = double
+            curve = LinearSystemSpec(SurfaceParams(cn), ct, cm)
+            return _decomposition(spec, v, 0, MemberKind.RIGID, ((2, curve),))
+        if (n, d, mults) == (2, 2, (2,)):
+            pencil = LinearSystemSpec(surface, 1, (1,))
+            return _decomposition(
+                spec, v, 2, MemberKind.COMPOSITE_WITH_PENCIL, free_part=spec, pencil=pencil, pencil_count=2
+            )
     if v == 0:
         return _decomposition(spec, v, 0, MemberKind.RIGID, ((1, spec),))
     if v < 0:

@@ -444,6 +444,22 @@ def _cmd_batch(args, out: _Output) -> int:
         return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose subparsers are _Parsers.  Given check names,
+    as verify's parser is, it names a pairs bound put before them; argparse
+    would read the bound's value as the check name."""
+
+    check_names: tuple[str, ...] = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        for arg in args if self.check_names else ():
+            if arg in self.check_names:
+                break
+            if arg.partition("=")[0] in ("--mass-bound", "--max-points", "--max-n"):
+                self.error(f"{arg.partition('=')[0]} is an option of 'verify pairs' and goes after 'pairs'")
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -456,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", default=argparse.SUPPRESS, help="suppress stdout"
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="k3linsys",
         description=(
             "Exact invariants, conjectural classification, and bounded verification "
@@ -484,6 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--self-int", type=_parse_range, required=True, metavar="A..B")
 
     p = sub.add_parser("verify", parents=[common], help="run a verification check")
+    p.check_names = ("lemma-table", "pairs")
     checks = p.add_subparsers(dest="check", required=True)
     checks.add_parser("lemma-table", parents=[common], help="the five v = 0 classes with C^2 <= 1")
     p = checks.add_parser("pairs", parents=[common], help="v(C + C') >= 0 on pairs of v = 0 classes")

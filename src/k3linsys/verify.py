@@ -10,7 +10,7 @@ Three independent checks, all in exact integer arithmetic:
     evaluated at their worst alignment; the only permitted failures are the
     two aligned self-pairs.
   * hunt_counterexamples: coherence scan of the classifier over a grid of
-    specs (v < 0 means empty or special; structure patterns disjoint).
+    specs (v < 0 means empty or special).
 
 Reports are deterministic for fixed bounds once wall-clock time is set
 aside: classes are enumerated in lexicographic (C^2, n, t, mults) order and
@@ -25,7 +25,7 @@ from collections import Counter
 from math import isqrt
 
 from . import classify
-from .classify import _PATTERN_SURFACES, LinearSystemSpec
+from .classify import LinearSystemSpec
 from .lattice import DivisorClass, SurfaceParams, Value, intersect, virtual_dimension
 
 
@@ -380,7 +380,7 @@ _HUNT_NOTE = (
     "any certificate from this scan is an implementation fault, not a counterexample: "
     "decompose makes every v < 0 spec outside the two special families EMPTY, and the "
     "other structure patterns all have v >= 0, so the scan compares decompose with its "
-    "own patterns and the patterns with each other."
+    "own patterns."
 )
 
 
@@ -393,16 +393,13 @@ def hunt_counterexamples(
 ) -> VerificationReport:
     """Coherence scan of the classifier over all specs within bounds.
 
-    Checks: (a) every spec with d >= 1 and v < 0 is EMPTY or one of the
-    two special families; (b) no spec matches two structure patterns.
-    There is no pair check: v(C + C') = 0 <=> C.C' = 1 for v = 0 classes
-    is the v additivity identity, which
+    One check: every spec with d >= 1 and v < 0 is EMPTY or one of the two
+    special families.  There is no pair check: v(C + C') = 0 <=> C.C' = 1
+    for v = 0 classes is the v additivity identity, which
     tests/test_lattice.py::test_v_additivity_when_h2_vanishes covers.
-    checked_count counts the grid's specs, but a spec is built only where a
-    check can fire: (a) on every spec with d >= 1 and v < 0; (b) only where
-    a pattern can match (d >= 2, at most 3 points, n in _PATTERN_SURFACES).
-    classify.decompose and classify.pattern_matches are read at each call.
-    The grid is n = 2..max_n even by d = 0..max_degree, over the
+    checked_count counts the grid's specs, but a spec is built only where
+    the check can fire; classify.decompose is read at each call.  The grid
+    is n = 2..max_n even by d = 0..max_degree, over the
     multiplicity vectors of at most max_points points (mass_bound // 2 when
     None) within mass_bound.  Negative mass_bound or max_points raise
     ValueError; empty n and degree ranges scan nothing.
@@ -412,61 +409,44 @@ def hunt_counterexamples(
         max_points = mass_bound // 2
     if mass_bound < 0 or max_points < 0:
         raise ValueError("mass_bound and max_points must be >= 0")
-    decompose, pattern_matches = classify.decompose, classify.pattern_matches
+    decompose = classify.decompose
 
-    # The (n, d) grid, each cell with v of its spec without points, whether
-    # patterns are consulted in it, and its certificates; each SurfaceParams
-    # is checked once, and d >= 0 comes from the range.
+    # The (n, d) grid, each cell with v of its spec without points and its
+    # certificates; each SurfaceParams is checked once, d >= 0 by the range.
     surfaces = [(n, SurfaceParams(n)) for n in range(2, max_n + 1, 2)]
     grid = [
-        (surface, n, d, n * d * d // 2 + 1, d >= 2 and n in _PATTERN_SURFACES, [])
-        for n, surface in surfaces
-        for d in range(max_degree + 1)
+        (surface, n, d, n * d * d // 2 + 1, []) for n, surface in surfaces for d in range(max_degree + 1)
     ]
     new_spec = LinearSystemSpec._from_canonical
     vector_count = 0
     # _mult_vectors yields canonical tuples (ints >= 1, non-increasing), so
-    # specs are built without checks, and only in cells where a check fires.
+    # specs are built without checks, and only in cells where the check fires.
     for mults in _mult_vectors(max_points, mass_bound):
         vector_count += 1
         conditions = _mass(mults) // 2
-        few_points = len(mults) <= 3
-        for surface, n, d, v_no_points, pattern_cell, certs in grid:
+        for surface, n, d, v_no_points, certs in grid:
             v = v_no_points - conditions  # = classify.virtual_dim(spec) when d >= 1
-            check_patterns = pattern_cell and few_points  # check (b)
-            check_empty = v < 0 < d  # check (a): d >= 1 and v < 0
-            if not (check_patterns or check_empty):
+            if not v < 0 < d:
                 continue
             spec = new_spec(surface, d, mults)
-            if check_patterns:
-                patterns = pattern_matches(spec)
-                if len(patterns) > 1:
-                    certs.append(
-                        Certificate(
-                            kind="branch-overlap",
-                            message=f"{spec.literal()} matches patterns {list(patterns)}",
-                            data={"n": n, "d": d, "mults": list(mults), "patterns": list(patterns)},
-                        )
+            dec = decompose(spec)
+            if dec.member_kind is not classify.MemberKind.EMPTY and not dec.is_special:
+                certs.append(
+                    Certificate(
+                        kind="speciality-candidate",
+                        message=(
+                            f"{spec.literal()} has v = {v} < 0 but is neither empty "
+                            f"nor in a special family"
+                        ),
+                        data={
+                            "n": n,
+                            "d": d,
+                            "mults": list(mults),
+                            "v": v,
+                            "member_kind": dec.member_kind.name,
+                        },
                     )
-            if check_empty:
-                dec = decompose(spec)
-                if dec.member_kind is not classify.MemberKind.EMPTY and not dec.is_special:
-                    certs.append(
-                        Certificate(
-                            kind="speciality-candidate",
-                            message=(
-                                f"{spec.literal()} has v = {v} < 0 but is neither empty "
-                                f"nor in a special family"
-                            ),
-                            data={
-                                "n": n,
-                                "d": d,
-                                "mults": list(mults),
-                                "v": v,
-                                "member_kind": dec.member_kind.name,
-                            },
-                        )
-                    )
+                )
     # Cell by cell, the certificates are in (n, d, vector) order.
     violations = tuple(cert for *_, certs in grid for cert in certs)
     specs_scanned = vector_count * len(grid)

@@ -6,6 +6,7 @@ follow the conjecture's explicit patterns.
 """
 
 import dataclasses
+from collections import Counter
 from enum import IntEnum
 
 import pytest
@@ -13,7 +14,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from k3linsys.classify import (
-    _DOUBLE_CURVES,
     Decomposition,
     EmptySystemError,
     LinearSystemSpec,
@@ -22,14 +22,12 @@ from k3linsys.classify import (
     NormalizationError,
     SpecialFamily,
     _check_spec_fields,
-    _matches_pencil_chain,
     decompose,
     expected_dim,
     format_multiplicities,
     general_member_multiplicities,
     is_special,
     normalize,
-    pattern_matches,
     special_family,
     virtual_dim,
 )
@@ -311,10 +309,36 @@ def iter_small_specs(max_n=10, max_d=4, max_mass=24, max_points=4):
                         stack.append(cand)
 
 
+def hunt_grid_specs():
+    """The specs of hunt's grid at the benchmark's hunt_grid bounds: n <= 12,
+    d <= 7, at most 32 points of mass <= 64 (42,912 specs)."""
+    vectors = list(_mult_vectors(32, 64))
+    for n in range(2, 13, 2):
+        surface = SurfaceParams(n)
+        for d in range(0, 8):
+            for mults in vectors:
+                yield LinearSystemSpec(surface, d, mults)
+
+
 class TestInvariantScans:
     def test_branches_pairwise_disjoint(self):
-        for s in iter_small_specs():
-            assert len(pattern_matches(s)) <= 1, s
+        # decompose's docstring proves this; hunt does not scan for it
+        matched = Counter()
+        for s in hunt_grid_specs():
+            patterns = reference_pattern_matches(s)
+            assert len(patterns) <= 1, s
+            matched.update(patterns)
+        assert set(matched) == {1, 2, 3, 4, 6}
+
+    def test_patterns_outside_special_families_have_nonnegative_v(self):
+        # so decompose makes every v < 0 spec outside the special families EMPTY
+        pattern_specs = 0
+        for s in hunt_grid_specs():
+            dec = decompose(s)
+            if pattern_branch(dec) in (3, 4, 6):
+                pattern_specs += 1
+                assert dec.v >= 0, s
+        assert pattern_specs > 0
 
     def test_empty_iff_dim_minus_one(self):
         for s in iter_small_specs():
@@ -443,23 +467,39 @@ def test_dimension_is_witnessed_by_the_parts():
 
 
 def reference_pattern_matches(spec):
-    """pattern_matches without its early return."""
-    fam = special_family(spec)
-    matched = []
-    if fam is SpecialFamily.QUARTIC_DOUBLE_POINT:
-        matched.append(1)
-    if fam is SpecialFamily.QUADRIC_POINT_PAIR:
-        matched.append(2)
-    if _matches_pencil_chain(spec):
-        matched.append(3)
-    if (spec.n, spec.d, spec.mults) in _DOUBLE_CURVES:
-        matched.append(4)
-    if (spec.n, spec.d, spec.mults) == (2, 2, (2,)):
-        matched.append(6)
-    return tuple(matched)
+    """The ids of the explicit structure patterns a system matches, each
+    tested on its own with no guard: 1 and 2 the special families L4(d;2d)
+    and L2(d;d,d), 3 the fixed-plus-pencil chain L2(m+1;m+1,m), 4 the doubles
+    2C of the three C^2 = 1 rigid curves, 6 the composite pencil square
+    L2(2;2); all with d >= 2."""
+    n, d, mults = spec.n, spec.d, spec.mults
+    hits = (
+        (1, n == 4 and mults == (2 * d,)),
+        (2, n == 2 and mults == (d, d)),
+        (3, n == 2 and mults == (d, d - 1)),
+        (4, (n, d, mults) in {(4, 2, (2, 2, 2)), (6, 2, (4, 2)), (10, 2, (6,))}),
+        (6, (n, d, mults) == (2, 2, (2,))),
+    )
+    return tuple(pid for pid, hit in hits if hit and d >= 2)
+
+
+def pattern_branch(dec):
+    """The id of reference_pattern_matches naming the pattern branch decompose
+    took, None for a generic branch (d = 0, v = 0, empty or irreducible)."""
+    if dec.is_special:
+        return 1 if dec.special is SpecialFamily.QUARTIC_DOUBLE_POINT else 2
+    if dec.member_kind is MemberKind.FIXED_PLUS_PENCIL:
+        return 3
+    if any(comp != dec.spec for _, comp in dec.fixed_part):
+        return 4
+    if dec.member_kind is MemberKind.COMPOSITE_WITH_PENCIL:
+        return 6
+    return None
 
 
 def test_pattern_prefilter_is_exact():
+    # decompose's guard (d >= 2, at most 3 points, n in _PATTERN_SURFACES)
+    # drops no pattern, and inside it each pattern takes its own branch.
     vectors = list(_mult_vectors(5, 30))
     matched = 0
     for n in range(2, 13, 2):
@@ -467,18 +507,19 @@ def test_pattern_prefilter_is_exact():
         for d in range(0, 5):
             for mults in vectors:
                 s = LinearSystemSpec(surface, d, mults)
-                assert pattern_matches(s) == reference_pattern_matches(s), s
-                matched += bool(pattern_matches(s))
+                patterns = reference_pattern_matches(s)
+                assert pattern_branch(decompose(s)) == (patterns[0] if patterns else None), s
+                if patterns:
+                    assert d >= 2 and len(mults) <= 3 and n in _PATTERN_SURFACES, s
+                    matched += 1
     assert matched > 0
 
 
 def test_patterns_live_on_their_domain():
-    # The domain hunt_counterexamples calls pattern_matches on: d >= 2, at
-    # most 3 points, n in _PATTERN_SURFACES.  Outside it no pattern matches,
-    # even without pattern_matches' early return, and decompose takes none
-    # of its pattern branches (the special families, a fixed-plus-pencil or
-    # composite-with-pencil system, a fixed component other than the spec).
-    # Mass 42 reaches every pattern, L10(2;6) included.
+    # decompose's guard: d >= 2, at most 3 points, n in _PATTERN_SURFACES.
+    # Outside it no pattern matches and decompose takes none of its pattern
+    # branches; inside it decompose takes one exactly where a pattern
+    # matches.  Mass 42 reaches every pattern, L10(2;6) included.
     vectors = list(_mult_vectors(21, 42))
     inside = outside = 0
     for n in range(2, 25, 2):
@@ -486,19 +527,12 @@ def test_patterns_live_on_their_domain():
         for d in range(0, 11):
             for mults in vectors:
                 s = LinearSystemSpec(surface, d, mults)
-                dec = decompose(s)
-                pattern_branch = (
-                    dec.is_special
-                    or dec.member_kind
-                    in (MemberKind.FIXED_PLUS_PENCIL, MemberKind.COMPOSITE_WITH_PENCIL)
-                    or any(comp != s for _, comp in dec.fixed_part)
-                )
-                assert pattern_branch == bool(pattern_matches(s)), s
+                taken = pattern_branch(decompose(s)) is not None
+                assert taken == bool(reference_pattern_matches(s)), s
                 if d >= 2 and len(mults) <= 3 and n in _PATTERN_SURFACES:
-                    inside += pattern_branch
+                    inside += taken
                 else:
-                    assert pattern_matches(s) == reference_pattern_matches(s) == (), s
-                    assert not pattern_branch, s
+                    assert not taken, s
                     outside += 1
     assert inside > 0 and outside > 0
 

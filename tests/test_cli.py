@@ -189,6 +189,16 @@ class TestVerifyCommands:
         assert code == 2 and out == ""
         assert "unrecognized arguments: --mass-bound 5 --max-n 2" in err
 
+    @pytest.mark.parametrize("option", ["--mass-bound", "--max-points", "--max-n"])
+    def test_pair_bound_before_the_check_is_named(self, capsys, option):
+        # verify's own parser has no bounds; the error names the misplaced one
+        # rather than reading its value as the check name
+        for argv in (["verify", option, "12", "pairs"], ["verify", f"{option}=12", "pairs"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert f"error: {option} is an option of 'verify pairs' and goes after 'pairs'" in err
+            assert "invalid choice" not in err
+
     def test_pairs_rejects_sampling_options(self, capsys):
         code, out, err = run(capsys, "verify", "pairs", "--samples", "3", "--seed", "9")
         assert code == 2 and out == ""

@@ -9,7 +9,8 @@ record dict and json.dumps; the fused path must reproduce it byte for byte.
 stdout, stderr and exit code of `dim` or `classify` on it.  `hunt.json`
 holds the hunt report without `elapsed` at the CLI defaults and at the
 benchmark's hunt_grid bounds, frozen from the scan that called every check
-on every spec.  `pairs.json` holds the `verify pairs` report the same way,
+on every spec; its note was regenerated when the pattern-overlap check
+left hunt.  `pairs.json` holds the `verify pairs` report the same way,
 at the CLI defaults and at the benchmark's verify_pairs bounds.
 `lemma-table.json` holds the `verify lemma-table` report without `elapsed`,
 and `enumerate.<format>.out` the stdout of `enumerate v0 --self-int=-2..6`.

@@ -226,9 +226,8 @@ def naive_mult_vectors(max_points, mass_bound, sum_bound=None):
 
 
 def naive_hunt_scan(max_n, max_degree, mass_bound, max_points):
-    """hunt_counterexamples' checks, with the vectors enumerated per (n, d),
-    v from classify.virtual_dim and the patterns from classify.pattern_matches
-    per spec."""
+    """hunt_counterexamples' check, with the vectors enumerated per (n, d)
+    and v from classify.virtual_dim per spec."""
     violations = []
     scanned = 0
     for n in range(2, max_n + 1, 2):
@@ -236,15 +235,6 @@ def naive_hunt_scan(max_n, max_degree, mass_bound, max_points):
             for mults in _mult_vectors(max_points, mass_bound):
                 spec = LinearSystemSpec(SurfaceParams(n), d, mults)
                 scanned += 1
-                patterns = classify.pattern_matches(spec)
-                if len(patterns) > 1:
-                    violations.append(
-                        Certificate(
-                            kind="branch-overlap",
-                            message=f"{spec.literal()} matches patterns {list(patterns)}",
-                            data={"n": n, "d": d, "mults": list(mults), "patterns": list(patterns)},
-                        )
-                    )
                 v = classify.virtual_dim(spec)
                 if d >= 1 and v < 0:
                     dec = classify.decompose(spec)
@@ -282,16 +272,9 @@ def naive_hunt_scan(max_n, max_degree, mass_bound, max_points):
     )
 
 
-_pattern_matches = classify.pattern_matches
-
-
-def overlapping_patterns(spec):
-    """Two patterns of no branch on every spec of the pattern domain, and
-    pattern_matches' own ones before them, so decompose takes its usual
-    branch."""
-    if spec.d < 2 or len(spec.mults) > 3 or spec.n not in classify._PATTERN_SURFACES:
-        return ()
-    return _pattern_matches(spec) + (5, 7)
+# L2(2;4) = 2 L2(1;2) has v = -5, and L2(1;2) (v = -1) is no curve: with
+# this entry the doubles pattern's guard admits a v < 0 spec.
+_LOOSE_DOUBLE_CURVES = {**classify._DOUBLE_CURVES, (2, 2, (4,)): (2, 1, (2,))}
 
 
 def bad_decompose(spec):
@@ -304,7 +287,7 @@ def bad_decompose(spec):
 # classify attributes replaced by broken ones in hunt's tests
 _HUNT_INJECTIONS = {
     "default": {},
-    "overlapping": {"pattern_matches": overlapping_patterns},
+    "loose-guard": {"_DOUBLE_CURVES": _LOOSE_DOUBLE_CURVES},
     "bad-decompose": {"decompose": bad_decompose},
 }
 
@@ -652,12 +635,12 @@ class TestHunt:
         assert any("implementation fault" in note for note in report.notes)
 
     def test_broken_pattern_guard_reported(self, monkeypatch):
-        monkeypatch.setattr(classify, "pattern_matches", overlapping_patterns)
-        report = hunt_counterexamples(max_n=4, max_degree=2, mass_bound=8)
+        monkeypatch.setattr(classify, "_DOUBLE_CURVES", _LOOSE_DOUBLE_CURVES)
+        report = hunt_counterexamples(max_n=4, max_degree=2, mass_bound=20)
         assert not report.passed
-        assert all(c.kind == "branch-overlap" for c in report.violations)
-        # n = 2 and 4 at d = 2, by (), (1), (1, 1), (1, 1, 1), (2) and (2, 1)
-        assert len(report.violations) == 2 * 6
+        [cert] = report.violations
+        assert cert.kind == "speciality-candidate"
+        assert cert.data == {"n": 2, "d": 2, "mults": [4], "v": -5, "member_kind": "RIGID"}
 
     def test_broken_decompose_reported(self, monkeypatch):
         monkeypatch.setattr(classify, "decompose", bad_decompose)
@@ -691,28 +674,18 @@ class TestHunt:
     def test_checks_are_called_only_where_they_can_fire(
         self, monkeypatch, max_n, max_degree, mass_bound, max_points
     ):
-        built, pattern_calls, decompose_calls, inside_decompose = [], [], [], []
-        original_patterns, original_decompose = classify.pattern_matches, classify.decompose
+        built, decompose_calls = [], []
+        original_decompose = classify.decompose
         original_new = LinearSystemSpec._from_canonical.__func__
 
         def counting_new(cls, surface, d, mults):
             built.append((surface.n, d, mults))
             return original_new(cls, surface, d, mults)
 
-        def counting_patterns(spec):
-            if not inside_decompose:  # decompose consults the patterns itself
-                pattern_calls.append((spec.n, spec.d, spec.mults))
-            return original_patterns(spec)
-
         def counting_decompose(spec):
             decompose_calls.append((spec.n, spec.d, spec.mults))
-            inside_decompose.append(spec)
-            try:
-                return original_decompose(spec)
-            finally:
-                inside_decompose.pop()
+            return original_decompose(spec)
 
-        monkeypatch.setattr(classify, "pattern_matches", counting_patterns)
         monkeypatch.setattr(classify, "decompose", counting_decompose)
         monkeypatch.setattr(LinearSystemSpec, "_from_canonical", classmethod(counting_new))
         bounds = dict(max_n=max_n, max_degree=max_degree, mass_bound=mass_bound, max_points=max_points)
@@ -723,15 +696,7 @@ class TestHunt:
         surfaces = range(2, max_n + 1, 2)
         degrees = range(0, max_degree + 1)
         assert report.checked_count == len(surfaces) * len(degrees) * len(vectors)
-        # (c): the pattern-domain cells times the vectors with at most 3 points
-        domain_cells = sum(n in classify._PATTERN_SURFACES for n in surfaces) * max(0, max_degree - 1)
-        few_points = sum(len(mults) <= 3 for mults in vectors)
-        assert len(pattern_calls) == len(set(pattern_calls)) == domain_cells * few_points
-        assert all(
-            d >= 2 and len(mults) <= 3 and n in classify._PATTERN_SURFACES
-            for n, d, mults in pattern_calls
-        )
-        # (a): the d >= 1 cells with v < 0, where 2v = n*d^2 + 2 - sum m(m+1)
+        # the d >= 1 cells with v < 0, where 2v = n*d^2 + 2 - sum m(m+1)
         masses = [sum(m * (m + 1) for m in mults) for mults in vectors]
         negative = sum(
             n * d * d + 2 < mass for n in surfaces for d in degrees if d >= 1 for mass in masses
@@ -741,8 +706,8 @@ class TestHunt:
             d >= 1 and classify.virtual_dim(LinearSystemSpec(SurfaceParams(n), d, mults)) < 0
             for n, d, mults in decompose_calls
         )
-        # a spec is built only where a check is called
-        assert sorted(built) == sorted(set(pattern_calls) | set(decompose_calls))
+        # a spec is built only where the check is called
+        assert built == decompose_calls
 
     def test_holds_one_vector_at_a_time(self):
         # 11,619 vectors at mass 120; a list of them all peaks near 2.7 MB
