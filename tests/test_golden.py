@@ -6,7 +6,10 @@ and malformed lines.  Its batch output in each format (stdout, the shared
 stderr and the exit code) was frozen from the renderer that went through a
 record dict and json.dumps; the fused path must reproduce it byte for byte.
 `<command>.<format>.out` holds, for each literal of that file in order, the
-stdout, stderr and exit code of `dim` or `classify` on it.  `hunt.json`
+stdout, stderr and exit code of `dim` or `classify` on it, and
+`intersect.<format>.out` the same for `intersect` on each pair of
+`intersect.txt`: the README's zero-padded pair, two classes of different
+lengths, a surface mismatch and a parse error.  `hunt.json`
 holds the hunt report without `elapsed` at the CLI defaults and at the
 benchmark's hunt_grid bounds, frozen from the scan that called every check
 on every spec; its note was regenerated when the pattern-overlap check
@@ -53,6 +56,16 @@ def test_single_system_commands_match_golden(capsys, command, fmt):
         captured = capsys.readouterr()
         blocks.append(f"{captured.out}{captured.err}exit {code}\n")
     assert "".join(blocks) == (ROOT / GOLDEN / f"{command}.{fmt}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_intersect_matches_golden(capsys, fmt):
+    blocks = []
+    for line in (ROOT / GOLDEN / "intersect.txt").read_text(encoding="utf-8").splitlines():
+        code = cli.main(["intersect", *line.split(), "--format", fmt])
+        captured = capsys.readouterr()
+        blocks.append(f"{captured.out}{captured.err}exit {code}\n")
+    assert "".join(blocks) == (ROOT / GOLDEN / f"intersect.{fmt}.out").read_text(encoding="utf-8")
 
 
 _HUNT_ARGS = {"defaults": [], "hunt_grid": ["--max-n", "12", "--max-degree", "7", "--mass-bound", "64"]}
