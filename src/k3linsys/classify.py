@@ -65,8 +65,9 @@ class LinearSystemSpec(Value):
     There are two construction paths.  The public constructor checks its
     fields and raises TypeError or NormalizationError on bad data.
     `_from_canonical` checks nothing and is for callers whose data is
-    canonical by construction, such as the hunt grid, whose multiplicity
-    vectors come from an enumerator of non-increasing ints >= 1.
+    canonical by construction: the literal parser, and the hunt grid and
+    the v = 0 enumerator, whose multiplicity vectors come from an
+    enumerator of non-increasing ints >= 1.
     """
 
     surface: SurfaceParams
@@ -76,16 +77,7 @@ class LinearSystemSpec(Value):
 
     def __init__(self, surface: SurfaceParams, d: int, mults: tuple = (), input_was_canonical: bool = True):
         mults = tuple(mults)
-        # Canonical data passes these whole-tuple checks; anything else is
-        # diagnosed element by element.
-        if not (
-            type(d) is int
-            and d >= 0
-            and set(map(type, mults)) == {int}
-            and mults[-1] >= 1
-            and list(mults) == sorted(mults, reverse=True)
-        ):
-            _check_spec_fields(d, mults)
+        _check_spec_fields(d, mults)
         self.__dict__.update(surface=surface, d=d, mults=mults, input_was_canonical=input_was_canonical)
 
     def _key(self) -> tuple:
@@ -100,8 +92,9 @@ class LinearSystemSpec(Value):
         Precondition: `surface` is a SurfaceParams, and `d` and `mults` pass
         `_check_spec_fields` with `mults` a tuple.  The result then equals,
         hashes and prints as `cls(surface, d, mults, input_was_canonical)`
-        and stays frozen.  The whole-tuple checks alone make `__init__` about
-        twice as slow as this path.
+        and stays frozen.  It is for the callers that build many specs: the
+        per-element `_check_spec_fields` that `__init__` runs is most of the
+        cost of a construction.
         """
         spec = object.__new__(cls)
         spec.__dict__.update(surface=surface, d=d, mults=mults, input_was_canonical=input_was_canonical)

@@ -36,8 +36,8 @@ RECORD_FIELDS = (
 # stdout is written in blocks of at least this many characters: a pipe
 # write per record costs more than a record's classification.
 BLOCK_CHARS = 1 << 16
-# Batch files are read in pieces of this many characters, or BLOCK_CHARS if
-# that is smaller: small pieces keep the reader's memory flat.
+# Batch files are read in pieces of this many characters: small pieces keep
+# the reader's memory flat.
 READ_CHARS = 1 << 13
 # A batch line longer than this is an error record; the reader keeps at most
 # this plus one piece of any line, however long the line is.
@@ -60,6 +60,7 @@ _LAZY = {
     "lattice": ("intersect",),
     "literals": ("LiteralSyntaxError", "parse_literal", "parse_spec"),
     "verify": (
+        "class_record",
         "enumerate_v0_classes",
         "hunt_counterexamples",
         "verify_lemma_table",
@@ -236,8 +237,8 @@ def _record_writer(fmt: str, out: _Output, header: bool = True):
 
 
 def _file_lines(handle):
-    """The lines of handle.read().splitlines(), read in pieces of
-    min(READ_CHARS, BLOCK_CHARS) characters.
+    """The lines of handle.read().splitlines(), read in pieces of READ_CHARS
+    characters.
 
     A line longer than MAX_LINE_CHARS comes out as a prefix still longer
     than MAX_LINE_CHARS, of at most MAX_LINE_CHARS plus one piece, and
@@ -245,9 +246,8 @@ def _file_lines(handle):
     (see _NOT_UTF8).  Text mode turns every CR and CR LF into LF, so each
     line break is one character and no break spans two pieces.
     """
-    size = min(READ_CHARS, BLOCK_CHARS)
     head = ""  # the start of the line the previous piece left unfinished
-    while piece := handle.read(size):
+    while piece := handle.read(READ_CHARS):
         lines = piece.splitlines()
         if len(head) <= MAX_LINE_CHARS:
             head += lines[0]
@@ -313,18 +313,18 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_enumerate(args, out: _Output) -> int:
-    classes = enumerate_v0_classes(args.self_int)
+    classes = [class_record(c) for c in enumerate_v0_classes(args.self_int)]
     if args.format == "text":
         for c in classes:
-            out.line(f"{c.literal()}  (C^2 = {c.c2})")
+            out.line(f"{c['literal']}  (C^2 = {c['c2']})")
         out.line(f"total: {len(classes)}")
     elif args.format == "json":
         for c in classes:
-            out.line(json.dumps(c.to_dict()))
+            out.line(json.dumps(c))
     else:
         header = ["c2", "n", "t", "mults", "v", "literal"]
         rows = [
-            [str(c.c2), str(c.n), str(c.t), format_multiplicities(c.mults), str(c.v), c.literal()]
+            [c["c2"], c["n"], c["t"], format_multiplicities(c["mults"]), c["v"], c["literal"]]
             for c in classes
         ]
         _write_csv(out, header, rows)
@@ -446,8 +446,9 @@ def _cmd_batch(args, out: _Output) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose subparsers are _Parsers.  Given check names,
-    as verify's parser is, it names a pairs bound put before them; argparse
-    would read the bound's value as the check name."""
+    as verify's parser is, it names a pairs bound put before them, spelled
+    in full or abbreviated as argparse allows; argparse would read the
+    bound's value as the check name."""
 
     check_names: tuple[str, ...] = ()
 
@@ -455,8 +456,11 @@ class _Parser(argparse.ArgumentParser):
         for arg in args if self.check_names else ():
             if arg in self.check_names:
                 break
-            if arg.partition("=")[0] in ("--mass-bound", "--max-points", "--max-n"):
-                self.error(f"{arg.partition('=')[0]} is an option of 'verify pairs' and goes after 'pairs'")
+            given = arg.partition("=")[0]
+            names = [name for name in ("--mass-bound", "--max-points", "--max-n") if name.startswith(given)]
+            if len(given) > 2 and names:  # past "--"; an ambiguous prefix, as --max, is named as given
+                name = names[0] if len(names) == 1 else given
+                self.error(f"{name} is an option of 'verify pairs' and goes after 'pairs'")
         return super().parse_known_args(args, namespace)
 
 

@@ -12,6 +12,8 @@ Three independent checks, all in exact integer arithmetic:
   * hunt_counterexamples: coherence scan of the classifier over a grid of
     specs (v < 0 means empty or special).
 
+A v = 0 class t*H - sum m_i E_i is the LinearSystemSpec L^n(t; m), with
+d = t; `class_record` computes the v and C^2 that reports print from it.
 Reports are deterministic for fixed bounds once wall-clock time is set
 aside: classes are enumerated in lexicographic (C^2, n, t, mults) order and
 `canonical_json` serializes everything except `elapsed`.
@@ -27,11 +29,6 @@ from math import isqrt
 from . import classify
 from .classify import LinearSystemSpec
 from .lattice import DivisorClass, SurfaceParams, Value, intersect, virtual_dimension
-
-
-def _mass(mults) -> int:
-    """Sum of m(m+1), the condition count doubled: v = n*t^2/2 + 1 - mass/2."""
-    return sum(m * (m + 1) for m in mults)
 
 
 def derive_bounds_v0(self_int_range: tuple[int, int]) -> dict:
@@ -56,41 +53,17 @@ def derive_bounds_v0(self_int_range: tuple[int, int]) -> dict:
     }
 
 
-class NumericalClass(Value):
-    """A class (n, t, mults) with its recomputed v and C^2.
+def _order(spec: LinearSystemSpec) -> tuple:
+    """The report order of classes: (C^2, n, t, mults), t being the spec's d."""
+    return spec.n * spec.d * spec.d - sum(m * m for m in spec.mults), spec.n, spec.d, spec.mults
 
-    Instances are only built through the enumerators, which recompute v and
-    C^2 in the lattice; sort_key gives the report order (C^2, n, t, mults).
-    """
 
-    n: int
-    t: int
-    mults: tuple[int, ...]
-    v: int
-    c2: int
-
-    @property
-    def sort_key(self):
-        return (self.c2, self.n, self.t, self.mults)
-
-    def spec(self) -> LinearSystemSpec:
-        return LinearSystemSpec(SurfaceParams(self.n), self.t, self.mults)
-
-    def divisor_class(self) -> DivisorClass:
-        return DivisorClass(SurfaceParams(self.n), self.t, self.mults)
-
-    def literal(self) -> str:
-        return self.spec().literal()
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "mults": list(self.mults),
-            "v": self.v,
-            "c2": self.c2,
-            "literal": self.literal(),
-        }
+def class_record(spec: LinearSystemSpec) -> dict:
+    """A class's report record: n, t, mults, v, C^2 = n*t^2 - sum m_i^2 and
+    its literal, with t the spec's d."""
+    c2, n, t, mults = _order(spec)
+    v = classify.virtual_dim(spec)
+    return {"n": n, "t": t, "mults": list(mults), "v": v, "c2": c2, "literal": spec.literal()}
 
 
 class Certificate(Value):
@@ -148,10 +121,12 @@ class VerificationReport(Value):
 
 
 def _mult_vectors(max_points: int, mass_bound: int, sum_bound: int | None = None):
-    """All non-increasing vectors of multiplicities >= 1 within the bounds."""
+    """All non-increasing vectors of multiplicities >= 1 within the bounds,
+    each as (mults, mass) with mass = sum m_i(m_i+1), the condition count
+    doubled: v = n*t^2/2 + 1 - mass/2 when t >= 1."""
 
     def extend(prefix, mass_left, sum_left, cap):
-        yield prefix
+        yield prefix, mass_bound - mass_left
         if len(prefix) == max_points:
             return
         top = min(cap, (isqrt(4 * mass_left + 1) - 1) // 2)
@@ -168,24 +143,26 @@ def _mult_vectors(max_points: int, mass_bound: int, sum_bound: int | None = None
     yield from extend((), mass_bound, sum_bound, mass_bound)
 
 
-def _v0_classes(bounds: dict) -> tuple[list[NumericalClass], int]:
-    """All v = 0 classes with t >= 1 in a report's bounds dict, sorted, plus
-    the probe count.
+def _v0_classes(bounds: dict) -> tuple[list[LinearSystemSpec], int]:
+    """All v = 0 classes with t >= 1 in a report's bounds dict, as specs with
+    d = t in report order (see _order), plus the probe count.
 
     v = 0 for t >= 1 is equivalent to n*t^2 = mass - 2 with mass equal to
     sum m_i(m_i+1), so for each multiplicity vector the (n, t) solutions are
     read off the divisors of mass - 2, and C^2 = n*t^2 - sum m_i^2 is
     sum m_i - 2.  Only the upper ends of n_range and t_range are read: with
-    t^2 <= (mass - 2) / 2, every solution has n >= 2.
+    t^2 <= (mass - 2) / 2, every solution has n >= 2.  The vectors are
+    canonical, so specs are built unchecked, on one SurfaceParams per n.
     """
     lo_c2, hi_c2 = bounds["self_int_range"] or (None, None)
     sum_bound = None if hi_c2 is None else max(0, hi_c2 + 2)
     n_hi = bounds["n_range"][1]
     t_hi = bounds["t_range"][1]
+    surfaces: dict[int, SurfaceParams] = {}
     found = []
     probes = 0
-    for mults in _mult_vectors(bounds["max_points"], bounds["mass_bound"], sum_bound):
-        target = _mass(mults) - 2
+    for mults, mass in _mult_vectors(bounds["max_points"], bounds["mass_bound"], sum_bound):
+        target = mass - 2
         if target < 2:
             continue
         if lo_c2 is not None and not (lo_c2 <= sum(mults) - 2 <= hi_c2):
@@ -198,28 +175,25 @@ def _v0_classes(bounds: dict) -> tuple[list[NumericalClass], int]:
             n = target // tt
             if n % 2 != 0 or n > n_hi:
                 continue
-            found.append(NumericalClass(n=n, t=t, mults=mults, v=0, c2=sum(mults) - 2))
-    found.sort(key=lambda c: c.sort_key)
+            if n not in surfaces:
+                surfaces[n] = SurfaceParams(n)
+            found.append(LinearSystemSpec._from_canonical(surfaces[n], t, mults))
+    found.sort(key=_order)
     return found, probes
 
 
-def enumerate_v0_classes(self_int_range: tuple[int, int]) -> list[NumericalClass]:
-    """Every (n, t >= 1, mults) with v = 0 and C^2 in the range, sorted."""
+def enumerate_v0_classes(self_int_range: tuple[int, int]) -> list[LinearSystemSpec]:
+    """Every class (n, t >= 1, mults) with v = 0 and C^2 in the range, as a
+    spec with d = t, in report order (see _order)."""
     classes, _ = _v0_classes(derive_bounds_v0(self_int_range))
     return classes
 
 
-def _table_entry(n, t, mults, c2):
-    return NumericalClass(n=n, t=t, mults=mults, v=0, c2=c2)
-
-
-# The five v = 0 classes with t >= 1 and C^2 <= 1 (none exist at C^2 <= -1).
-LEMMA_TABLE = (
-    _table_entry(2, 1, (1, 1), 0),
-    _table_entry(4, 1, (2,), 0),
-    _table_entry(4, 1, (1, 1, 1), 1),
-    _table_entry(6, 1, (2, 1), 1),
-    _table_entry(10, 1, (3,), 1),
+# The five v = 0 classes with t >= 1 and C^2 <= 1 (none exist at C^2 <= -1),
+# in report order: L2(1;1^2) and L4(1;2) with C^2 = 0, then C^2 = 1.
+LEMMA_TABLE = tuple(
+    LinearSystemSpec(SurfaceParams(n), 1, mults)
+    for n, mults in ((2, (1, 1)), (4, (2,)), (4, (1, 1, 1)), (6, (2, 1)), (10, (3,)))
 )
 
 _TABLE_C2_WINDOW = (-2, 1)
@@ -234,19 +208,21 @@ def verify_lemma_table() -> VerificationReport:
     """Compare the v = 0 classes with C^2 in _TABLE_C2_WINDOW against LEMMA_TABLE.
 
     The enumerated classes must equal the table as a set; each class on one
-    side only is a violation.  checked_count is the number of (vector, t)
-    divisibility probes.
+    side only is a violation, with the class's record (see class_record) as
+    its data.  details["classes"] and details["expected"] hold the records
+    of both sides in report order.  checked_count is the number of
+    (vector, t) divisibility probes.
     """
     start = time.perf_counter()
     bounds = derive_bounds_v0(_TABLE_C2_WINDOW)
     classes, probes = _v0_classes(bounds)
     found, expected = set(classes), set(LEMMA_TABLE)
     violations = [
-        Certificate("missing-class", f"expected class {c.literal()} was not found", c.to_dict())
-        for c in sorted(expected - found, key=lambda c: c.sort_key)
+        Certificate("missing-class", f"expected class {c.literal()} was not found", class_record(c))
+        for c in sorted(expected - found, key=_order)
     ] + [
-        Certificate("unexpected-class", f"found class {c.literal()} not in the table", c.to_dict())
-        for c in sorted(found - expected, key=lambda c: c.sort_key)
+        Certificate("unexpected-class", f"found class {c.literal()} not in the table", class_record(c))
+        for c in sorted(found - expected, key=_order)
     ]
     return VerificationReport(
         name="lemma-table",
@@ -257,8 +233,8 @@ def verify_lemma_table() -> VerificationReport:
         elapsed=time.perf_counter() - start,
         notes=(_EXCEPTIONAL_NOTE,),
         details={
-            "classes": [c.to_dict() for c in classes],
-            "expected": [c.to_dict() for c in sorted(expected, key=lambda c: c.sort_key)],
+            "classes": [class_record(c) for c in classes],
+            "expected": [class_record(c) for c in sorted(expected, key=_order)],
         },
     )
 
@@ -318,7 +294,7 @@ def verify_pair_inequality(
         "self_int_range": None,
     }
     classes, _ = _v0_classes(bounds)
-    by_n: dict[int, list[NumericalClass]] = {}
+    by_n: dict[int, list[LinearSystemSpec]] = {}
     for c in classes:
         by_n.setdefault(c.n, []).append(c)
 
@@ -331,14 +307,14 @@ def verify_pair_inequality(
         group = by_n[n]
         checked += len(group) * (len(group) + 1) // 2
         for i, ca in enumerate(group):
-            if ca.c2 >= 1:
-                break  # sorted by C^2: every remaining pair has both squares >= 1
+            if sum(ca.mults) >= 3:
+                break  # C^2 = sum m_i - 2 >= 1, and the rest are sorted after it
             for cb in group[i:]:
                 # worst alignment: both sorted vectors overlap index by index
                 la = ca.mults + (0,) * max(0, len(cb.mults) - len(ca.mults))
                 lb = cb.mults + (0,) * max(0, len(ca.mults) - len(cb.mults))
-                a_cls = DivisorClass(surface, ca.t, la)
-                b_cls = DivisorClass(surface, cb.t, lb)
+                a_cls = DivisorClass(surface, ca.d, la)
+                b_cls = DivisorClass(surface, cb.d, lb)
                 alignments_checked += 1
                 v_sum = virtual_dimension(a_cls + b_cls)
                 if v_sum >= 0:
@@ -350,9 +326,9 @@ def verify_pair_inequality(
                     message=f"v({ca.literal()} + {cb.literal()}) = {v_sum} < 0 at alignment {runs}",
                     data={
                         "n": n,
-                        "t1": ca.t,
+                        "t1": ca.d,
                         "mults1": list(ca.mults),
-                        "t2": cb.t,
+                        "t2": cb.d,
                         "mults2": list(cb.mults),
                         "aligned_l1": list(la),
                         "aligned_l2": list(lb),
@@ -362,7 +338,7 @@ def verify_pair_inequality(
                         "v_sum": v_sum,
                     },
                 )
-                permitted = ca == cb and (n, ca.t, ca.mults) in PERMITTED_PAIR_EXCEPTIONS and v_sum == -1
+                permitted = ca == cb and (n, ca.d, ca.mults) in PERMITTED_PAIR_EXCEPTIONS and v_sum == -1
                 (exceptions if permitted else violations).append(cert)
     return VerificationReport(
         name="pair-inequality",
@@ -419,11 +395,12 @@ def hunt_counterexamples(
     ]
     new_spec = LinearSystemSpec._from_canonical
     vector_count = 0
-    # _mult_vectors yields canonical tuples (ints >= 1, non-increasing), so
-    # specs are built without checks, and only in cells where the check fires.
-    for mults in _mult_vectors(max_points, mass_bound):
+    # _mult_vectors yields canonical tuples (ints >= 1, non-increasing) with
+    # their mass, so specs are built without checks, and only in cells where
+    # the check fires.
+    for mults, mass in _mult_vectors(max_points, mass_bound):
         vector_count += 1
-        conditions = _mass(mults) // 2
+        conditions = mass // 2
         for surface, n, d, v_no_points, certs in grid:
             v = v_no_points - conditions  # = classify.virtual_dim(spec) when d >= 1
             if not v < 0 < d:

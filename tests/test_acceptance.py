@@ -212,7 +212,7 @@ def _naive_grid_scan(window):
 def test_criterion_09_oracle_equivalence():
     ok = True
     for window in ((-2, 1), (-2, 2)):
-        fast = {(c.n, c.t, c.mults) for c in enumerate_v0_classes(window)}
+        fast = {(c.n, c.d, c.mults) for c in enumerate_v0_classes(window)}
         ok = ok and fast == _naive_grid_scan(window)
     _report(9, "enumerator matches naive grid oracle on [-2,1] and [-2,2]", ok)
 

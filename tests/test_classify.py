@@ -33,7 +33,7 @@ from k3linsys.classify import (
 )
 from k3linsys.lattice import DivisorClass, SurfaceParams, Value, expected_dimension, intersect, virtual_dimension
 from k3linsys.literals import SystemLiteral, parse_literal
-from k3linsys.verify import Certificate, NumericalClass, VerificationReport, _mult_vectors
+from k3linsys.verify import Certificate, VerificationReport, _mult_vectors
 
 
 def spec(n, d, *mults):
@@ -312,7 +312,7 @@ def iter_small_specs(max_n=10, max_d=4, max_mass=24, max_points=4):
 def hunt_grid_specs():
     """The specs of hunt's grid at the benchmark's hunt_grid bounds: n <= 12,
     d <= 7, at most 32 points of mass <= 64 (42,912 specs)."""
-    vectors = list(_mult_vectors(32, 64))
+    vectors = [mults for mults, _ in _mult_vectors(32, 64)]
     for n in range(2, 13, 2):
         surface = SurfaceParams(n)
         for d in range(0, 8):
@@ -445,11 +445,38 @@ def test_degree_zero_records():
     assert (dec.v, dec.dimension, dec.h1, dec.fixed_part, dec.free_part) == (0, 0, 0, (), None)
 
 
+def test_negative_curves_with_v_at_least_minus_one():
+    """The negative-curve criterion: the systems with d >= 1, v >= -1 and
+    D^2 < 0 are L2(1;1^3), L2(1;2), L2(2;3), L4(1;2,1) and L8(1;3), each
+    with v = -1.
+
+    For d >= 1, 2v = n*d^2 + 2 - sum m_i(m_i + 1) = D^2 + 2 - sum m_i, so
+    2v - 2 = D^2 - sum m_i.  With v >= -1 and D^2 <= -1 this gives
+    sum m_i = D^2 - 2v + 2 <= 3, so sum m_i^2 <= 9 and
+    n*d^2 = D^2 + sum m_i^2 < 9: d = 1 with n <= 8, or d = 2 with n = 2.
+    Over the vectors 1, 2, 3, 1^2, 2,1 and 1^3 of sum at most 3, D^2 < 0
+    and v >= -1 leave the five systems above.  The scan below pins that
+    list without the argument, over n <= 40, 1 <= d <= 11, at most 12
+    points and mass sum m_i(m_i + 1) <= 200.
+    """
+    cells = [(n * d * d, n, d) for n in range(2, 41, 2) for d in range(1, 12)]
+    found = set()
+    for mults, mass in _mult_vectors(12, 200):
+        squares = sum(m * m for m in mults)
+        # D^2 = n*d^2 - sum m^2 < 0 and 2v = n*d^2 + 2 - mass >= -2
+        found.update((n, d, mults) for nd2, n, d in cells if nd2 < squares and nd2 + 2 - mass >= -2)
+    specs = [LinearSystemSpec(SurfaceParams(n), d, mults) for n, d, mults in sorted(found)]
+    assert [s.literal() for s in specs] == ["L2(1;1^3)", "L2(1;2)", "L2(2;3)", "L4(1;2,1)", "L8(1;3)"]
+    for s in specs:
+        assert virtual_dim(s) == virtual_dimension(s.divisor_class()) == -1
+        assert intersect(s.divisor_class(), s.divisor_class()) < 0
+
+
 def test_dimension_is_witnessed_by_the_parts():
     # Each fixed component is effective unconditionally (t >= 1 and v >= 0,
     # so h^2 = 0 and chi >= 1), and the free part has v = dimension; the
     # printed dimension is therefore a lower bound that needs no conjecture.
-    vectors = list(_mult_vectors(20, 40))
+    vectors = [mults for mults, _ in _mult_vectors(20, 40)]
     for n in range(2, 21, 2):
         surface = SurfaceParams(n)
         for d in range(0, 7):
@@ -500,7 +527,7 @@ def pattern_branch(dec):
 def test_pattern_prefilter_is_exact():
     # decompose's guard (d >= 2, at most 3 points, n in _PATTERN_SURFACES)
     # drops no pattern, and inside it each pattern takes its own branch.
-    vectors = list(_mult_vectors(5, 30))
+    vectors = [mults for mults, _ in _mult_vectors(5, 30)]
     matched = 0
     for n in range(2, 13, 2):
         surface = SurfaceParams(n)
@@ -520,7 +547,7 @@ def test_patterns_live_on_their_domain():
     # Outside it no pattern matches and decompose takes none of its pattern
     # branches; inside it decompose takes one exactly where a pattern
     # matches.  Mass 42 reaches every pattern, L10(2;6) included.
-    vectors = list(_mult_vectors(21, 42))
+    vectors = [mults for mults, _ in _mult_vectors(21, 42)]
     inside = outside = 0
     for n in range(2, 25, 2):
         surface = SurfaceParams(n)
@@ -562,8 +589,8 @@ _FIELD_VALUES = st.one_of(
 @example(2, [_Level.TWO, 1])
 @example(2, [])
 def test_constructor_matches_per_element_check(d, mults):
-    # The constructor's whole-tuple fast path accepts exactly what the
-    # per-element check accepts, and every rejection is the check's own.
+    # The constructor accepts exactly what the per-element check accepts,
+    # and every rejection is the check's own: type, message and field.
     try:
         _check_spec_fields(d, tuple(mults))
     except (TypeError, NormalizationError) as exc:
@@ -579,7 +606,7 @@ def test_constructor_matches_per_element_check(d, mults):
 
 def test_trusted_spec_equals_public_spec():
     # every vector at the hunt_grid bounds (mass 64, at most 32 points)
-    vectors = list(_mult_vectors(32, 64))
+    vectors = [mults for mults, _ in _mult_vectors(32, 64)]
     assert len(vectors) == 894
     for n, d in [(2, 0), (2, 1), (4, 2), (6, 3), (10, 7), (12, 5)]:
         surface = SurfaceParams(n)
@@ -659,7 +686,7 @@ _REPRS = [
         "input_was_canonical=True)),), free_part=None, pencil=None, pencil_count=0, conjectural=True)",
     ),
     (Window((2, 8), (1, 2)), "Window(n_range=(2, 8), t_range=(1, 2), self_int_range=None)"),
-    (NumericalClass(n=4, t=1, mults=(2,), v=0, c2=0), "NumericalClass(n=4, t=1, mults=(2,), v=0, c2=0)"),
+    (DivisorClass(S4, 1, (2, 0)), "DivisorClass(surface=SurfaceParams(n=4), t=1, l=(2,))"),
     (Certificate("k", "m", {"n": 2}), "Certificate(kind='k', message='m', data={'n': 2})"),
     (parse_literal("L2(3;2^2,0)"), "SystemLiteral(source='L2(3;2^2,0)', n=2, d=3, runs=((2, 2), (0, 1)))"),
     (
@@ -683,7 +710,7 @@ _EQUAL_PAIRS = [
     ),
     (_RIGID_DEC, Decomposition(**vars(_RIGID_DEC)), decompose(LinearSystemSpec(S4, 4, (8,)))),
     (Window((2, 8), (1, 2)), Window(n_range=(2, 8), t_range=(1, 2)), Window((2, 8), (1, 2), (0, 1))),
-    (NumericalClass(4, 1, (2,), 0, 0), NumericalClass(n=4, t=1, mults=(2,), v=0, c2=0), NumericalClass(4, 1, (2,), 0, 1)),
+    (DivisorClass(S4, 1, (2,)), DivisorClass(surface=SurfaceParams(4), t=1, l=[2, 0]), DivisorClass(S4, 1, (2, 1))),
     (Certificate("k", "m", {}), Certificate(kind="k", message="m", data={}), Certificate("k", "m", {"n": 2})),
     (parse_literal("L2(3;2^2)"), SystemLiteral("L2(3;2^2)", 2, 3, ((2, 2),)), parse_literal("L2(3;2,2)")),
 ]
@@ -703,7 +730,7 @@ def test_equal_fields_in_different_classes_are_not_equal():
     assert DivisorClass(S2, 1, ()) != LinearSystemSpec(S2, 1, ())
     assert LinearSystemSpec(S2, 1, ()) != DivisorClass(S2, 1, ())
     assert not DivisorClass(S2, 1, ()) == LinearSystemSpec(S2, 1, ())
-    assert NumericalClass(2, 1, (1, 1), 0, 0) != (2, 1, (1, 1), 0, 0)
+    assert DivisorClass(S2, 1, (1, 1)) != (S2, 1, (1, 1))
     assert SystemLiteral("L2(1)", 2, 1) != LinearSystemSpec(S2, 1)
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import k3linsys
 import k3linsys.cli as cli
 import k3linsys.parts as parts
+import k3linsys.verify as verify
 from k3linsys.classify import decompose
 from k3linsys.cli import RECORD_FIELDS, main
 from k3linsys.literals import parse_literal
@@ -31,6 +32,16 @@ def run(capsys, *argv):
 
 def parse_csv(text):
     return list(csv.reader(io.StringIO(text)))
+
+
+# Every spelling argparse takes for a pairs bound: each prefix past "--" of
+# an option, mapped to an option it abbreviates (the only one unless another
+# bound shares the prefix).
+PAIR_BOUND_SPELLINGS = {
+    option[:end]: option
+    for option in ("--mass-bound", "--max-points", "--max-n")
+    for end in range(3, len(option) + 1)
+}
 
 
 # Child interpreters find the package where this process imported it from.
@@ -123,6 +134,11 @@ class TestIntersect:
         _, out, _ = run(capsys, "intersect", "L2(2;2,1)", "L2(3;1,1,1)", "--format", "json")
         assert json.loads(out)["intersection"] == 9
 
+    def test_csv(self, capsys):
+        code, out, err = run(capsys, "intersect", "L2(2;2,1)", " L2(3;1^3) ", "--format", "csv")
+        # the sources are stripped, not canonicalized; csv quotes only the one with a comma
+        assert (code, out, err) == (0, 'a,b,intersection\n"L2(2;2,1)",L2(3;1^3),9\n', "")
+
     def test_surface_mismatch_exits_2(self, capsys):
         code, _, err = run(capsys, "intersect", "L2(1;1)", "L4(1;1)")
         assert code == 2 and "different surfaces" in err
@@ -198,6 +214,38 @@ class TestVerifyCommands:
             assert code == 2 and out == ""
             assert f"error: {option} is an option of 'verify pairs' and goes after 'pairs'" in err
             assert "invalid choice" not in err
+
+    @pytest.mark.parametrize("given", sorted(PAIR_BOUND_SPELLINGS))
+    def test_abbreviated_pair_bound_before_the_check_is_named(self, capsys, given):
+        # after 'pairs' argparse takes the spelling for one bound, or rejects it
+        # as ambiguous, as --max (--max-points or --max-n); before 'pairs' the
+        # error names that bound, or the ambiguous spelling as given
+        code, _, err = run(capsys, "verify", "pairs", given, "0", "--quiet")
+        assert code == 0 or f"ambiguous option: {given} could match" in err
+        named = PAIR_BOUND_SPELLINGS[given] if code == 0 else given
+        for argv in (["verify", given, "3", "pairs"], ["verify", f"{given}=3", "pairs"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert f"error: {named} is an option of 'verify pairs' and goes after 'pairs'" in err
+            assert "invalid choice" not in err
+
+    def test_abbreviated_verify_options_before_the_check(self, capsys):
+        code, out, _ = run(capsys, "verify", "--fo", "csv", "pairs", "--mass-b", "0")
+        assert code == 0 and parse_csv(out)[1][:3] == ["summary", "pair-inequality", "PASS"]
+        code, out, _ = run(capsys, "verify", "--q", "pairs", "--mass-b", "0")
+        assert code == 0 and out == ""
+
+    def test_csv_violation_row(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "LEMMA_TABLE", verify.LEMMA_TABLE[:-1])
+        code, out, err = run(capsys, "verify", "lemma-table", "--format", "csv")
+        assert code == 1 and err == ""
+        assert out == (
+            "section,kind,message,data\n"
+            'summary,lemma-table,FAIL,"{""bounds"": {""mass_bound"": 12, ""max_points"": 3, '
+            '""n_range"": [2, 10], ""self_int_range"": [-2, 1], ""t_range"": [1, 2]}, ""checked_count"": 6}"\n'
+            "violation,unexpected-class,found class L10(1;3) not in the table,"
+            '"{""c2"": 1, ""literal"": ""L10(1;3)"", ""mults"": [3], ""n"": 10, ""t"": 1, ""v"": 0}"\n'
+        )
 
     def test_pairs_rejects_sampling_options(self, capsys):
         code, out, err = run(capsys, "verify", "pairs", "--samples", "3", "--seed", "9")
@@ -437,25 +485,25 @@ class TestBatch:
         st.integers(1, 9),
         st.integers(0, 12),
     )
-    def test_chunked_reader_matches_splitlines(self, text, block, cap):
-        old = cli.BLOCK_CHARS, cli.MAX_LINE_CHARS
-        cli.BLOCK_CHARS, cli.MAX_LINE_CHARS = block, cap
+    def test_chunked_reader_matches_splitlines(self, text, piece, cap):
+        old = cli.READ_CHARS, cli.MAX_LINE_CHARS
+        cli.READ_CHARS, cli.MAX_LINE_CHARS = piece, cap
         try:
             got = list(cli._file_lines(io.StringIO(text)))
         finally:
-            cli.BLOCK_CHARS, cli.MAX_LINE_CHARS = old
+            cli.READ_CHARS, cli.MAX_LINE_CHARS = old
         expected = text.splitlines()
         assert len(got) == len(expected)
         for line, full in zip(got, expected):
             if len(full) <= cap:
                 assert line == full
             else:
-                assert full.startswith(line) and cap < len(line) <= cap + block
+                assert full.startswith(line) and cap < len(line) <= cap + piece
 
-    @pytest.mark.parametrize("block", [5, 64, 1 << 16])
-    def test_long_line_is_an_error_record(self, capsys, tmp_path, monkeypatch, block):
+    @pytest.mark.parametrize("piece", [5, 64, 1 << 16])
+    def test_long_line_is_an_error_record(self, capsys, tmp_path, monkeypatch, piece):
         monkeypatch.setattr(cli, "MAX_LINE_CHARS", 50)
-        monkeypatch.setattr(cli, "BLOCK_CHARS", block)
+        monkeypatch.setattr(cli, "READ_CHARS", piece)
         long = "L2(1" + " " * 100 + ")"
         path = tmp_path / "long.txt"
         path.write_text(f"L2(4;4,3)\nL2(1)\x0c{long}\x0cL2(2;2)\n# {'x' * 60}\nL4(1;2)\n")

@@ -34,11 +34,11 @@ from k3linsys.verify import (
     LEMMA_TABLE,
     PERMITTED_PAIR_EXCEPTIONS,
     Certificate,
-    NumericalClass,
     _HUNT_NOTE,
     VerificationReport,
     _mult_vectors,
     _v0_classes,
+    class_record,
     derive_bounds_v0,
     enumerate_v0_classes,
     hunt_counterexamples,
@@ -159,15 +159,15 @@ def naive_pair_scan(bounds):
             checked += 1
             surface = SurfaceParams(ca.n)
             width = max(len(ca.mults), len(cb.mults))
-            a_cls = DivisorClass(surface, ca.t, ca.mults + (0,) * (width - len(ca.mults)))
-            b_cls = DivisorClass(surface, cb.t, cb.mults + (0,) * (width - len(cb.mults)))
+            a_cls = DivisorClass(surface, ca.d, ca.mults + (0,) * (width - len(ca.mults)))
+            b_cls = DivisorClass(surface, cb.d, cb.mults + (0,) * (width - len(cb.mults)))
             if virtual_dimension(a_cls + b_cls) >= 0:
                 continue
             is_self = ca == cb
             for matching in _alignments(ca.mults, cb.mults, symmetric=is_self):
                 va, vb = _aligned_vectors(ca.mults, cb.mults, matching)
-                a_al = DivisorClass(surface, ca.t, va)
-                b_al = DivisorClass(surface, cb.t, vb)
+                a_al = DivisorClass(surface, ca.d, va)
+                b_al = DivisorClass(surface, cb.d, vb)
                 v_sum = virtual_dimension(a_al + b_al)
                 if v_sum >= 0:
                     continue
@@ -179,9 +179,9 @@ def naive_pair_scan(bounds):
                     ),
                     data={
                         "n": ca.n,
-                        "t1": ca.t,
+                        "t1": ca.d,
                         "mults1": list(ca.mults),
-                        "t2": cb.t,
+                        "t2": cb.d,
                         "mults2": list(cb.mults),
                         "aligned_l1": list(va),
                         "aligned_l2": list(vb),
@@ -198,7 +198,7 @@ def naive_pair_scan(bounds):
                 )
                 permitted = (
                     fully_aligned
-                    and (ca.n, ca.t, ca.mults) in PERMITTED_PAIR_EXCEPTIONS
+                    and (ca.n, ca.d, ca.mults) in PERMITTED_PAIR_EXCEPTIONS
                     and v_sum == -1
                 )
                 (exceptions if permitted else violations).append(cert.to_dict())
@@ -210,6 +210,12 @@ def naive_pair_scan(bounds):
         "expected_exceptions_found": exceptions,
         "v0_classes": len(classes),
     }
+
+
+def report_key(spec):
+    """The report order of a v = 0 class, read off its record."""
+    record = class_record(spec)
+    return record["c2"], record["n"], record["t"], record["mults"]
 
 
 def naive_mult_vectors(max_points, mass_bound, sum_bound=None):
@@ -232,7 +238,7 @@ def naive_hunt_scan(max_n, max_degree, mass_bound, max_points):
     scanned = 0
     for n in range(2, max_n + 1, 2):
         for d in range(0, max_degree + 1):
-            for mults in _mult_vectors(max_points, mass_bound):
+            for mults, _ in _mult_vectors(max_points, mass_bound):
                 spec = LinearSystemSpec(SurfaceParams(n), d, mults)
                 scanned += 1
                 v = classify.virtual_dim(spec)
@@ -336,28 +342,29 @@ class TestSearchBounds:
 
 class TestEnumeration:
     def test_c2_zero_row(self):
-        got = {(c.n, c.t, c.mults) for c in enumerate_v0_classes((0, 0))}
+        got = {(c.n, c.d, c.mults) for c in enumerate_v0_classes((0, 0))}
         assert got == {(4, 1, (2,)), (2, 1, (1, 1))}
 
     def test_c2_one_row(self):
-        got = {(c.n, c.t, c.mults) for c in enumerate_v0_classes((1, 1))}
+        got = {(c.n, c.d, c.mults) for c in enumerate_v0_classes((1, 1))}
         assert got == {(4, 1, (1, 1, 1)), (6, 1, (2, 1)), (10, 1, (3,))}
 
     def test_negative_c2_empty(self):
         assert enumerate_v0_classes((-2, -1)) == []
 
     def test_sorted_lexicographically(self):
-        classes = enumerate_v0_classes((-2, 2))
-        keys = [c.sort_key for c in classes]
+        keys = [report_key(c) for c in enumerate_v0_classes((-2, 2))]
         assert keys == sorted(keys)
 
     def test_recomputed_invariants(self):
-        # The enumerator reads v = 0 and C^2 off n*t^2 = sum m(m+1) - 2;
-        # the lattice recomputes both.
+        # The enumerator reads v = 0 and C^2 off n*t^2 = sum m(m+1) - 2, and
+        # class_record computes both from the spec; the lattice recomputes them.
         for c in enumerate_v0_classes((-2, 8)):
-            d = c.divisor_class()
-            assert virtual_dimension(d) == c.v == 0
-            assert self_intersection(d) == c.c2 == sum(c.mults) - 2
+            d, record = c.divisor_class(), class_record(c)
+            assert virtual_dimension(d) == record["v"] == 0
+            assert self_intersection(d) == record["c2"] == sum(c.mults) - 2
+            assert (record["n"], record["t"], record["mults"]) == (c.n, c.d, list(c.mults))
+            assert record["literal"] == c.literal()
 
     def test_widened_window_c2_two(self):
         # frozen by hand from n t^2 = sum m(m+1) - 2 over sum m = 4 vectors
@@ -373,11 +380,11 @@ class TestEnumeration:
         }
 
     def test_matches_naive_oracle_table_window(self):
-        fast = {(c.n, c.t, c.mults) for c in enumerate_v0_classes((-2, 1))}
+        fast = {(c.n, c.d, c.mults) for c in enumerate_v0_classes((-2, 1))}
         assert fast == naive_v0_scan(-2, 1)
 
     def test_matches_naive_oracle_widened(self):
-        fast = {(c.n, c.t, c.mults) for c in enumerate_v0_classes((-2, 2))}
+        fast = {(c.n, c.d, c.mults) for c in enumerate_v0_classes((-2, 2))}
         assert fast == naive_v0_scan(-2, 2)
 
     def test_bound_monotonicity(self):
@@ -397,12 +404,13 @@ class TestLemmaTable:
         assert any("E_i" in note for note in report.notes)
 
     def test_expected_constant_is_sorted(self):
-        keys = [c.sort_key for c in LEMMA_TABLE]
+        keys = [report_key(c) for c in LEMMA_TABLE]
         assert keys == sorted(keys)
 
     def test_perturbed_expectation_missing(self, monkeypatch):
-        # the fake entry sits inside the window so it must be reported missing
-        fake = LEMMA_TABLE + (NumericalClass(n=2, t=1, mults=(1,), v=0, c2=-1),)
+        # the fake entry (v = 1) has C^2 = 1, inside the window, so it must be
+        # reported missing
+        fake = LEMMA_TABLE + (LinearSystemSpec(SurfaceParams(2), 1, (1,)),)
         monkeypatch.setattr(verify, "LEMMA_TABLE", fake)
         report = verify_lemma_table()
         assert not report.passed
@@ -578,15 +586,15 @@ class TestPairInequality:
                 for matching in _alignments(ca.mults, cb.mults, symmetric=ca == cb):
                     va, vb = _aligned_vectors(ca.mults, cb.mults, matching)
                     values[matching] = virtual_dimension(
-                        DivisorClass(surface, ca.t, va) + DivisorClass(surface, cb.t, vb)
+                        DivisorClass(surface, ca.d, va) + DivisorClass(surface, cb.d, vb)
                     )
                 alignments += len(values)
                 # the verifier's worst alignment, both sorted vectors overlapping,
                 # is the minimum over all of them (the rearrangement inequality)
                 width = max(len(ca.mults), len(cb.mults))
                 worst = virtual_dimension(
-                    DivisorClass(surface, ca.t, ca.mults + (0,) * (width - len(ca.mults)))
-                    + DivisorClass(surface, cb.t, cb.mults + (0,) * (width - len(cb.mults)))
+                    DivisorClass(surface, ca.d, ca.mults + (0,) * (width - len(ca.mults)))
+                    + DivisorClass(surface, cb.d, cb.mults + (0,) * (width - len(cb.mults)))
                 )
                 lowest = min(values.values())
                 assert lowest == worst, (ca.literal(), cb.literal())
@@ -618,11 +626,14 @@ class _cert_key:
     [(0, 30, None), (6, 0, None), (0, 0, None), (5, 30, None), (20, 40, None), (8, 40, 6), (4, 20, 0)],
 )
 def test_mult_vectors_are_canonical(max_points, mass_bound, sum_bound):
-    # hunt builds its specs from these vectors without checking them
-    vectors = list(_mult_vectors(max_points, mass_bound, sum_bound))
-    for mults in vectors:
+    # hunt and the v = 0 enumerator build specs from these vectors without
+    # checking them, and read the mass from the enumerator
+    vectors = []
+    for mults, mass in _mult_vectors(max_points, mass_bound, sum_bound):
         assert type(mults) is tuple
         classify._check_spec_fields(0, mults)
+        assert mass == sum(m * (m + 1) for m in mults) <= mass_bound
+        vectors.append(mults)
     expected = naive_mult_vectors(max_points, mass_bound, sum_bound)
     assert len(vectors) == len(set(vectors)) and set(vectors) == set(expected)
 
