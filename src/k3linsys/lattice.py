@@ -120,9 +120,10 @@ class DivisorClass(Value):
         for c in (t, *coeffs):
             if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError(f"lattice coefficients must be ints, got {c!r}")
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        self.__dict__.update(surface=surface, t=t, l=coeffs)
+        end = len(coeffs)
+        while end and coeffs[end - 1] == 0:
+            end -= 1
+        self.__dict__.update(surface=surface, t=t, l=coeffs[:end])
 
     # The operators make DivisorClass a Z-module so algebraic identities can
     # be expressed (and property-tested) with arbitrary integer coefficients.

@@ -150,14 +150,14 @@ def _v0_classes(bounds: dict) -> tuple[list[LinearSystemSpec], int]:
     v = 0 for t >= 1 is equivalent to n*t^2 = mass - 2 with mass equal to
     sum m_i(m_i+1), so for each multiplicity vector the (n, t) solutions are
     read off the divisors of mass - 2, and C^2 = n*t^2 - sum m_i^2 is
-    sum m_i - 2.  Only the upper ends of n_range and t_range are read: with
-    t^2 <= (mass - 2) / 2, every solution has n >= 2.  The vectors are
-    canonical, so specs are built unchecked, on one SurfaceParams per n.
+    sum m_i - 2.  Only the upper end of n_range is read: t^2 <= (mass - 2)/2
+    gives n >= 2, and t^2 <= (mass_bound - 2)/2 puts t within t_range, which
+    every caller sets from that bound.  The vectors are canonical, so specs
+    are built unchecked, on one SurfaceParams per n.
     """
     lo_c2, hi_c2 = bounds["self_int_range"] or (None, None)
     sum_bound = None if hi_c2 is None else max(0, hi_c2 + 2)
     n_hi = bounds["n_range"][1]
-    t_hi = bounds["t_range"][1]
     surfaces: dict[int, SurfaceParams] = {}
     found = []
     probes = 0
@@ -167,7 +167,7 @@ def _v0_classes(bounds: dict) -> tuple[list[LinearSystemSpec], int]:
             continue
         if lo_c2 is not None and not (lo_c2 <= sum(mults) - 2 <= hi_c2):
             continue
-        for t in range(1, min(t_hi, isqrt(target // 2)) + 1):
+        for t in range(1, isqrt(target // 2) + 1):
             probes += 1
             tt = t * t
             if target % tt != 0:
@@ -276,10 +276,12 @@ def verify_pair_inequality(
     against itself, Cauchy-Schwarz gives C.C' >= C^2 = 0, with equality only
     at the full alignment, which is the worst one.  Any other dip would
     contradict the argument above, so it is a violation, reported once, at
-    its worst alignment.  Each surface's classes are sorted by C^2, so only
-    its leading C^2 = 0 rows are evaluated, against all their partners.
-    checked_count counts every unordered same-surface pair, proved or
-    evaluated; details["alignments_checked"] counts alignments evaluated.
+    its worst alignment.  The classes come in report order, C^2 first, so
+    only the leading C^2 = 0 classes are evaluated, each against every class
+    of its own surface in report order.  checked_count counts every
+    unordered same-surface pair, proved or evaluated: k(k + 1)/2 for a
+    surface with k classes.  details["alignments_checked"] counts the
+    alignments evaluated.
     The classes have mass at most mass_bound, at most max_points points and
     even n <= max_n.  Negative mass_bound or max_points raise ValueError.
     """
@@ -294,52 +296,47 @@ def verify_pair_inequality(
         "self_int_range": None,
     }
     classes, _ = _v0_classes(bounds)
-    by_n: dict[int, list[LinearSystemSpec]] = {}
-    for c in classes:
-        by_n.setdefault(c.n, []).append(c)
-
-    checked = 0
+    checked = sum(k * (k + 1) // 2 for k in Counter(c.n for c in classes).values())
     alignments_checked = 0
     violations = []
     exceptions = []
-    for n in sorted(by_n):
-        surface = SurfaceParams(n)
-        group = by_n[n]
-        checked += len(group) * (len(group) + 1) // 2
-        for i, ca in enumerate(group):
-            if sum(ca.mults) >= 3:
-                break  # C^2 = sum m_i - 2 >= 1, and the rest are sorted after it
-            for cb in group[i:]:
-                # worst alignment: both sorted vectors overlap index by index
-                la = ca.mults + (0,) * max(0, len(cb.mults) - len(ca.mults))
-                lb = cb.mults + (0,) * max(0, len(ca.mults) - len(cb.mults))
-                a_cls = DivisorClass(surface, ca.d, la)
-                b_cls = DivisorClass(surface, cb.d, lb)
-                alignments_checked += 1
-                v_sum = virtual_dimension(a_cls + b_cls)
-                if v_sum >= 0:
-                    continue
-                # the matched points as sorted (a-value, b-value, count) runs
-                runs = sorted((x, y, k) for (x, y), k in Counter(zip(la, lb)).items() if x and y)
-                cert = Certificate(
-                    kind="pair-inequality",
-                    message=f"v({ca.literal()} + {cb.literal()}) = {v_sum} < 0 at alignment {runs}",
-                    data={
-                        "n": n,
-                        "t1": ca.d,
-                        "mults1": list(ca.mults),
-                        "t2": cb.d,
-                        "mults2": list(cb.mults),
-                        "aligned_l1": list(la),
-                        "aligned_l2": list(lb),
-                        "intersection": intersect(a_cls, b_cls),
-                        "v1": virtual_dimension(a_cls),
-                        "v2": virtual_dimension(b_cls),
-                        "v_sum": v_sum,
-                    },
-                )
-                permitted = ca == cb and (n, ca.d, ca.mults) in PERMITTED_PAIR_EXCEPTIONS and v_sum == -1
-                (exceptions if permitted else violations).append(cert)
+    for ca in classes:
+        if sum(ca.mults) >= 3:
+            break  # C^2 = sum m_i - 2 >= 1, and the rest are sorted after it
+        surface = ca.surface
+        for cb in classes:
+            if cb.n != ca.n:
+                continue
+            # worst alignment: both sorted vectors overlap index by index
+            la = ca.mults + (0,) * max(0, len(cb.mults) - len(ca.mults))
+            lb = cb.mults + (0,) * max(0, len(ca.mults) - len(cb.mults))
+            a_cls = DivisorClass(surface, ca.d, la)
+            b_cls = DivisorClass(surface, cb.d, lb)
+            alignments_checked += 1
+            v_sum = virtual_dimension(a_cls + b_cls)
+            if v_sum >= 0:
+                continue
+            # the matched points as sorted (a-value, b-value, count) runs
+            runs = sorted((x, y, k) for (x, y), k in Counter(zip(la, lb)).items() if x and y)
+            cert = Certificate(
+                kind="pair-inequality",
+                message=f"v({ca.literal()} + {cb.literal()}) = {v_sum} < 0 at alignment {runs}",
+                data={
+                    "n": ca.n,
+                    "t1": ca.d,
+                    "mults1": list(ca.mults),
+                    "t2": cb.d,
+                    "mults2": list(cb.mults),
+                    "aligned_l1": list(la),
+                    "aligned_l2": list(lb),
+                    "intersection": intersect(a_cls, b_cls),
+                    "v1": virtual_dimension(a_cls),
+                    "v2": virtual_dimension(b_cls),
+                    "v_sum": v_sum,
+                },
+            )
+            permitted = ca == cb and (ca.n, ca.d, ca.mults) in PERMITTED_PAIR_EXCEPTIONS and v_sum == -1
+            (exceptions if permitted else violations).append(cert)
     return VerificationReport(
         name="pair-inequality",
         bounds=bounds,

@@ -472,6 +472,38 @@ def test_negative_curves_with_v_at_least_minus_one():
         assert intersect(s.divisor_class(), s.divisor_class()) < 0
 
 
+def test_negative_curves_meet_lower_degree_v0_classes_once():
+    """Of the five negative curves above, only L2(2;3) meets a v = 0 class
+    C = L^n(t; l) of its own surface with t < d: L2(1;1^2), at worst
+    alignment D.C = 1.
+
+    Four of the five have d = 1, and every v = 0 class has t >= 1.  For
+    L2(2;3), t = 1 on n = 2 and v = 0 give sum l_i(l_i + 1) = n*t^2 + 2 = 4,
+    so l = (1, 1).  D.C = n*d*t - sum m_i l_i, and by the rearrangement
+    inequality the alignment that overlaps both sorted vectors index by
+    index maximises the sum, so D.C >= 2*2*1 - 3*1 = 1.  The scan below
+    checks this without the argument, over mass sum l_i(l_i + 1) <= 200, at
+    most 12 points and every t < d.
+    """
+    curves = [(2, 1, (1, 1, 1)), (2, 1, (2,)), (2, 2, (3,)), (4, 1, (2, 1)), (8, 1, (3,))]
+    met = []
+    for mults, mass in _mult_vectors(12, 200):
+        for n, d, m in curves:
+            # v = 0 with t >= 1 is n*t^2 = mass - 2
+            for t in range(1, d):
+                if n * t * t != mass - 2:
+                    continue
+                surface, width = SurfaceParams(n), max(len(m), len(mults))
+                dc = intersect(
+                    DivisorClass(surface, d, m + (0,) * (width - len(m))),
+                    DivisorClass(surface, t, mults + (0,) * (width - len(mults))),
+                )
+                c = LinearSystemSpec(surface, t, mults)
+                assert virtual_dim(c) == 0
+                met.append((LinearSystemSpec(surface, d, m).literal(), c.literal(), dc))
+    assert met == [("L2(2;3)", "L2(1;1^2)", 1)]
+
+
 def test_dimension_is_witnessed_by_the_parts():
     # Each fixed component is effective unconditionally (t >= 1 and v >= 0,
     # so h^2 = 0 and chi >= 1), and the free part has v = dimension; the

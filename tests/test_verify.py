@@ -149,9 +149,9 @@ def pair_bounds(mass_bound, max_points, max_n):
 def naive_pair_scan(bounds):
     """Every same-surface pair of v = 0 classes: the worst alignment, and on
     a dip below zero every alignment.  Returns the report fields the proof
-    must not change."""
+    must not change, and the number of pairs holding a C^2 = 0 class."""
     classes, _ = _v0_classes(bounds)
-    checked, violations, exceptions = 0, [], []
+    checked, isotropic_pairs, violations, exceptions = 0, 0, [], []
     for i, ca in enumerate(classes):
         for cb in classes[i:]:
             if cb.n != ca.n:
@@ -161,6 +161,7 @@ def naive_pair_scan(bounds):
             width = max(len(ca.mults), len(cb.mults))
             a_cls = DivisorClass(surface, ca.d, ca.mults + (0,) * (width - len(ca.mults)))
             b_cls = DivisorClass(surface, cb.d, cb.mults + (0,) * (width - len(cb.mults)))
+            isotropic_pairs += self_intersection(a_cls) == 0 or self_intersection(b_cls) == 0
             if virtual_dimension(a_cls + b_cls) >= 0:
                 continue
             is_self = ca == cb
@@ -209,6 +210,7 @@ def naive_pair_scan(bounds):
         "violations": violations,
         "expected_exceptions_found": exceptions,
         "v0_classes": len(classes),
+        "isotropic_pairs": isotropic_pairs,
     }
 
 
@@ -538,6 +540,8 @@ class TestPairInequality:
             ({"mass_bound": 40, "max_points": 4, "max_n": 12}, 2),
             ({"mass_bound": 80, "max_points": 5, "max_n": 20}, 2),
             ({"mass_bound": 120, "max_points": 6, "max_n": 40}, 2),
+            # only L4(1;2) is reachable
+            ({"mass_bound": 6, "max_points": 1, "max_n": 4}, 1),
         ],
     )
     def test_matches_brute_force_oracle(self, bounds, exceptions):
@@ -547,6 +551,8 @@ class TestPairInequality:
         for key in ("passed", "checked_count", "bounds", "violations", "expected_exceptions_found"):
             assert got[key] == naive[key], key
         assert report.details["v0_classes"] == naive["v0_classes"]
+        # one worst alignment for each pair that holds a C^2 = 0 class
+        assert report.details["alignments_checked"] == naive["isotropic_pairs"]
         assert len(report.expected_exceptions_found) == exceptions
         assert any("Hodge index" in note for note in report.notes)
 
