@@ -12,7 +12,6 @@ __all__ = [
     "DivisorClass",
     "SurfaceMismatchError",
     "SurfaceParams",
-    "add",
     "arithmetic_genus",
     "canonical_class",
     "canonical_degree",
@@ -22,7 +21,6 @@ __all__ = [
     "h2",
     "hyperplane",
     "intersect",
-    "scale",
     "self_intersection",
     "virtual_dimension",
     "zero",

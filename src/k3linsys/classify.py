@@ -33,10 +33,6 @@ class NormalizationError(ValueError):
         self.field = field
 
 
-class EmptySystemError(ValueError):
-    """A general member was requested from a system with no members."""
-
-
 class SpecialFamily(Enum):
     """The two conjecturally special multiple-curve families (d >= 2)."""
 
@@ -65,7 +61,7 @@ class LinearSystemSpec(Value):
     There are two construction paths.  The public constructor checks its
     fields and raises TypeError or NormalizationError on bad data.
     `_from_canonical` checks nothing and is for callers whose data is
-    canonical by construction: the literal parser, and the hunt grid and
+    canonical by construction: the literal parser, and the hunt scan and
     the v = 0 enumerator, whose multiplicity vectors come from an
     enumerator of non-increasing ints >= 1.
     """
@@ -103,11 +99,6 @@ class LinearSystemSpec(Value):
     @property
     def n(self) -> int:
         return self.surface.n
-
-    @property
-    def r(self) -> int:
-        """Number of assigned base points."""
-        return len(self.mults)
 
     def divisor_class(self) -> DivisorClass:
         return DivisorClass(self.surface, self.d, self.mults)
@@ -191,11 +182,6 @@ def virtual_dim(spec: LinearSystemSpec) -> int:
     return v if spec.d else v - 1
 
 
-def expected_dim(spec: LinearSystemSpec) -> int:
-    """e = max(v, -1)."""
-    return max(virtual_dim(spec), -1)
-
-
 def special_family(spec: LinearSystemSpec) -> SpecialFamily | None:
     """The special family containing the system, if any (requires d >= 2).
 
@@ -208,10 +194,6 @@ def special_family(spec: LinearSystemSpec) -> SpecialFamily | None:
         if spec.n == 2 and spec.mults == (spec.d, spec.d):
             return SpecialFamily.QUADRIC_POINT_PAIR
     return None
-
-
-def is_special(spec: LinearSystemSpec) -> bool:
-    return special_family(spec) is not None
 
 
 # The three rigid irreducible curves with C^2 = 1 (v = 0, t = 1); their
@@ -364,16 +346,3 @@ def decompose(spec: LinearSystemSpec) -> Decomposition:
     if v < 0:
         return _decomposition(spec, v, -1, MemberKind.EMPTY)
     return _decomposition(spec, v, v, MemberKind.IRREDUCIBLE, free_part=spec)
-
-
-def general_member_multiplicities(spec: LinearSystemSpec) -> tuple[int, ...]:
-    """Point multiplicities of the general member (conjecturally exact).
-
-    Raises EmptySystemError when the system has no members.
-    """
-    dec = decompose(spec)
-    if dec.dimension < 0:
-        raise EmptySystemError(
-            f"{spec.literal()} is empty (v = {dec.v}); it has no general member"
-        )
-    return spec.mults

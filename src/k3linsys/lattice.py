@@ -264,21 +264,3 @@ def arithmetic_genus(d: DivisorClass) -> int:
     + sum(l_i) is even.
     """
     return (self_intersection(d) + canonical_degree(d)) // 2 + 1
-
-
-def add(a: DivisorClass, b: DivisorClass) -> DivisorClass:
-    """Sum of classes, padding the shorter coefficient vector with zeros."""
-    return a + b
-
-
-def scale(k: int, a: DivisorClass) -> DivisorClass:
-    """Non-negative multiple k*A.
-
-    The named operation keeps the guard k >= 0 (multiples of effective
-    classes); the * operator on DivisorClass is unrestricted for algebra.
-    """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise TypeError(f"scale factor must be an int, got {k!r}")
-    if k < 0:
-        raise ValueError(f"scale factor must be >= 0, got {k}")
-    return k * a

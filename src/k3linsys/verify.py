@@ -9,7 +9,7 @@ Three independent checks, all in exact integer arithmetic:
     the Hodge index theorem except for pairs with a C^2 = 0 class, which are
     evaluated at their worst alignment; the only permitted failures are the
     two aligned self-pairs.
-  * hunt_counterexamples: coherence scan of the classifier over a grid of
+  * hunt_counterexamples: coherence scan of the classifier over bounded
     specs (v < 0 means empty or special).
 
 A v = 0 class t*H - sum m_i E_i is the LinearSystemSpec L^n(t; m), with
@@ -370,12 +370,16 @@ def hunt_counterexamples(
     special families.  There is no pair check: v(C + C') = 0 <=> C.C' = 1
     for v = 0 classes is the v additivity identity, which
     tests/test_lattice.py::test_v_additivity_when_h2_vanishes covers.
-    checked_count counts the grid's specs, but a spec is built only where
-    the check can fire; classify.decompose is read at each call.  The grid
-    is n = 2..max_n even by d = 0..max_degree, over the
+    The scan covers n = 2..max_n even by d = 0..max_degree, over the
     multiplicity vectors of at most max_points points (mass_bound // 2 when
-    None) within mass_bound.  Negative mass_bound or max_points raise
-    ValueError; empty n and degree ranges scan nothing.
+    None) within mass_bound, and checked_count counts all its specs:
+    vectors times surfaces times degrees.  Only the cells where the check
+    can fire are visited.  For a vector of mass M these have d >= 1 and
+    v = n*d^2/2 + 1 - M/2 < 0, that is n*d^2 <= M - 4 as both sides are
+    even: n runs to M - 4, each over a prefix of degrees, so memory does
+    not grow with max_n or max_degree.  A spec is built in those cells
+    only; classify.decompose is read at each call.  Negative mass_bound or
+    max_points raise ValueError; empty n and degree ranges scan nothing.
     """
     start = time.perf_counter()
     if max_points is None:
@@ -384,46 +388,41 @@ def hunt_counterexamples(
         raise ValueError("mass_bound and max_points must be >= 0")
     decompose = classify.decompose
 
-    # The (n, d) grid, each cell with v of its spec without points and its
-    # certificates; each SurfaceParams is checked once, d >= 0 by the range.
-    surfaces = [(n, SurfaceParams(n)) for n in range(2, max_n + 1, 2)]
-    grid = [
-        (surface, n, d, n * d * d // 2 + 1, []) for n, surface in surfaces for d in range(max_degree + 1)
-    ]
+    certs: dict[tuple[int, int], list[Certificate]] = {}
     new_spec = LinearSystemSpec._from_canonical
     vector_count = 0
     # _mult_vectors yields canonical tuples (ints >= 1, non-increasing) with
-    # their mass, so specs are built without checks, and only in cells where
-    # the check fires.
+    # their mass, so specs are built without checks.
     for mults, mass in _mult_vectors(max_points, mass_bound):
         vector_count += 1
-        conditions = mass // 2
-        for surface, n, d, v_no_points, certs in grid:
-            v = v_no_points - conditions  # = classify.virtual_dim(spec) when d >= 1
-            if not v < 0 < d:
-                continue
-            spec = new_spec(surface, d, mults)
-            dec = decompose(spec)
-            if dec.member_kind is not classify.MemberKind.EMPTY and not dec.is_special:
-                certs.append(
-                    Certificate(
-                        kind="speciality-candidate",
-                        message=(
-                            f"{spec.literal()} has v = {v} < 0 but is neither empty "
-                            f"nor in a special family"
-                        ),
-                        data={
-                            "n": n,
-                            "d": d,
-                            "mults": list(mults),
-                            "v": v,
-                            "member_kind": dec.member_kind.name,
-                        },
+        top = mass - 4  # the cells with v < 0 < d have n*d^2 <= top
+        for n in range(2, min(max_n, top) + 1, 2):
+            surface = SurfaceParams(n)
+            for d in range(1, min(max_degree, isqrt(top // n)) + 1):
+                spec = new_spec(surface, d, mults)
+                dec = decompose(spec)
+                if dec.member_kind is not classify.MemberKind.EMPTY and not dec.is_special:
+                    v = n * d * d // 2 + 1 - mass // 2
+                    certs.setdefault((n, d), []).append(
+                        Certificate(
+                            kind="speciality-candidate",
+                            message=(
+                                f"{spec.literal()} has v = {v} < 0 but is neither empty "
+                                f"nor in a special family"
+                            ),
+                            data={
+                                "n": n,
+                                "d": d,
+                                "mults": list(mults),
+                                "v": v,
+                                "member_kind": dec.member_kind.name,
+                            },
+                        )
                     )
-                )
     # Cell by cell, the certificates are in (n, d, vector) order.
-    violations = tuple(cert for *_, certs in grid for cert in certs)
-    specs_scanned = vector_count * len(grid)
+    violations = tuple(cert for cell in sorted(certs) for cert in certs[cell])
+    # len(range(2, max_n + 1, 2)) and len(range(max_degree + 1)), past sys.maxsize too
+    specs_scanned = vector_count * max(0, max_n // 2) * max(0, max_degree + 1)
 
     return VerificationReport(
         name="counterexample-hunt",

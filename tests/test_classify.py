@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from k3linsys.classify import (
     Decomposition,
-    EmptySystemError,
     LinearSystemSpec,
     MemberKind,
     _PATTERN_SURFACES,
@@ -23,10 +22,7 @@ from k3linsys.classify import (
     SpecialFamily,
     _check_spec_fields,
     decompose,
-    expected_dim,
     format_multiplicities,
-    general_member_multiplicities,
-    is_special,
     normalize,
     special_family,
     virtual_dim,
@@ -102,20 +98,20 @@ class TestSpeciality:
     def test_quartic_family(self):
         s = spec(4, 3, 6)
         assert special_family(s) is SpecialFamily.QUARTIC_DOUBLE_POINT
-        assert is_special(s)
+        assert special_family(s) is not None
 
     def test_quadric_family(self):
         s = spec(2, 5, 5, 5)
         assert special_family(s) is SpecialFamily.QUADRIC_POINT_PAIR
-        assert is_special(s)
+        assert special_family(s) is not None
 
     def test_generators_not_special(self):
         # d >= 2 required: the d = 1 curves are rigid but non-special
-        assert not is_special(spec(2, 1, 1, 1))
-        assert not is_special(spec(4, 1, 2))
+        assert special_family(spec(2, 1, 1, 1)) is None
+        assert special_family(spec(4, 1, 2)) is None
 
     def test_doubles_of_unit_curves_not_special(self):
-        assert not is_special(spec(10, 2, 6))
+        assert special_family(spec(10, 2, 6)) is None
 
     def test_family_tags(self):
         assert SpecialFamily.QUARTIC_DOUBLE_POINT.value == "L4(d;2d)"
@@ -125,7 +121,7 @@ class TestSpeciality:
     def test_both_families_across_degrees(self, d):
         a, b = spec(4, d, 2 * d), spec(2, d, d, d)
         for s in (a, b):
-            assert is_special(s)
+            assert special_family(s) is not None
             assert virtual_dim(s) == 1 - d
             dec = decompose(s)
             assert dec.dimension == 0
@@ -153,10 +149,6 @@ class TestDimension:
         # frozen: closed form gives 49 for L4(5;1,1)
         assert decompose(spec(4, 5, 1, 1)).dimension == 49
         assert decompose(spec(8, 3, 5, 4, 3, 2)).dimension == 3
-
-    def test_expected_dim(self):
-        assert expected_dim(spec(4, 3, 6)) == -1
-        assert expected_dim(spec(2, 1, 1, 1)) == 0
 
 
 class TestH1:
@@ -284,17 +276,6 @@ class TestDecompose:
         assert decompose(spec(4, 0)).conjectural is False
 
 
-class TestGeneralMember:
-    def test_returns_imposed_multiplicities(self):
-        assert general_member_multiplicities(spec(2, 3, 2, 2, 1)) == (2, 2, 1)
-        assert general_member_multiplicities(spec(4, 3, 6)) == (6,)
-        assert general_member_multiplicities(spec(2, 1)) == ()
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptySystemError, match="empty"):
-            general_member_multiplicities(spec(6, 1, 2, 2))
-
-
 def iter_small_specs(max_n=10, max_d=4, max_mass=24, max_points=4):
     for n in range(2, max_n + 1, 2):
         for d in range(0, max_d + 1):
@@ -358,7 +339,7 @@ class TestInvariantScans:
         for s in iter_small_specs():
             dec = decompose(s)
             if dec.dimension >= 0:
-                assert dec.is_special == (dec.dimension > expected_dim(s)), s
+                assert dec.is_special == (dec.dimension > expected_dimension(s.divisor_class())), s
 
     def test_special_fixed_parts_are_multiple(self):
         for s in iter_small_specs():
@@ -407,7 +388,7 @@ def test_virtual_dim_matches_lattice(n, d, mults):
     # so a change to h^2 on the t = 0 face must reach both.
     s = normalize(n, d, mults)
     assert virtual_dim(s) == virtual_dimension(s.divisor_class())
-    assert expected_dim(s) == expected_dimension(s.divisor_class())
+    assert expected_dimension(s.divisor_class()) == max(virtual_dim(s), -1)
 
 
 def test_virtual_dim_degree_zero_face():
@@ -520,7 +501,7 @@ def test_dimension_is_witnessed_by_the_parts():
                 if dec.free_part is not None:
                     assert virtual_dim(dec.free_part) == dec.dimension, dec.spec
                 elif dec.member_kind is MemberKind.EMPTY:
-                    assert dec.dimension == expected_dim(dec.spec) == -1, dec.spec
+                    assert dec.dimension == expected_dimension(dec.spec.divisor_class()) == -1, dec.spec
                 else:
                     assert dec.dimension == 0, dec.spec
 

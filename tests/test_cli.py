@@ -365,6 +365,35 @@ class TestHunt:
         code, out, _ = run(capsys, "hunt", "--max-n", "0", "--max-degree", "-1")
         assert code == 0 and "PASS  checked=0 " in out
 
+    @pytest.mark.parametrize(
+        "max_n,max_degree,mass_bound,checked",
+        [
+            ("1000000000", "1000", "0", 500_500_000_000),
+            ("100000", "100000", "2", 10_000_100_000),
+            # more surfaces than a range's len() can count
+            (str(10**20), "1000", "0", 5 * 10**19 * 1001),
+        ],
+    )
+    def test_huge_grid_under_address_space_cap(self, max_n, max_degree, mass_bound, checked):
+        # At these masses no cell can fire, and hunt visits only cells that
+        # can, so a 512 MB address-space cap set in the child holds however
+        # many (n, d) cells the bounds span.
+        capped = (
+            "import resource, sys; from k3linsys.cli import main; cap = 512 * 1024 * 1024; "
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); sys.exit(main(sys.argv[1:]))"
+        )
+        bounds = ["--max-n", max_n, "--max-degree", max_degree, "--mass-bound", mass_bound]
+        proc = subprocess.run(
+            [sys.executable, "-c", capped, "hunt", *bounds, "--format", "json"],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["passed"] and report["checked_count"] == checked
+
 
 class TestBatch:
     def good_file(self, tmp_path):

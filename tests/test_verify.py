@@ -670,6 +670,9 @@ class TestHunt:
         [
             pytest.param(bounds, fns, id=f"{bounds}-{name}")
             for bounds in [(6, 3, 24, 5), (8, 5, 40, 0), (4, 0, 12, 6), (2, 4, 0, 0), (14, 9, 30, 3)]
+            # empty n and degree ranges, only d = 0, no mass, odd and negative ends
+            + [(0, 4, 24, 5), (6, 0, 24, 5), (6, -1, 24, 5), (6, 3, 0, 5)]
+            + [(7, 3, 24, 5), (-3, 2, 12, 6), (6, -2, 12, 6)]
             for name, fns in _HUNT_INJECTIONS.items()
         ]
         # the CLI defaults and the benchmark's hunt_grid bounds
