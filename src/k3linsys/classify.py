@@ -16,6 +16,10 @@ d >= 2, each consisting of a single rigid divisor of dimension 0 with
 h^1 = d - 1.  Every verdict that relies on the conjecture (dimension,
 speciality, fixed/free structure, member kind) is marked conjectural;
 v and e are unconditional, and so is the whole verdict when d = 0.
+
+RIGID_CURVES is the paper's table of the five v = 0 classes with t >= 1
+and C^2 <= 1: these two curves and the three with C^2 = 1.  decompose
+takes its components from it, and verify.verify_lemma_table checks it.
 """
 
 from __future__ import annotations
@@ -196,16 +200,23 @@ def special_family(spec: LinearSystemSpec) -> SpecialFamily | None:
     return None
 
 
-# The three rigid irreducible curves with C^2 = 1 (v = 0, t = 1); their
+# The five v = 0 classes with t >= 1 and C^2 <= 1 (none exist at C^2 <= -1),
+# in report order (C^2, n, t, mults): L2(1;1^2) and L4(1;2) with C^2 = 0,
+# whose multiples are the special families, then the C^2 = 1 curves, whose
 # doubles 2C again have v = 0 and decompose as the fixed divisor 2C.
-_UNIT_CURVES = (
-    (4, 1, (1, 1, 1)),
-    (6, 1, (2, 1)),
-    (10, 1, (3,)),
+RIGID_CURVES = tuple(
+    LinearSystemSpec(SurfaceParams(n), 1, mults)
+    for n, mults in ((2, (1, 1)), (4, (2,)), (4, (1, 1, 1)), (6, (2, 1)), (10, (3,)))
 )
-_DOUBLE_CURVES = {(n, 2 * t, tuple(2 * m for m in mults)): (n, t, mults) for n, t, mults in _UNIT_CURVES}
-# The surfaces of the structure patterns: n = 2 and 4, and the unit curves'.
-_PATTERN_SURFACES = frozenset({2, 4}.union(n for n, _, _ in _UNIT_CURVES))
+# The pencil L2(1;1): the free part of the chain L^2(m+1; m+1, m) and the
+# pencil that L2(2;2) is composite with.
+_PENCIL = LinearSystemSpec(RIGID_CURVES[0].surface, 1, (1,))
+# The C^2 = 0 curve of each special family, by surface, and the C^2 = 1
+# curve of each double 2C, by the double's (n, d, mults).
+_SPECIAL_CURVES = {c.n: c for c in RIGID_CURVES[:2]}
+_DOUBLE_CURVES = {(c.n, 2 * c.d, tuple(2 * m for m in c.mults)): c for c in RIGID_CURVES[2:]}
+# The surfaces of the structure patterns: n = 2, 4, 6 and 10, the table's.
+_PATTERN_SURFACES = frozenset(c.n for c in RIGID_CURVES)
 
 
 class Decomposition(Value):
@@ -313,9 +324,11 @@ def decompose(spec: LinearSystemSpec) -> Decomposition:
     have v >= 0 (the chain v = 1, the doubles v = 0, L2(2;2) v = 2), so every
     v < 0 system outside those families is EMPTY.  Each branch states its
     dimension, member kind and parts; _decomposition derives h1 from them.
+    The patterns' components are the curves of RIGID_CURVES and the pencil
+    L2(1;1), so no branch builds a spec.
     """
     v = virtual_dim(spec)
-    d, mults, n, surface = spec.d, spec.mults, spec.n, spec.surface
+    d, mults, n = spec.d, spec.mults, spec.n
     if d == 0:
         # Unconditional.  Without points the one member is the zero divisor,
         # which has no components; no degree-0 curve passes through a point.
@@ -325,21 +338,16 @@ def decompose(spec: LinearSystemSpec) -> Decomposition:
     if d >= 2 and len(mults) <= 3 and n in _PATTERN_SURFACES:
         special = special_family(spec)
         if special is not None:
-            curve = LinearSystemSpec(surface, 1, (2,) if n == 4 else (1, 1))
-            return _decomposition(spec, v, 0, MemberKind.RIGID, ((d, curve),), special=special)
+            return _decomposition(spec, v, 0, MemberKind.RIGID, ((d, _SPECIAL_CURVES[n]),), special=special)
         if n == 2 and mults == (d, d - 1):
-            fixed = LinearSystemSpec(surface, 1, (1, 1))
-            free = LinearSystemSpec(surface, 1, (1,))
-            return _decomposition(spec, v, 1, MemberKind.FIXED_PLUS_PENCIL, ((d - 1, fixed),), free)
+            fixed = ((d - 1, RIGID_CURVES[0]),)
+            return _decomposition(spec, v, 1, MemberKind.FIXED_PLUS_PENCIL, fixed, _PENCIL)
         double = _DOUBLE_CURVES.get((n, d, mults))
         if double is not None:
-            cn, ct, cm = double
-            curve = LinearSystemSpec(SurfaceParams(cn), ct, cm)
-            return _decomposition(spec, v, 0, MemberKind.RIGID, ((2, curve),))
+            return _decomposition(spec, v, 0, MemberKind.RIGID, ((2, double),))
         if (n, d, mults) == (2, 2, (2,)):
-            pencil = LinearSystemSpec(surface, 1, (1,))
             return _decomposition(
-                spec, v, 2, MemberKind.COMPOSITE_WITH_PENCIL, free_part=spec, pencil=pencil, pencil_count=2
+                spec, v, 2, MemberKind.COMPOSITE_WITH_PENCIL, free_part=spec, pencil=_PENCIL, pencil_count=2
             )
     if v == 0:
         return _decomposition(spec, v, 0, MemberKind.RIGID, ((1, spec),))

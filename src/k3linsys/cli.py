@@ -437,11 +437,7 @@ def _cmd_batch(args, out: _Output) -> int:
         _Output.error(f"cannot read batch file: {exc}")
         return 2
     with handle:
-        code = run_parts(args, out, handle)
-        if code is None:
-            numbered = enumerate(_file_lines(handle), start=1)
-            code = min(_batch_lines(args, numbered, *_record_writer(args.format, out)), 2)
-        return code
+        return run_parts(args, out, handle)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -9,6 +9,7 @@ stderr of a part to two memfd files and waits; batch copies the part out
 when every earlier part is out, empties the files and lets the child go on
 to its next part.  So stdout, stderr and the exit status are those of one
 pass, and the memfd files hold at most one part's output for each child.
+One pass is the case k = 1: one part of every line, and no child.
 
 The command-line module binds run_parts for batch only: no other command
 compiles this module.
@@ -59,24 +60,26 @@ def usable_cpus() -> int:
 def _plan(handle) -> tuple[int, int]:
     """How many processes classify handle's file, and the lines of a part:
     one process per usable CPU and at most one per MIN_PART_LINES lines.
-    Fewer than 2 where batch stays one pass: on a file that is not regular
-    (a pipe cannot be read twice), with one usable CPU, on a file shorter
-    than two parts, or without fork, memfd_create, sched_getaffinity or
-    /proc/self/fd (through which a child opens the file batch has open)."""
+    (1, sys.maxsize), one part of every line, where batch stays one pass:
+    on a file that is not regular (a pipe cannot be read twice), with one
+    usable CPU, on a file shorter than two parts, or without fork,
+    memfd_create, sched_getaffinity or /proc/self/fd (through which a child
+    opens the file batch has open)."""
+    one_pass = 1, sys.maxsize
     if not all(hasattr(os, name) for name in ("fork", "memfd_create", "sched_getaffinity")):
-        return 0, 0
+        return one_pass
     if not os.path.isdir("/proc/self/fd"):
-        return 0, 0
+        return one_pass
     if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-        return 0, 0
+        return one_pass
     cpus = usable_cpus()
     if cpus < 2:
-        return cpus, 0
+        return one_pass
     lines = sum(1 for _ in islice(cli._file_lines(handle), cpus * MAX_PART_LINES))
     handle.seek(0)
     k = min(cpus, lines // MIN_PART_LINES)
     if k < 2:
-        return k, 0
+        return one_pass
     return k, min(MAX_PART_LINES, -(-lines // k))  # the ceiling of lines / k
 
 
@@ -136,15 +139,13 @@ def _child(args, handle, j: int, k: int, size: int, sinks, done: int, go: int) -
         os._exit(code)
 
 
-def run_parts(args, out, handle) -> int | None:
-    """Classify handle's file in parts, or return None where batch stays
-    one pass (see _plan).  Returns batch's exit status: 2 if a line
-    gave an error record or a line that is not UTF-8 ended the run, 1 if a
-    part crashed.  A part that ends the run ends it after its own output;
-    no child outlives this call."""
+def run_parts(args, out, handle) -> int:
+    """Classify handle's file in parts, one pass being one part of every
+    line (see _plan).  Returns batch's exit status: 2 if a line gave an
+    error record or a line that is not UTF-8 ended the run, 1 if a part
+    crashed.  A part that ends the run ends it after its own output; no
+    child outlives this call."""
     k, size = _plan(handle)
-    if k < 2:
-        return None
     sys.stdout.flush()
     sys.stderr.flush()
     children = []  # [pid, or 0 once reaped; stdout and stderr sinks; done; go]

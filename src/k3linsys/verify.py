@@ -3,12 +3,13 @@
 Three independent checks, all in exact integer arithmetic:
 
   * verify_lemma_table: enumerate every numerical class with v = 0, t >= 1
-    and C^2 in [-2, 1] and compare against the known five-entry table.
+    and C^2 in [-2, 1] and compare against the classifier's own five-entry
+    table, classify.RIGID_CURVES.
   * verify_pair_inequality: v(C + C') >= 0 for all same-surface pairs of
     v = 0 classes and every identification of their base points, proved by
     the Hodge index theorem except for pairs with a C^2 = 0 class, which are
     evaluated at their worst alignment; the only permitted failures are the
-    two aligned self-pairs.
+    aligned self-pairs of the table's two C^2 = 0 classes.
   * hunt_counterexamples: coherence scan of the classifier over bounded
     specs (v < 0 means empty or special).
 
@@ -189,13 +190,6 @@ def enumerate_v0_classes(self_int_range: tuple[int, int]) -> list[LinearSystemSp
     return classes
 
 
-# The five v = 0 classes with t >= 1 and C^2 <= 1 (none exist at C^2 <= -1),
-# in report order: L2(1;1^2) and L4(1;2) with C^2 = 0, then C^2 = 1.
-LEMMA_TABLE = tuple(
-    LinearSystemSpec(SurfaceParams(n), 1, mults)
-    for n, mults in ((2, (1, 1)), (4, (2,)), (4, (1, 1, 1)), (6, (2, 1)), (10, (3,)))
-)
-
 _TABLE_C2_WINDOW = (-2, 1)
 
 _EXCEPTIONAL_NOTE = (
@@ -205,7 +199,8 @@ _EXCEPTIONAL_NOTE = (
 
 
 def verify_lemma_table() -> VerificationReport:
-    """Compare the v = 0 classes with C^2 in _TABLE_C2_WINDOW against LEMMA_TABLE.
+    """Compare the v = 0 classes with C^2 in _TABLE_C2_WINDOW against the
+    classifier's table, classify.RIGID_CURVES, read at each call.
 
     The enumerated classes must equal the table as a set; each class on one
     side only is a violation, with the class's record (see class_record) as
@@ -216,7 +211,7 @@ def verify_lemma_table() -> VerificationReport:
     start = time.perf_counter()
     bounds = derive_bounds_v0(_TABLE_C2_WINDOW)
     classes, probes = _v0_classes(bounds)
-    found, expected = set(classes), set(LEMMA_TABLE)
+    found, expected = set(classes), set(classify.RIGID_CURVES)
     violations = [
         Certificate("missing-class", f"expected class {c.literal()} was not found", class_record(c))
         for c in sorted(expected - found, key=_order)
@@ -239,9 +234,6 @@ def verify_lemma_table() -> VerificationReport:
     )
 
 
-# Aligned self-pairs allowed to fail the pair inequality, with v(C+C') = -1.
-PERMITTED_PAIR_EXCEPTIONS = ((2, 1, (1, 1)), (4, 1, (2,)))
-
 _PAIR_NOTE = (
     "pairs of classes with C^2 >= 1 pass by the Hodge index theorem "
     "(C.C' >= sqrt(C^2 C'^2) >= 1, so v(C + C') = C.C' - 1 >= 0) and are not "
@@ -261,8 +253,8 @@ def verify_pair_inequality(
     index theorem decides most pairs without evaluating them.  The lattice
     diag(n, -1, ..., -1) has signature (1, r); every class has t >= 1, so
     C.H = n*t > 0, and C^2 = sum m_i - 2 >= 0 (no v = 0 class has C^2 < 0,
-    see LEMMA_TABLE); aligning permutes and zero-pads l, keeping squares.
-    If both squares are >= 1, reverse Cauchy-Schwarz gives
+    see classify.RIGID_CURVES); aligning permutes and zero-pads l, keeping
+    squares.  If both squares are >= 1, reverse Cauchy-Schwarz gives
     C.C' >= sqrt(C^2 C'^2) >= 1.  If C^2 = 0 < C'^2, the isotropic C is not
     in the negative-definite C'^perp and lies in the same half of the
     positive cone, so again C.C' >= 1.  The only C^2 = 0 classes,
@@ -274,7 +266,9 @@ def verify_pair_inequality(
     sorted vectors index by index maximises the sum, so this worst
     alignment minimises C.C' and bounds all the others.  For an isotropic C
     against itself, Cauchy-Schwarz gives C.C' >= C^2 = 0, with equality only
-    at the full alignment, which is the worst one.  Any other dip would
+    at the full alignment, which is the worst one.  There v(C + C) = -1: the
+    two permitted exceptions are these self-pairs of the table's C^2 = 0
+    rows, classify.RIGID_CURVES[:2], read at each call.  Any other dip would
     contradict the argument above, so it is a violation, reported once, at
     its worst alignment.  The classes come in report order, C^2 first, so
     only the leading C^2 = 0 classes are evaluated, each against every class
@@ -335,7 +329,7 @@ def verify_pair_inequality(
                     "v_sum": v_sum,
                 },
             )
-            permitted = ca == cb and (ca.n, ca.d, ca.mults) in PERMITTED_PAIR_EXCEPTIONS and v_sum == -1
+            permitted = ca == cb and ca in classify.RIGID_CURVES[:2] and v_sum == -1
             (exceptions if permitted else violations).append(cert)
     return VerificationReport(
         name="pair-inequality",
@@ -402,19 +396,18 @@ def hunt_counterexamples(
                 spec = new_spec(surface, d, mults)
                 dec = decompose(spec)
                 if dec.member_kind is not classify.MemberKind.EMPTY and not dec.is_special:
-                    v = n * d * d // 2 + 1 - mass // 2
                     certs.setdefault((n, d), []).append(
                         Certificate(
                             kind="speciality-candidate",
                             message=(
-                                f"{spec.literal()} has v = {v} < 0 but is neither empty "
+                                f"{spec.literal()} has v = {dec.v} < 0 but is neither empty "
                                 f"nor in a special family"
                             ),
                             data={
                                 "n": n,
                                 "d": d,
                                 "mults": list(mults),
-                                "v": v,
+                                "v": dec.v,
                                 "member_kind": dec.member_kind.name,
                             },
                         )

@@ -14,6 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from k3linsys.classify import (
+    RIGID_CURVES,
     Decomposition,
     LinearSystemSpec,
     MemberKind,
@@ -274,6 +275,17 @@ class TestDecompose:
         assert decompose(spec(2, 2, 2)).conjectural is True
         assert decompose(spec(2, 0, 3, 2)).conjectural is False
         assert decompose(spec(4, 0)).conjectural is False
+
+    def test_components_are_the_tables(self):
+        # the patterns hand out the table's curves and one pencil L2(1;1)
+        # themselves, not equal copies built per call
+        assert decompose(spec(4, 3, 6)).fixed_part[0][1] is RIGID_CURVES[1]
+        chain = decompose(spec(2, 4, 4, 3))
+        assert chain.fixed_part[0][1] is RIGID_CURVES[0]
+        assert decompose(spec(6, 2, 4, 2)).fixed_part[0][1] is RIGID_CURVES[3]
+        square = decompose(spec(2, 2, 2))
+        assert square.pencil is chain.free_part
+        assert square.pencil == spec(2, 1, 1)
 
 
 def iter_small_specs(max_n=10, max_d=4, max_mass=24, max_points=4):

@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import k3linsys
+import k3linsys.classify as classify
 import k3linsys.cli as cli
 import k3linsys.parts as parts
 import k3linsys.verify as verify
@@ -236,7 +237,7 @@ class TestVerifyCommands:
         assert code == 0 and out == ""
 
     def test_csv_violation_row(self, capsys, monkeypatch):
-        monkeypatch.setattr(verify, "LEMMA_TABLE", verify.LEMMA_TABLE[:-1])
+        monkeypatch.setattr(classify, "RIGID_CURVES", classify.RIGID_CURVES[:-1])
         code, out, err = run(capsys, "verify", "lemma-table", "--format", "csv")
         assert code == 1 and err == ""
         assert out == (
@@ -751,18 +752,18 @@ class TestBatchParts:
             monkeypatch.setattr(parts, "MIN_PART_LINES", 14)  # 40 lines: two parts
             assert parts._plan(handle)[0] == 2
             monkeypatch.setattr(parts, "MIN_PART_LINES", 21)  # fewer than two parts
-            assert parts._plan(handle)[0] < 2
+            assert parts._plan(handle) == (1, sys.maxsize)
             monkeypatch.setattr(parts, "MIN_PART_LINES", 8)
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
-            assert parts._plan(handle)[0] < 2
+            assert parts._plan(handle) == (1, sys.maxsize)
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
             assert parts._plan(handle)[0] == 2
             isdir = os.path.isdir
             monkeypatch.setattr(os.path, "isdir", lambda path: path != "/proc/self/fd" and isdir(path))
-            assert parts._plan(handle)[0] < 2
+            assert parts._plan(handle) == (1, sys.maxsize)
             monkeypatch.setattr(os.path, "isdir", isdir)
             monkeypatch.delattr(os, "memfd_create")
-            assert parts._plan(handle)[0] < 2
+            assert parts._plan(handle) == (1, sys.maxsize)
         assert forks == []
 
     @pytest.mark.parametrize(

@@ -9,8 +9,8 @@ C^2 >= 1; on a dip it evaluates every alignment of the pair, from
 _alignments, where the verifier evaluates the worst alignment alone.  The
 naive hunt scan is the grid loop that rebuilds the multiplicity vectors for
 every (n, d) and asks classify for every v.  The broken classifiers that
-the checks must catch are monkeypatched into classify, and the broken
-lemma tables into verify.
+the checks must catch, and the broken lemma tables, are monkeypatched
+into classify.
 """
 
 import dataclasses
@@ -31,8 +31,6 @@ from k3linsys.lattice import (
     virtual_dimension,
 )
 from k3linsys.verify import (
-    LEMMA_TABLE,
-    PERMITTED_PAIR_EXCEPTIONS,
     Certificate,
     _HUNT_NOTE,
     VerificationReport,
@@ -199,7 +197,7 @@ def naive_pair_scan(bounds):
                 )
                 permitted = (
                     fully_aligned
-                    and (ca.n, ca.d, ca.mults) in PERMITTED_PAIR_EXCEPTIONS
+                    and (ca.n, ca.d, ca.mults) in {(2, 1, (1, 1)), (4, 1, (2,))}
                     and v_sum == -1
                 )
                 (exceptions if permitted else violations).append(cert.to_dict())
@@ -282,7 +280,7 @@ def naive_hunt_scan(max_n, max_degree, mass_bound, max_points):
 
 # L2(2;4) = 2 L2(1;2) has v = -5, and L2(1;2) (v = -1) is no curve: with
 # this entry the doubles pattern's guard admits a v < 0 spec.
-_LOOSE_DOUBLE_CURVES = {**classify._DOUBLE_CURVES, (2, 2, (4,)): (2, 1, (2,))}
+_LOOSE_DOUBLE_CURVES = {**classify._DOUBLE_CURVES, (2, 2, (4,)): LinearSystemSpec(SurfaceParams(2), 1, (2,))}
 
 
 def bad_decompose(spec):
@@ -406,26 +404,36 @@ class TestLemmaTable:
         assert any("E_i" in note for note in report.notes)
 
     def test_expected_constant_is_sorted(self):
-        keys = [report_key(c) for c in LEMMA_TABLE]
+        keys = [report_key(c) for c in classify.RIGID_CURVES]
         assert keys == sorted(keys)
 
     def test_perturbed_expectation_missing(self, monkeypatch):
         # the fake entry (v = 1) has C^2 = 1, inside the window, so it must be
         # reported missing
-        fake = LEMMA_TABLE + (LinearSystemSpec(SurfaceParams(2), 1, (1,)),)
-        monkeypatch.setattr(verify, "LEMMA_TABLE", fake)
+        fake = classify.RIGID_CURVES + (LinearSystemSpec(SurfaceParams(2), 1, (1,)),)
+        monkeypatch.setattr(classify, "RIGID_CURVES", fake)
         report = verify_lemma_table()
         assert not report.passed
         assert [c.kind for c in report.violations] == ["missing-class"]
         assert report.violations[0].message == "expected class L2(1;1) was not found"
 
     def test_perturbed_expectation_unexpected(self, monkeypatch):
-        monkeypatch.setattr(verify, "LEMMA_TABLE", LEMMA_TABLE[:-1])
+        monkeypatch.setattr(classify, "RIGID_CURVES", classify.RIGID_CURVES[:-1])
         report = verify_lemma_table()
         assert not report.passed
         assert [c.kind for c in report.violations] == ["unexpected-class"]
         assert report.violations[0].data["literal"] == "L10(1;3)"
         assert len(report.details["expected"]) == 4
+
+    @pytest.mark.parametrize("index, literal", enumerate(["L2(1;1^2)", "L4(1;2)", "L4(1;1^3)", "L6(1;2,1)"]))
+    def test_curve_removed_from_the_classifier_table(self, monkeypatch, index, literal):
+        # The check reads classify's table at each call: the enumerator finds
+        # the removed curve, which the table no longer lists.  The last curve
+        # is the case above.
+        table = classify.RIGID_CURVES
+        monkeypatch.setattr(classify, "RIGID_CURVES", table[:index] + table[index + 1 :])
+        report = verify_lemma_table()
+        assert [(c.kind, c.data["literal"]) for c in report.violations] == [("unexpected-class", literal)]
 
     def test_determinism(self):
         a = verify_lemma_table()
@@ -471,6 +479,18 @@ class TestPairInequality:
         assert keys == {(2, 1, (1, 1)), (4, 1, (2,))}
         for c in report.expected_exceptions_found:
             assert c.data["v_sum"] == -1
+
+    def test_permitted_pairs_are_the_classifier_tables(self, monkeypatch):
+        # without L2(1;1^2) in classify's table, read at each call, its
+        # aligned self-pair is a violation
+        monkeypatch.setattr(classify, "RIGID_CURVES", classify.RIGID_CURVES[1:])
+        report = verify_pair_inequality(mass_bound=40, max_points=4, max_n=12)
+        assert [c.message for c in report.violations] == [
+            "v(L2(1;1^2) + L2(1;1^2)) = -1 < 0 at alignment [(1, 1, 2)]"
+        ]
+        assert [c.message for c in report.expected_exceptions_found] == [
+            "v(L4(1;2) + L4(1;2)) = -1 < 0 at alignment [(2, 2, 1)]"
+        ]
 
     def test_disjoint_placement_is_safe(self):
         # the padding example: two point-pair curves at four distinct points
@@ -776,6 +796,6 @@ class TestReportShape:
         assert "elapsed" not in report.to_dict(include_elapsed=False)
 
     def test_passed_iff_no_violations(self, monkeypatch):
-        monkeypatch.setattr(verify, "LEMMA_TABLE", LEMMA_TABLE[:-1])
+        monkeypatch.setattr(classify, "RIGID_CURVES", classify.RIGID_CURVES[:-1])
         report = verify_lemma_table()
         assert report.passed == (not report.violations) == False  # noqa: E712
