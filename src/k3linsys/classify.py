@@ -25,6 +25,7 @@ takes its components from it, and verify.verify_lemma_table checks it.
 from __future__ import annotations
 
 from enum import Enum
+from operator import mul
 
 from .lattice import DivisorClass, SurfaceParams, Value
 
@@ -94,10 +95,13 @@ class LinearSystemSpec(Value):
         hashes and prints as `cls(surface, d, mults, input_was_canonical)`
         and stays frozen.  It is for the callers that build many specs: the
         per-element `_check_spec_fields` that `__init__` runs is most of the
-        cost of a construction.
+        cost of a construction.  The dict is a display in annotation order,
+        which `repr` and `_key` read, set by `object.__setattr__`.
         """
         spec = object.__new__(cls)
-        spec.__dict__.update(surface=surface, d=d, mults=mults, input_was_canonical=input_was_canonical)
+        object.__setattr__(
+            spec, "__dict__", {"surface": surface, "d": d, "mults": mults, "input_was_canonical": input_was_canonical}
+        )
         return spec
 
     @property
@@ -180,10 +184,13 @@ def virtual_dim(spec: LinearSystemSpec) -> int:
     """v = n*d^2/2 + 1 - sum m(m+1)/2 - [d = 0], computed from the spec.
 
     This is lattice.virtual_dimension on a canonical spec: every
-    multiplicity is at least 1, so h^2 = 1 exactly when d = 0.
+    multiplicity is at least 1, so h^2 = 1 exactly when d = 0.  The sums
+    run in C as sum m^2 + sum m, halved once: n is even and each m(m + 1)
+    is even, so the floor division by 2 is exact at any size.
     """
-    v = spec.n * spec.d * spec.d // 2 + 1 - sum(m * (m + 1) // 2 for m in spec.mults)
-    return v if spec.d else v - 1
+    d, mults = spec.d, spec.mults
+    v = (spec.surface.n * d * d - sum(map(mul, mults, mults)) - sum(mults)) // 2 + 1
+    return v if d else v - 1
 
 
 def special_family(spec: LinearSystemSpec) -> SpecialFamily | None:
@@ -281,30 +288,24 @@ def _decomposition(
     pencil_count=0,
     conjectural=True,
 ) -> Decomposition:
-    """The Decomposition of these facts, its fields set in one dict update.
+    """The Decomposition of these facts, its fields set as one dict.
 
     h^1 = h^0 - chi + h^2 = dim - v wherever h^0 is known, so h1 is
     derived here: it is unknown only for a conjecturally empty system with
     v < -1, which has h1 >= -1 - v.  The result equals, hashes and prints
     as `Decomposition(**fields)` and stays frozen; it skips the shared
     keyword `__init__`, which takes about twice as long for twelve fields.
+    The dict is a display in annotation order, which `repr` and `_key`
+    read, set by `object.__setattr__` past the frozen `__setattr__`.
     """
     h1 = None if v < -1 and dimension < 0 and conjectural else dimension - v
     dec = object.__new__(Decomposition)
-    dec.__dict__.update(
-        spec=spec,
-        v=v,
-        special=special,
-        dimension=dimension,
-        h1=h1,
-        h1_lower_bound=-1 - v if h1 is None else h1,
-        member_kind=member_kind,
-        fixed_part=fixed_part,
-        free_part=free_part,
-        pencil=pencil,
-        pencil_count=pencil_count,
-        conjectural=conjectural,
-    )
+    object.__setattr__(dec, "__dict__", {
+        "spec": spec, "v": v, "special": special, "dimension": dimension, "h1": h1,
+        "h1_lower_bound": -1 - v if h1 is None else h1, "member_kind": member_kind,
+        "fixed_part": fixed_part, "free_part": free_part, "pencil": pencil,
+        "pencil_count": pencil_count, "conjectural": conjectural,
+    })  # fmt: skip
     return dec
 
 
@@ -328,7 +329,7 @@ def decompose(spec: LinearSystemSpec) -> Decomposition:
     L2(1;1), so no branch builds a spec.
     """
     v = virtual_dim(spec)
-    d, mults, n = spec.d, spec.mults, spec.n
+    d, mults, n = spec.d, spec.mults, spec.surface.n
     if d == 0:
         # Unconditional.  Without points the one member is the zero divisor,
         # which has no components; no degree-0 curve passes through a point.

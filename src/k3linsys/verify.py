@@ -370,10 +370,12 @@ def hunt_counterexamples(
     vectors times surfaces times degrees.  Only the cells where the check
     can fire are visited.  For a vector of mass M these have d >= 1 and
     v = n*d^2/2 + 1 - M/2 < 0, that is n*d^2 <= M - 4 as both sides are
-    even: n runs to M - 4, each over a prefix of degrees, so memory does
-    not grow with max_n or max_degree.  A spec is built in those cells
-    only; classify.decompose is read at each call.  Negative mass_bound or
-    max_points raise ValueError; empty n and degree ranges scan nothing.
+    even: n runs to M - 4, each over a prefix of degrees.  One SurfaceParams
+    per visited n serves the whole scan, at most min(max_n, mass_bound - 4)
+    // 2 of them, so memory does not grow with max_n or max_degree.  A spec
+    is built in those cells only; classify.decompose is read at each call.
+    Negative mass_bound or max_points raise ValueError; empty n and degree
+    ranges scan nothing.
     """
     start = time.perf_counter()
     if max_points is None:
@@ -381,8 +383,10 @@ def hunt_counterexamples(
     if mass_bound < 0 or max_points < 0:
         raise ValueError("mass_bound and max_points must be >= 0")
     decompose = classify.decompose
+    empty = classify.MemberKind.EMPTY
 
     certs: dict[tuple[int, int], list[Certificate]] = {}
+    surfaces: dict[int, SurfaceParams] = {}
     new_spec = LinearSystemSpec._from_canonical
     vector_count = 0
     # _mult_vectors yields canonical tuples (ints >= 1, non-increasing) with
@@ -391,11 +395,13 @@ def hunt_counterexamples(
         vector_count += 1
         top = mass - 4  # the cells with v < 0 < d have n*d^2 <= top
         for n in range(2, min(max_n, top) + 1, 2):
-            surface = SurfaceParams(n)
+            if n not in surfaces:
+                surfaces[n] = SurfaceParams(n)
+            surface = surfaces[n]
             for d in range(1, min(max_degree, isqrt(top // n)) + 1):
                 spec = new_spec(surface, d, mults)
                 dec = decompose(spec)
-                if dec.member_kind is not classify.MemberKind.EMPTY and not dec.is_special:
+                if dec.member_kind is not empty and not dec.is_special:
                     certs.setdefault((n, d), []).append(
                         Certificate(
                             kind="speciality-candidate",

@@ -29,7 +29,7 @@ from k3linsys.classify import (
     virtual_dim,
 )
 from k3linsys.lattice import DivisorClass, SurfaceParams, Value, expected_dimension, intersect, virtual_dimension
-from k3linsys.literals import SystemLiteral, parse_literal
+from k3linsys.literals import MAX_INTEGER_DIGITS, MAX_POINTS, SystemLiteral, parse_literal
 from k3linsys.verify import Certificate, VerificationReport, _mult_vectors
 
 
@@ -407,6 +407,28 @@ def test_virtual_dim_degree_zero_face():
     for mults in [(), (1,), (3, 2), (1, 1, 1)]:
         s = normalize(2, 0, mults)
         assert virtual_dim(s) == virtual_dimension(s.divisor_class())
+
+
+# The largest integer a literal may spell: MAX_INTEGER_DIGITS nines, odd.
+_BIG = 10**MAX_INTEGER_DIGITS - 1
+
+
+@pytest.mark.parametrize("n", [2, _BIG - 1], ids=["n2", "n-cap"])
+@pytest.mark.parametrize("d", [0, 1, _BIG], ids=["d0", "d1", "d-cap"])
+@pytest.mark.parametrize(
+    "mults",
+    [
+        pytest.param((), id="no-points"),
+        pytest.param((_BIG, _BIG - 1, 1), id="big-odd-even"),
+        pytest.param((_BIG,) * 20 + (_BIG - 1,) * 20 + (1,) * (MAX_POINTS - 40), id="max-points"),
+    ],
+)
+def test_virtual_dim_matches_lattice_at_the_literal_caps(n, d, mults):
+    # The property test above draws m <= 9.  Here n*d^2 and sum m(m+1) run
+    # to thousands of digits, past any float, so v must stay exact integer
+    # arithmetic with one exact halving, on the d = 0 face too.
+    s = LinearSystemSpec(SurfaceParams(n), d, mults)
+    assert virtual_dim(s) == virtual_dimension(s.divisor_class())
 
 
 @given(st.integers(1, 20).map(lambda g: 2 * g), st.integers(0, 12), st.lists(st.integers(0, 9), max_size=6))

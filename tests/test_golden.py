@@ -13,8 +13,10 @@ lengths, a surface mismatch and a parse error.  `hunt.json`
 holds the hunt report without `elapsed` at the CLI defaults and at the
 benchmark's hunt_grid bounds, frozen from the scan that called every check
 on every spec; its note was regenerated when the pattern-overlap check
-left hunt.  `pairs.json` holds the `verify pairs` report the same way,
-at the CLI defaults and at the benchmark's verify_pairs bounds.
+left hunt.  `hunt.csv.out` holds hunt's csv stdout, stderr and exit code at
+the same two bounds; csv carries no `elapsed`.  `pairs.json` holds the
+`verify pairs` report the same way as `hunt.json`, at the CLI defaults and
+at the benchmark's verify_pairs bounds.
 `lemma-table.json` holds the `verify lemma-table` report without `elapsed`,
 and `enumerate.<format>.out` the stdout of `enumerate v0 --self-int=-2..6`.
 The CI workflow diffs the installed console script's output against the
@@ -81,6 +83,15 @@ def test_hunt_matches_golden(capsys, label):
     assert report == golden
     bounds = {key.strip("-").replace("-", "_"): int(value) for key, value in zip(argv[::2], argv[1::2])}
     assert hunt_counterexamples(**bounds).canonical_json() == json.dumps(golden, sort_keys=True)
+
+
+def test_hunt_csv_matches_golden(capsys):
+    blocks = []
+    for argv in _HUNT_ARGS.values():
+        code = cli.main(["hunt", *argv, "--format", "csv"])
+        captured = capsys.readouterr()
+        blocks.append(f"{captured.out}{captured.err}exit {code}\n")
+    assert "".join(blocks) == (ROOT / GOLDEN / "hunt.csv.out").read_text(encoding="utf-8")
 
 
 _PAIRS_ARGS = {"defaults": [], "verify_pairs": ["--mass-bound", "180", "--max-points", "6", "--max-n", "36"]}

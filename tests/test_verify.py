@@ -749,6 +749,51 @@ class TestHunt:
         # a spec is built only where the check is called
         assert built == decompose_calls
 
+    def test_hunt_grid_decompositions_equal_their_keyword_construction(self, monkeypatch):
+        # decompose sets each Decomposition's dict, and hunt each spec's, as
+        # one dict display; at the benchmark's hunt_grid bounds every one of
+        # them is the value the keyword constructors build from its fields
+        seen = []
+        original_decompose = classify.decompose
+
+        def recording_decompose(spec):
+            seen.append(original_decompose(spec))
+            return seen[-1]
+
+        monkeypatch.setattr(classify, "decompose", recording_decompose)
+        assert hunt_counterexamples(max_n=12, max_degree=7, mass_bound=64).passed
+        assert len(seen) == 12_985
+        for dec in seen:
+            for value, cls in ((dec, Decomposition), (dec.spec, LinearSystemSpec)):
+                rebuilt = cls(**vars(value))
+                assert tuple(vars(value)) == tuple(vars(rebuilt)) == cls._fields
+                assert rebuilt == value and hash(rebuilt) == hash(value)
+                assert repr(rebuilt) == repr(value)
+
+    @pytest.mark.parametrize(
+        "max_n,max_degree,mass_bound", [(10, 6, 60), (12, 7, 64), (1_000, 3, 30), (6, 0, 24), (0, 3, 24)]
+    )
+    def test_one_surface_per_visited_n(self, monkeypatch, max_n, max_degree, mass_bound):
+        built, decomposed = [], set()
+        original_init = SurfaceParams.__init__
+        original_decompose = classify.decompose
+
+        def counting_init(self, n):
+            built.append(n)
+            original_init(self, n)
+
+        def recording_decompose(spec):
+            decomposed.add(spec.n)
+            return original_decompose(spec)
+
+        monkeypatch.setattr(SurfaceParams, "__init__", counting_init)
+        monkeypatch.setattr(classify, "decompose", recording_decompose)
+        hunt_counterexamples(max_n=max_n, max_degree=max_degree, mass_bound=mass_bound)
+        # the visited n are those with n <= M - 4 for the heaviest vector, M = mass_bound
+        assert built == list(range(2, min(max_n, mass_bound - 4) + 1, 2))
+        assert len(built) <= max(0, max_n // 2)
+        assert decomposed == (set(built) if max_degree >= 1 else set())
+
     def test_holds_one_vector_at_a_time(self):
         # 11,619 vectors at mass 120; a list of them all peaks near 2.7 MB
         tracing = tracemalloc.is_tracing()
