@@ -59,9 +59,7 @@ class LinearSystemSpec(Value):
     """Canonical description of L^n(d; m_1, ..., m_r).
 
     Multiplicities are stored sorted non-increasing with zeros removed;
-    use `normalize` to build a spec from raw user data.  The
-    `input_was_canonical` flag records whether normalization changed
-    anything and is ignored by equality and hashing.
+    use `normalize` to build a spec from raw user data.
 
     There are two construction paths.  The public constructor checks its
     fields and raises TypeError or NormalizationError on bad data.
@@ -74,34 +72,26 @@ class LinearSystemSpec(Value):
     surface: SurfaceParams
     d: int
     mults: tuple[int, ...] = ()
-    input_was_canonical: bool = True
 
-    def __init__(self, surface: SurfaceParams, d: int, mults: tuple = (), input_was_canonical: bool = True):
+    def __init__(self, surface: SurfaceParams, d: int, mults: tuple = ()):
         mults = tuple(mults)
         _check_spec_fields(d, mults)
-        self.__dict__.update(surface=surface, d=d, mults=mults, input_was_canonical=input_was_canonical)
-
-    def _key(self) -> tuple:
-        return self.surface, self.d, self.mults
+        self.__dict__.update(surface=surface, d=d, mults=mults)
 
     @classmethod
-    def _from_canonical(
-        cls, surface: SurfaceParams, d: int, mults: tuple[int, ...], input_was_canonical: bool = True
-    ):
+    def _from_canonical(cls, surface: SurfaceParams, d: int, mults: tuple[int, ...]):
         """The spec with these fields, set without `__init__` and its checks.
 
         Precondition: `surface` is a SurfaceParams, and `d` and `mults` pass
         `_check_spec_fields` with `mults` a tuple.  The result then equals,
-        hashes and prints as `cls(surface, d, mults, input_was_canonical)`
-        and stays frozen.  It is for the callers that build many specs: the
-        per-element `_check_spec_fields` that `__init__` runs is most of the
-        cost of a construction.  The dict is a display in annotation order,
-        which `repr` and `_key` read, set by `object.__setattr__`.
+        hashes and prints as `cls(surface, d, mults)` and stays frozen.  It
+        is for the callers that build many specs: the per-element
+        `_check_spec_fields` that `__init__` runs is most of the cost of a
+        construction.  The dict is a display in annotation order, which
+        `repr` and `_key` read, set by `object.__setattr__`.
         """
         spec = object.__new__(cls)
-        object.__setattr__(
-            spec, "__dict__", {"surface": surface, "d": d, "mults": mults, "input_was_canonical": input_was_canonical}
-        )
+        object.__setattr__(spec, "__dict__", {"surface": surface, "d": d, "mults": mults})
         return spec
 
     @property
@@ -176,8 +166,7 @@ def normalize(n: int, d: int, mults=()) -> LinearSystemSpec:
     for m in raw:
         if m < 0:
             raise NormalizationError(f"multiplicities must be >= 0, got {m}", field="mults")
-    canonical = tuple(sorted((m for m in raw if m > 0), reverse=True))
-    return LinearSystemSpec(surface, d, canonical, input_was_canonical=(canonical == raw))
+    return LinearSystemSpec(surface, d, tuple(sorted((m for m in raw if m > 0), reverse=True)))
 
 
 def virtual_dim(spec: LinearSystemSpec) -> int:

@@ -420,7 +420,7 @@ def _batch_lines(args, numbered, emit, emit_error) -> int:
             spec = parse_spec(text)
         except LiteralSyntaxError as exc:
             failed = True
-            _Output.error(f"{args.file}:{lineno}: {exc.message} (byte {exc.position})")
+            _Output.error(f"{args.file}:{lineno}: {exc}")
             error = {"line": lineno, "position": exc.position, "message": exc.message, "source": text}
             emit_error(error, text)
             continue
@@ -546,10 +546,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # Literal, normalization and surface-mismatch errors are ValueErrors;
         # only commands that read literals can raise a LiteralSyntaxError.
-        if "literals" in modules and isinstance(exc, LiteralSyntaxError):
-            _Output.error(f"parse error: {exc.message} (byte {exc.position})")
-        else:
-            _Output.error(f"error: {exc}")
+        kind = "parse error" if "literals" in modules and isinstance(exc, LiteralSyntaxError) else "error"
+        _Output.error(f"{kind}: {exc}")
         return 2
     finally:
         out.flush()

@@ -10,12 +10,12 @@ Grammar (whitespace insignificant, all integers non-negative decimal):
 shorthand of the usual L^n(d, m_1, ..., m_r) notation; the degree is set
 off with ';' so it cannot be mistaken for the first multiplicity.  INT is
 ASCII 0-9 only and whitespace is whatever str.isspace() accepts.
-`parse_literal` is a character scanner, which raises the error with the
-byte offset of the first offending character, including integers over
-MAX_INTEGER_DIGITS digits and literals over MAX_POINTS points.
-`parse_spec` accepts a well-formed literal by one anchored regular
-expression and goes straight to its canonical LinearSystemSpec; any other
-input goes through the scanner.  Printing emits one canonical form per
+`parse_literal` and `parse_spec` share one front: an anchored regular
+expression accepts a well-formed literal, and any other input goes to a
+character scanner, which raises the error with the byte offset of the
+first offending character, including integers over MAX_INTEGER_DIGITS
+digits and literals over MAX_POINTS points.  `parse_spec` goes straight to
+the canonical LinearSystemSpec.  Printing emits one canonical form per
 system: multiplicities sorted non-increasing, zeros dropped, runs
 compressed with '^'.
 """
@@ -58,34 +58,24 @@ class LiteralSyntaxError(ValueError):
 
 
 class SystemLiteral(Value):
-    """A parsed literal: source text plus (n, d, multiplicity runs).
+    """A parsed literal: source text plus (n, d, multiplicities).
 
-    Runs are (value, count) pairs in source order, zeros included, so the
+    The multiplicities are expanded in source order, zeros included, so the
     written point positions survive; `to_spec` normalizes them away.
     """
 
     source: str
     n: int
     d: int
-    runs: tuple[tuple[int, int], ...] = ()
-
-    def multiplicities(self) -> tuple[int, ...]:
-        """Expanded multiplicities in source order, zeros kept."""
-        out = []
-        for value, count in self.runs:
-            out.extend([value] * count)
-        return tuple(out)
+    mults: tuple[int, ...] = ()
 
     def to_spec(self) -> LinearSystemSpec:
         """Canonical spec: zeros dropped, sorted non-increasing."""
-        return normalize(self.n, self.d, self.multiplicities())
+        return normalize(self.n, self.d, self.mults)
 
     def divisor_class(self) -> DivisorClass:
         """Lattice class with multiplicities placed positionally as written."""
-        return DivisorClass(SurfaceParams(self.n), self.d, self.multiplicities())
-
-    def canonical(self) -> str:
-        return self.to_spec().literal()
+        return DivisorClass(SurfaceParams(self.n), self.d, self.mults)
 
 
 class _Scanner:
@@ -126,25 +116,30 @@ class _Scanner:
         return f"{self.peek()!r}" if self.peek() else "end of input"
 
 
+def parse_literal(text: str) -> SystemLiteral:
+    """Parse a system literal, validating n is even and at least 2.
+
+    Raises LiteralSyntaxError with the byte offset of the first error; the
+    grammar admits no signs, so negative numbers are syntax errors at the
+    '-' character.
+    """
+    n, d, raw = _match(text) or _scan(text)
+    return SystemLiteral(source=text, n=n, d=d, mults=tuple(raw))
+
+
 def parse_spec(text: str) -> LinearSystemSpec:
     """parse_literal(text).to_spec(), without the SystemLiteral between.
 
-    A literal the regex accepts is built straight into its canonical spec
-    through the trusted constructor: the pattern admits only ASCII digits,
-    so d >= 0 and every multiplicity >= 0 hold, and `_match` has checked n
-    as normalize would.  input_was_canonical compares the source-order
-    multiplicities, zeros kept, with the canonical ones, as normalize does.
-    Anything else goes through parse_literal, with its diagnostics.
+    The spec is built through the trusted constructor: the grammar admits
+    only ASCII digits, so d >= 0 and every multiplicity >= 0 hold, and both
+    parsers check n as normalize would.
     """
-    fields = _match(text)
-    if fields is None:
-        return parse_literal(text).to_spec()
-    n, d, raw = fields
+    n, d, raw = _match(text) or _scan(text)
     mults = sorted(raw, reverse=True)
     if mults and not mults[-1]:
         del mults[mults.index(0) :]
     surface = _SURFACES.get(n) or SurfaceParams(n)
-    return LinearSystemSpec._from_canonical(surface, d, tuple(mults), mults == raw)
+    return LinearSystemSpec._from_canonical(surface, d, tuple(mults))
 
 
 def _match(text: str) -> tuple[int, int, list[int]] | None:
@@ -183,12 +178,11 @@ def _match(text: str) -> tuple[int, int, list[int]] | None:
     return n, int(d_digits), raw
 
 
-def parse_literal(text: str) -> SystemLiteral:
-    """Parse a system literal, validating n is even and at least 2.
+def _scan(text: str) -> tuple[int, int, list[int]]:
+    """The (n, d, raw) of `_match`, one character at a time, or the
+    LiteralSyntaxError of the first offending character.
 
-    One character at a time: raises LiteralSyntaxError with the byte offset
-    of the first error; the grammar admits no signs, so negative numbers are
-    syntax errors at the '-' character.
+    A run's count is checked before the run is expanded.
     """
     sc = _Scanner(text)
     sc.skip_ws()
@@ -202,8 +196,7 @@ def parse_literal(text: str) -> SystemLiteral:
         raise LiteralSyntaxError("n must be at least 2", n_pos)
     sc.expect("(", "before the degree")
     d, _ = sc.integer("for the degree d")
-    runs = []
-    points = 0
+    raw = []
     sc.skip_ws()
     if sc.peek() == ";":
         sc.pos += 1
@@ -214,10 +207,9 @@ def parse_literal(text: str) -> SystemLiteral:
             if sc.peek() == "^":
                 sc.pos += 1
                 count, count_pos = sc.integer("for a repeat count after '^'")
-            points += count
-            if points > MAX_POINTS:
+            if len(raw) + count > MAX_POINTS:
                 raise LiteralSyntaxError(f"literal expands to more than {MAX_POINTS} points", count_pos)
-            runs.append((value, count))
+            raw += [value] * count
             sc.skip_ws()
             if sc.peek() != ",":
                 break
@@ -226,4 +218,4 @@ def parse_literal(text: str) -> SystemLiteral:
     sc.skip_ws()
     if sc.pos != len(sc.text):
         raise LiteralSyntaxError(f"unexpected trailing input {sc._found()}", sc.pos)
-    return SystemLiteral(source=text, n=n, d=d, runs=tuple(runs))
+    return n, d, raw

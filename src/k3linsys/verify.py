@@ -374,8 +374,8 @@ def hunt_counterexamples(
     per visited n serves the whole scan, at most min(max_n, mass_bound - 4)
     // 2 of them, so memory does not grow with max_n or max_degree.  A spec
     is built in those cells only; classify.decompose is read at each call.
-    Negative mass_bound or max_points raise ValueError; empty n and degree
-    ranges scan nothing.
+    Negative mass_bound or max_points raise ValueError; an empty n or degree
+    range visits no cell and builds no surface.
     """
     start = time.perf_counter()
     if max_points is None:
@@ -388,13 +388,14 @@ def hunt_counterexamples(
     certs: dict[tuple[int, int], list[Certificate]] = {}
     surfaces: dict[int, SurfaceParams] = {}
     new_spec = LinearSystemSpec._from_canonical
+    n_top = max_n if max_degree >= 1 else 0  # no degree to visit, no n either
     vector_count = 0
     # _mult_vectors yields canonical tuples (ints >= 1, non-increasing) with
     # their mass, so specs are built without checks.
     for mults, mass in _mult_vectors(max_points, mass_bound):
         vector_count += 1
         top = mass - 4  # the cells with v < 0 < d have n*d^2 <= top
-        for n in range(2, min(max_n, top) + 1, 2):
+        for n in range(2, min(n_top, top) + 1, 2):
             if n not in surfaces:
                 surfaces[n] = SurfaceParams(n)
             surface = surfaces[n]

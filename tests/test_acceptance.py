@@ -254,10 +254,10 @@ def test_criterion_10_parser_and_cli_contract(tmp_path, capsys):
         mults = [rng.randint(0, 9) for _ in range(rng.randint(0, 6))]
         source = f"L{n}({d};{','.join(str(m) for m in mults)})" if mults else f"L{n}({d})"
         lit = parse_literal(source)
-        again = parse_literal(lit.canonical())
+        printed = lit.to_spec().literal()
+        again = parse_literal(printed)
         round_trip_ok = round_trip_ok and (
-            (lit.n, lit.d, lit.multiplicities()) == (n, d, tuple(mults))
-            and again.canonical() == lit.canonical()
+            (lit.n, lit.d, lit.mults) == (n, d, tuple(mults)) and again.to_spec().literal() == printed
         )
 
     malformed = [("L3(1;1)", 1), ("L2(1;1", 6), ("L2(;1)", 3), ("x2(1;1)", 0), ("L2(1;1)x", 7)]

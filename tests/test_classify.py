@@ -41,14 +41,12 @@ class TestNormalize:
     def test_sort_and_drop_zeros(self):
         s = normalize(2, 3, [1, 2, 0, 2])
         assert (s.n, s.d, s.mults) == (2, 3, (2, 2, 1))
-        assert not s.input_was_canonical
 
     def test_idempotent(self):
         s = normalize(2, 3, [2, 2, 1])
         assert s.mults == (2, 2, 1)
-        assert s.input_was_canonical
         s2 = normalize(s.n, s.d, s.mults)
-        assert s2 == s and s2.input_was_canonical
+        assert s2 == s and vars(s2) == vars(s)
 
     def test_no_points(self):
         assert normalize(4, 1).mults == ()
@@ -82,7 +80,7 @@ class TestNormalize:
     def test_provenance_ignored_by_equality(self):
         a = normalize(2, 3, [2, 1])
         b = normalize(2, 3, [1, 2])
-        assert a == b and a.input_was_canonical and not b.input_was_canonical
+        assert a == b and vars(a) == vars(b)
 
     def test_literal(self):
         assert spec(2, 3, 2, 2, 2, 2, 1).literal() == "L2(3;2^4,1)"
@@ -391,7 +389,7 @@ def test_sorting_invariance(n, d, mults):
 def test_normalize_idempotent(n, d, mults):
     s = normalize(n, d, mults)
     again = normalize(s.n, s.d, s.mults)
-    assert again == s and again.input_was_canonical
+    assert again == s and vars(again) == vars(s)
 
 
 @given(st.integers(1, 20).map(lambda g: 2 * g), st.integers(0, 12), st.lists(st.integers(0, 9), max_size=6))
@@ -663,11 +661,10 @@ def test_trusted_spec_equals_public_spec():
             assert trusted == public and hash(trusted) == hash(public)
             assert repr(trusted) == repr(public)
             assert trusted.literal() == public.literal()
-            assert trusted.input_was_canonical is public.input_was_canonical is True
             assert vars(trusted) == vars(public)
 
 
-@pytest.mark.parametrize("name", ["surface", "d", "mults", "input_was_canonical"])
+@pytest.mark.parametrize("name", ["surface", "d", "mults"])
 def test_trusted_spec_is_frozen(name):
     s = LinearSystemSpec._from_canonical(SurfaceParams(4), 3, (6,))
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -721,21 +718,20 @@ class Window(Value):
 _RIGID_DEC = decompose(LinearSystemSpec(S4, 3, (6,)))
 _REPRS = [
     (
-        LinearSystemSpec(S2, 3, (2, 1), input_was_canonical=False),
-        "LinearSystemSpec(surface=SurfaceParams(n=2), d=3, mults=(2, 1), input_was_canonical=False)",
+        LinearSystemSpec(S2, 3, (2, 1)),
+        "LinearSystemSpec(surface=SurfaceParams(n=2), d=3, mults=(2, 1))",
     ),
     (
         _RIGID_DEC,
-        "Decomposition(spec=LinearSystemSpec(surface=SurfaceParams(n=4), d=3, mults=(6,), "
-        "input_was_canonical=True), v=-2, special=<SpecialFamily.QUARTIC_DOUBLE_POINT: 'L4(d;2d)'>, "
-        "dimension=0, h1=2, h1_lower_bound=2, member_kind=<MemberKind.RIGID: 'rigid'>, "
-        "fixed_part=((3, LinearSystemSpec(surface=SurfaceParams(n=4), d=1, mults=(2,), "
-        "input_was_canonical=True)),), free_part=None, pencil=None, pencil_count=0, conjectural=True)",
+        "Decomposition(spec=LinearSystemSpec(surface=SurfaceParams(n=4), d=3, mults=(6,)), v=-2, "
+        "special=<SpecialFamily.QUARTIC_DOUBLE_POINT: 'L4(d;2d)'>, dimension=0, h1=2, h1_lower_bound=2, "
+        "member_kind=<MemberKind.RIGID: 'rigid'>, fixed_part=((3, LinearSystemSpec(surface=SurfaceParams(n=4), "
+        "d=1, mults=(2,))),), free_part=None, pencil=None, pencil_count=0, conjectural=True)",
     ),
     (Window((2, 8), (1, 2)), "Window(n_range=(2, 8), t_range=(1, 2), self_int_range=None)"),
     (DivisorClass(S4, 1, (2, 0)), "DivisorClass(surface=SurfaceParams(n=4), t=1, l=(2,))"),
     (Certificate("k", "m", {"n": 2}), "Certificate(kind='k', message='m', data={'n': 2})"),
-    (parse_literal("L2(3;2^2,0)"), "SystemLiteral(source='L2(3;2^2,0)', n=2, d=3, runs=((2, 2), (0, 1)))"),
+    (parse_literal("L2(3;2^2,0)"), "SystemLiteral(source='L2(3;2^2,0)', n=2, d=3, mults=(2, 2, 0))"),
     (
         VerificationReport("x", {}, 1, (), (), 0.5),
         "VerificationReport(name='x', bounds={}, checked_count=1, violations=(), "
@@ -759,7 +755,7 @@ _EQUAL_PAIRS = [
     (Window((2, 8), (1, 2)), Window(n_range=(2, 8), t_range=(1, 2)), Window((2, 8), (1, 2), (0, 1))),
     (DivisorClass(S4, 1, (2,)), DivisorClass(surface=SurfaceParams(4), t=1, l=[2, 0]), DivisorClass(S4, 1, (2, 1))),
     (Certificate("k", "m", {}), Certificate(kind="k", message="m", data={}), Certificate("k", "m", {"n": 2})),
-    (parse_literal("L2(3;2^2)"), SystemLiteral("L2(3;2^2)", 2, 3, ((2, 2),)), parse_literal("L2(3;2,2)")),
+    (parse_literal("L2(3;2^2)"), SystemLiteral("L2(3;2^2)", 2, 3, (2, 2)), parse_literal("L2(3;2,2)")),
 ]
 
 
@@ -779,14 +775,6 @@ def test_equal_fields_in_different_classes_are_not_equal():
     assert not DivisorClass(S2, 1, ()) == LinearSystemSpec(S2, 1, ())
     assert DivisorClass(S2, 1, (1, 1)) != (S2, 1, (1, 1))
     assert SystemLiteral("L2(1)", 2, 1) != LinearSystemSpec(S2, 1)
-
-
-def test_input_was_canonical_is_ignored_by_equality_and_hash_but_shown():
-    a = LinearSystemSpec(S2, 3, (2, 1), True)
-    b = LinearSystemSpec(S2, 3, (2, 1), input_was_canonical=False)
-    assert a == b and hash(a) == hash(b) == hash((S2, 3, (2, 1)))
-    assert repr(a) != repr(b) and repr(b).endswith("input_was_canonical=False)")
-    assert len({a, b}) == 1
 
 
 _FROZEN = [v for v, _ in _REPRS if type(v) is not VerificationReport]
@@ -816,14 +804,14 @@ def test_report_is_mutable_and_unhashable():
 
 def test_value_keyword_construction_with_defaults():
     s = LinearSystemSpec(surface=S2, d=2)
-    assert s.mults == () and s.input_was_canonical is True
+    assert s.mults == ()
     dec = Decomposition(
         spec=s, v=2, special=None, dimension=2, h1=0, h1_lower_bound=0, member_kind=MemberKind.IRREDUCIBLE
     )
     assert (dec.fixed_part, dec.free_part, dec.pencil, dec.pencil_count, dec.conjectural) == ((), None, None, 0, True)
     assert list(vars(dec)) == list(vars(_RIGID_DEC))
     assert Window(n_range=(2, 4), t_range=(1, 2)).self_int_range is None
-    assert SystemLiteral(source="L2(1)", n=2, d=1).runs == ()
+    assert SystemLiteral(source="L2(1)", n=2, d=1).mults == ()
     a = VerificationReport(name="x", bounds={}, checked_count=0, violations=(), expected_exceptions_found=(), elapsed=0.0)
     b = VerificationReport("x", {}, 0, (), (), 0.0)
     assert a.notes == () and a.details == {} and a.details is not b.details

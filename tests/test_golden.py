@@ -143,8 +143,7 @@ def test_parse_spec_is_parse_literal_to_spec():
             assert str(caught.value) == str(exc)
             continue
         got = parse_spec(text)
-        assert got == expected and got.input_was_canonical == expected.input_was_canonical
-        assert vars(got) == vars(expected)
+        assert got == expected and vars(got) == vars(expected)
 
 
 @given(

@@ -13,6 +13,8 @@ from k3linsys.literals import (
     MAX_POINTS,
     LiteralSyntaxError,
     SystemLiteral,
+    _match,
+    _scan,
     parse_literal,
     parse_spec,
 )
@@ -22,29 +24,28 @@ class TestParse:
     def test_run_expansion(self):
         lit = parse_literal("L2(3;2^4,1)")
         assert (lit.n, lit.d) == (2, 3)
-        assert lit.runs == ((2, 4), (1, 1))
-        assert lit.multiplicities() == (2, 2, 2, 2, 1)
+        assert lit.mults == (2, 2, 2, 2, 1)
 
     def test_whitespace_insignificant(self):
         lit = parse_literal("  L4 ( 1 ; 2 )  ")
-        assert (lit.n, lit.d, lit.multiplicities()) == (4, 1, (2,))
-        assert parse_literal("L2(3;1 , 1^2)").multiplicities() == (1, 1, 1)
+        assert (lit.n, lit.d, lit.mults) == (4, 1, (2,))
+        assert parse_literal("L2(3;1 , 1^2)").mults == (1, 1, 1)
 
     def test_no_mults(self):
-        assert parse_literal("L2(3)").multiplicities() == ()
+        assert parse_literal("L2(3)").mults == ()
 
     def test_zero_values_kept_positionally(self):
         lit = parse_literal("L2(1;0,0,1,1)")
-        assert lit.multiplicities() == (0, 0, 1, 1)
+        assert lit.mults == (0, 0, 1, 1)
         assert lit.to_spec().mults == (1, 1)
 
     def test_zero_repeat_count(self):
-        assert parse_literal("L2(1;1^0)").multiplicities() == ()
+        assert parse_literal("L2(1;1^0)").mults == ()
 
     def test_unsorted_input_normalizes(self):
         lit = parse_literal("L2(3;1,2,0,2)")
         assert lit.to_spec() == normalize(2, 3, (2, 2, 1))
-        assert lit.canonical() == "L2(3;2^2,1)"
+        assert lit.to_spec().literal() == "L2(3;2^2,1)"
 
     def test_degree_zero(self):
         assert parse_literal("L2(0)").d == 0
@@ -116,14 +117,14 @@ class TestCanonicalForm:
         ],
     )
     def test_examples(self, text, canonical):
-        assert parse_literal(text).canonical() == canonical
+        assert parse_literal(text).to_spec().literal() == canonical
 
     def test_print_is_valid_input(self):
         for text in ["L2(3;1,2,0,2)", "L4(7)", "L8(2;3^3,1^4)"]:
-            printed = parse_literal(text).canonical()
+            printed = parse_literal(text).to_spec().literal()
             again = parse_literal(printed)
             assert again.to_spec() == parse_literal(text).to_spec()
-            assert again.canonical() == printed
+            assert again.to_spec().literal() == printed
 
 
 @st.composite
@@ -139,7 +140,7 @@ def test_round_trip_parse_print_parse(spec):
     printed = spec.literal()
     lit = parse_literal(printed)
     assert lit.to_spec() == spec
-    assert lit.canonical() == printed
+    assert lit.to_spec().literal() == printed
 
 
 @given(canonical_specs())
@@ -152,7 +153,7 @@ def test_source_preserved():
 
 
 def test_literal_value_semantics():
-    assert parse_literal("L2(1;1,1)") == SystemLiteral("L2(1;1,1)", 2, 1, ((1, 1), (1, 1)))
+    assert parse_literal("L2(1;1,1)") == SystemLiteral("L2(1;1,1)", 2, 1, (1, 1))
 
 
 def _outcome(parse, text):
@@ -186,23 +187,22 @@ def near_literals(draw):
     return "".join(pieces)
 
 
-def _scanned_spec(text):
-    return parse_literal(text).to_spec()
-
-
-def _assert_spec_matches_scanner(text):
-    # parse_spec's regex path builds the scanner's spec, fields and all, or
-    # hands the text to the scanner for its error.
-    spec = _outcome(parse_spec, text)
-    expected = _outcome(_scanned_spec, text)
-    assert spec == expected
-    if not isinstance(expected, tuple):
-        assert vars(spec) == vars(expected)
+def _assert_regex_matches_scanner(text):
+    # Two acceptors of one grammar: where the regex accepts, the scanner
+    # reads the same (n, d, raw); where it rejects, the scanner raises.  On
+    # accepted text, parse_spec's trusted build is normalize's spec.
+    try:
+        scanned = _scan(text)
+    except LiteralSyntaxError:
+        scanned = None
+    assert _match(text) == scanned
+    if scanned is not None:
+        assert vars(parse_spec(text)) == vars(normalize(*scanned))
 
 
 @given(st.text(alphabet=_ALPHABET, max_size=24) | near_literals())
 def test_regex_path_agrees_with_scanner(text):
-    _assert_spec_matches_scanner(text)
+    _assert_regex_matches_scanner(text)
 
 
 @pytest.mark.parametrize(
@@ -222,7 +222,7 @@ def test_regex_path_agrees_with_scanner(text):
 )
 def test_regex_path_boundaries(text, parses):
     assert isinstance(_outcome(parse_literal, text), SystemLiteral) == parses
-    _assert_spec_matches_scanner(text)
+    _assert_regex_matches_scanner(text)
 
 
 @pytest.mark.parametrize(
@@ -234,13 +234,15 @@ def test_regex_path_boundaries(text, parses):
     ],
 )
 def test_hostile_run_counts_fail_without_expanding(text):
-    # parse_spec checks a run's count before it builds the run's points.
+    # The regex and the scanner check a run's count before they build the
+    # run's points.
+    _assert_regex_matches_scanner(text)
     expected = _outcome(parse_literal, text)
     assert expected[0] == f"literal expands to more than {MAX_POINTS} points"
     tracemalloc.start()
     try:
         assert _outcome(parse_spec, text) == expected
-        assert _outcome(parse_literal, text) == expected  # for the scanner's peak
+        assert _outcome(_scan, text) == expected  # for the scanner's peak alone
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

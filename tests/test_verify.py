@@ -789,10 +789,11 @@ class TestHunt:
         monkeypatch.setattr(SurfaceParams, "__init__", counting_init)
         monkeypatch.setattr(classify, "decompose", recording_decompose)
         hunt_counterexamples(max_n=max_n, max_degree=max_degree, mass_bound=mass_bound)
-        # the visited n are those with n <= M - 4 for the heaviest vector, M = mass_bound
-        assert built == list(range(2, min(max_n, mass_bound - 4) + 1, 2))
+        # the visited n are those with n <= M - 4 for the heaviest vector,
+        # M = mass_bound, and none when there is no degree d >= 1 to visit
+        assert built == (list(range(2, min(max_n, mass_bound - 4) + 1, 2)) if max_degree >= 1 else [])
         assert len(built) <= max(0, max_n // 2)
-        assert decomposed == (set(built) if max_degree >= 1 else set())
+        assert decomposed == set(built)
 
     def test_holds_one_vector_at_a_time(self):
         # 11,619 vectors at mass 120; a list of them all peaks near 2.7 MB
