@@ -154,7 +154,8 @@ def normalize(n: int, d: int, mults=()) -> LinearSystemSpec:
     Zero multiplicities are dropped (an unconstrained point imposes
     nothing) and the rest are sorted non-increasing; general points are
     interchangeable, so order never matters.  Negative data raises
-    NormalizationError naming the offending field.
+    NormalizationError naming the offending field; a multiplicity that is
+    not an int (a bool, a float, NaN) raises TypeError before any is dropped.
     """
     try:
         surface = SurfaceParams(n)
@@ -164,6 +165,8 @@ def normalize(n: int, d: int, mults=()) -> LinearSystemSpec:
         raise NormalizationError(f"degree d must be >= 0, got {d}", field="d")
     raw = tuple(mults)
     for m in raw:
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise TypeError(f"multiplicities must be ints, got {m!r}")
         if m < 0:
             raise NormalizationError(f"multiplicities must be >= 0, got {m}", field="mults")
     return LinearSystemSpec(surface, d, tuple(sorted((m for m in raw if m > 0), reverse=True)))

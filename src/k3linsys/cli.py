@@ -413,7 +413,8 @@ def _batch_lines(args, numbered, emit, emit_error) -> int:
             if len(raw) > MAX_LINE_CHARS:
                 # name the line by its start, not by a megabyte of it
                 text = raw[:40].strip() + "..."
-                raise LiteralSyntaxError(f"line longer than {MAX_LINE_CHARS} characters", MAX_LINE_CHARS)
+                message = f"line longer than {MAX_LINE_CHARS} characters"
+                raise LiteralSyntaxError.at(message, raw, MAX_LINE_CHARS)
             text = raw.partition("#")[0].strip()
             if not text:
                 continue
@@ -561,4 +562,8 @@ def entrypoint() -> None:
         # The reader closed the pipe (`| head`); devnull absorbs the final flush.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141
+    except KeyboardInterrupt:
+        # Ctrl-C: one line, no traceback, and the shell's status for SIGINT
+        _Output.error("interrupted")
+        code = 130
     raise SystemExit(code)

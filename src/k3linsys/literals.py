@@ -49,12 +49,18 @@ _SURFACES = {n: SurfaceParams(n) for n in range(2, 130, 2)}
 
 
 class LiteralSyntaxError(ValueError):
-    """Malformed system literal; `position` is the byte offset of the error."""
+    """Malformed system literal; `position` is the UTF-8 byte offset of the error."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (byte {position})")
         self.message = message
         self.position = position
+
+    @classmethod
+    def at(cls, message: str, text: str, index: int) -> LiteralSyntaxError:
+        """The error at text[index], a character index: its byte offset is
+        counted here, on the error path only."""
+        return cls(message, len(text[:index].encode("utf-8", "surrogateescape")))
 
 
 class SystemLiteral(Value):
@@ -93,8 +99,8 @@ class _Scanner:
     def expect(self, char: str, rule: str) -> None:
         self.skip_ws()
         if self.peek() != char:
-            raise LiteralSyntaxError(
-                f"expected '{char}' {rule}, found {self._found()}", self.pos
+            raise LiteralSyntaxError.at(
+                f"expected '{char}' {rule}, found {self._found()}", self.text, self.pos
             )
         self.pos += 1
 
@@ -105,11 +111,12 @@ class _Scanner:
         while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
-            raise LiteralSyntaxError(
-                f"expected integer {rule}, found {self._found()}", start
+            raise LiteralSyntaxError.at(
+                f"expected integer {rule}, found {self._found()}", self.text, start
             )
         if self.pos - start > MAX_INTEGER_DIGITS:
-            raise LiteralSyntaxError(f"integer {rule} has more than {MAX_INTEGER_DIGITS} digits", start)
+            message = f"integer {rule} has more than {MAX_INTEGER_DIGITS} digits"
+            raise LiteralSyntaxError.at(message, self.text, start)
         return int(self.text[start : self.pos]), start
 
     def _found(self) -> str:
@@ -187,13 +194,13 @@ def _scan(text: str) -> tuple[int, int, list[int]]:
     sc = _Scanner(text)
     sc.skip_ws()
     if sc.peek() != "L":
-        raise LiteralSyntaxError(f"expected 'L' at start of system, found {sc._found()}", sc.pos)
+        raise LiteralSyntaxError.at(f"expected 'L' at start of system, found {sc._found()}", text, sc.pos)
     sc.pos += 1
     n, n_pos = sc.integer("for the surface degree n")
     if n % 2 != 0:
-        raise LiteralSyntaxError("n must be even (n = 2g-2)", n_pos)
+        raise LiteralSyntaxError.at("n must be even (n = 2g-2)", text, n_pos)
     if n < 2:
-        raise LiteralSyntaxError("n must be at least 2", n_pos)
+        raise LiteralSyntaxError.at("n must be at least 2", text, n_pos)
     sc.expect("(", "before the degree")
     d, _ = sc.integer("for the degree d")
     raw = []
@@ -208,7 +215,8 @@ def _scan(text: str) -> tuple[int, int, list[int]]:
                 sc.pos += 1
                 count, count_pos = sc.integer("for a repeat count after '^'")
             if len(raw) + count > MAX_POINTS:
-                raise LiteralSyntaxError(f"literal expands to more than {MAX_POINTS} points", count_pos)
+                message = f"literal expands to more than {MAX_POINTS} points"
+                raise LiteralSyntaxError.at(message, text, count_pos)
             raw += [value] * count
             sc.skip_ws()
             if sc.peek() != ",":
@@ -217,5 +225,5 @@ def _scan(text: str) -> tuple[int, int, list[int]]:
     sc.expect(")", "to close the system")
     sc.skip_ws()
     if sc.pos != len(sc.text):
-        raise LiteralSyntaxError(f"unexpected trailing input {sc._found()}", sc.pos)
+        raise LiteralSyntaxError.at(f"unexpected trailing input {sc._found()}", text, sc.pos)
     return n, d, raw

@@ -26,6 +26,7 @@ import json
 import time
 from collections import Counter
 from math import isqrt
+from operator import add
 
 from . import classify
 from .classify import LinearSystemSpec
@@ -144,6 +145,16 @@ def _mult_vectors(max_points: int, mass_bound: int, sum_bound: int | None = None
     yield from extend((), mass_bound, sum_bound, mass_bound)
 
 
+def _surfaces_of_mass(mass: int, n_hi: int):
+    """The (n, t), t >= 1 ascending and even n <= n_hi, of n*t^2 = mass - 2."""
+    target = mass - 2
+    for t in range(1, isqrt(max(0, target) // 2) + 1):
+        if not target % (t * t):
+            n = target // (t * t)
+            if n % 2 == 0 and n <= n_hi:
+                yield n, t
+
+
 def _v0_classes(bounds: dict) -> tuple[list[LinearSystemSpec], int]:
     """All v = 0 classes with t >= 1 in a report's bounds dict, as specs with
     d = t in report order (see _order), plus the probe count.
@@ -163,24 +174,70 @@ def _v0_classes(bounds: dict) -> tuple[list[LinearSystemSpec], int]:
     found = []
     probes = 0
     for mults, mass in _mult_vectors(bounds["max_points"], bounds["mass_bound"], sum_bound):
-        target = mass - 2
-        if target < 2:
-            continue
         if lo_c2 is not None and not (lo_c2 <= sum(mults) - 2 <= hi_c2):
             continue
-        for t in range(1, isqrt(target // 2) + 1):
-            probes += 1
-            tt = t * t
-            if target % tt != 0:
-                continue
-            n = target // tt
-            if n % 2 != 0 or n > n_hi:
-                continue
+        probes += isqrt(max(0, mass - 2) // 2)
+        for n, t in _surfaces_of_mass(mass, n_hi):
             if n not in surfaces:
                 surfaces[n] = SurfaceParams(n)
             found.append(LinearSystemSpec._from_canonical(surfaces[n], t, mults))
     found.sort(key=_order)
     return found, probes
+
+
+# The most cells _v0_counts' table may have: 8 MB of references, and up to
+# 32 MB more for counts past the small-int cache.
+_MAX_TABLE_CELLS = 1 << 20
+
+
+def _v0_counts(bounds: dict) -> Counter:
+    """The number of v = 0 classes on each surface n in a pair report's
+    bounds, as _v0_classes finds them, counted by mass: ways[k][s] counts
+    the vectors of k points and mass s, the part sizes m taken in turn.
+    Past _MAX_TABLE_CELLS, as at a huge mass_bound with few points, the
+    vectors are counted one at a time instead, in flat memory."""
+    mass_bound, n_hi = bounds["mass_bound"], bounds["n_range"][1]
+    points = min(bounds["max_points"], mass_bound // 2)
+    counts = Counter()
+    if (points + 1) * (mass_bound + 1) > _MAX_TABLE_CELLS:
+        for _, mass in _mult_vectors(points, mass_bound):
+            for n, _ in _surfaces_of_mass(mass, n_hi):
+                counts[n] += 1
+        return counts
+    ways = [[1] + [0] * mass_bound] + [[0] * (mass_bound + 1) for _ in range(points)]
+    for m in range(1, (isqrt(4 * mass_bound + 1) - 1) // 2 + 1):
+        for fewer, row in zip(ways, ways[1:]):
+            row[m * (m + 1) :] = map(add, row[m * (m + 1) :], fewer)
+    for mass, count in enumerate(map(sum, zip(*ways))):
+        for n, _ in _surfaces_of_mass(mass, n_hi):
+            counts[n] += count
+    return counts
+
+
+def _vectors_of_mass(mass: int, max_points: int, cap: int):
+    """The non-increasing vectors of at most max_points parts in 1..cap of this mass."""
+    if not mass:
+        yield ()
+    for m in range(min(cap, (isqrt(4 * mass + 1) - 1) // 2), 0, -1):
+        if mass > max_points * m * (m + 1):
+            return  # smaller parts fall shorter still
+        for rest in _vectors_of_mass(mass - m * (m + 1), max_points - 1, m):
+            yield (m,) + rest
+
+
+def _partner_lists(bounds: dict) -> dict[int, list[LinearSystemSpec]]:
+    """The v = 0 classes in a pair report's bounds, in report order, on each
+    surface n that a vector of sum 2 (C^2 = 0) has v = 0 on, by ascending n.
+    Only the vectors of the masses n*t^2 + 2 there are built."""
+    mass_bound, max_points = bounds["mass_bound"], bounds["max_points"]
+    sum_two = (mass for mults, mass in _mult_vectors(2, mass_bound, 2) if sum(mults) == 2)
+    lists = {}
+    for n in sorted({n for mass in sum_two for n, _ in _surfaces_of_mass(mass, bounds["n_range"][1])}):
+        surface, degrees = SurfaceParams(n), range(1, isqrt((mass_bound - 2) // n) + 1)
+        specs = (LinearSystemSpec._from_canonical(surface, t, mults) for t in degrees
+                 for mults in _vectors_of_mass(n * t * t + 2, max_points, mass_bound))  # fmt: skip
+        lists[n] = sorted(specs, key=_order)
+    return lists
 
 
 def enumerate_v0_classes(self_int_range: tuple[int, int]) -> list[LinearSystemSpec]:
@@ -270,11 +327,12 @@ def verify_pair_inequality(
     two permitted exceptions are these self-pairs of the table's C^2 = 0
     rows, classify.RIGID_CURVES[:2], read at each call.  Any other dip would
     contradict the argument above, so it is a violation, reported once, at
-    its worst alignment.  The classes come in report order, C^2 first, so
-    only the leading C^2 = 0 classes are evaluated, each against every class
-    of its own surface in report order.  checked_count counts every
-    unordered same-surface pair, proved or evaluated: k(k + 1)/2 for a
-    surface with k classes.  details["alignments_checked"] counts the
+    its worst alignment.  So only the C^2 = 0 classes are evaluated, each
+    against every class of its surface in report order, and only those
+    surfaces' classes are built (_partner_lists); the rest are counted by
+    mass (_v0_counts).  checked_count counts every unordered same-surface
+    pair, proved or evaluated, k(k + 1)/2 for a surface of k classes, and
+    details["v0_classes"] the classes, details["alignments_checked"] the
     alignments evaluated.
     The classes have mass at most mass_bound, at most max_points points and
     even n <= max_n.  Negative mass_bound or max_points raise ValueError.
@@ -289,18 +347,16 @@ def verify_pair_inequality(
         "t_range": [1, max(1, isqrt(max(0, mass_bound - 2) // 2))],
         "self_int_range": None,
     }
-    classes, _ = _v0_classes(bounds)
-    checked = sum(k * (k + 1) // 2 for k in Counter(c.n for c in classes).values())
+    counts = _v0_counts(bounds)
+    checked = sum(k * (k + 1) // 2 for k in counts.values())
     alignments_checked = 0
     violations = []
     exceptions = []
-    for ca in classes:
-        if sum(ca.mults) >= 3:
-            break  # C^2 = sum m_i - 2 >= 1, and the rest are sorted after it
+    partners = _partner_lists(bounds)
+    # each C^2 = sum m_i - 2 = 0 class, in report order, against its surface's classes
+    for ca in [c for cs in partners.values() for c in cs if sum(c.mults) == 2]:
         surface = ca.surface
-        for cb in classes:
-            if cb.n != ca.n:
-                continue
+        for cb in partners[ca.n]:
             # worst alignment: both sorted vectors overlap index by index
             la = ca.mults + (0,) * max(0, len(cb.mults) - len(ca.mults))
             lb = cb.mults + (0,) * max(0, len(ca.mults) - len(cb.mults))
@@ -339,7 +395,7 @@ def verify_pair_inequality(
         expected_exceptions_found=tuple(exceptions),
         elapsed=time.perf_counter() - start,
         notes=(_PAIR_NOTE,),
-        details={"v0_classes": len(classes), "alignments_checked": alignments_checked},
+        details={"v0_classes": sum(counts.values()), "alignments_checked": alignments_checked},
     )
 
 

@@ -71,6 +71,12 @@ class TestNormalize:
             normalize(2, 1, [1, -2])
         assert exc.value.field == "mults"
 
+    @pytest.mark.parametrize("bad", [float("nan"), 0.0, 1.0, True, False, "1", None])
+    def test_non_int_multiplicity_rejected(self, bad):
+        # before the zero filter, which would drop NaN, 0.0 and False silently
+        with pytest.raises(TypeError, match="multiplicities must be ints"):
+            normalize(2, 3, [bad, 1])
+
     def test_constructor_requires_canonical(self):
         with pytest.raises(NormalizationError):
             LinearSystemSpec(SurfaceParams(2), 1, (1, 2))

@@ -195,6 +195,41 @@ class TestVerifyCommands:
         assert code == 0
         assert "exceptions=2" in out
 
+    @pytest.mark.parametrize(
+        "mass_bound,max_points,checked,details,exceptions",
+        [
+            # 30,866 of 185,786 classes built; a list of every class does
+            # not fit in 64 MB over the child's own size
+            ("600", "9", 659_404_301, {"v0_classes": 185_786, "alignments_checked": 30_866}, 2),
+            # too wide for the counting table: counted vector by vector
+            ("10000000", "1", 138, {"v0_classes": 74, "alignments_checked": 1}, 1),
+        ],
+    )
+    def test_large_pair_bounds_under_address_space_cap(
+        self, mass_bound, max_points, checked, details, exceptions
+    ):
+        # verify pairs counts the classes and builds only those of n = 2 and
+        # n = 4, so it fits in 40 MB of address space over the child's own.
+        capped = (
+            "import resource, sys; from k3linsys.cli import main; "
+            "size = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize(); "
+            "cap = size + 40 * 1024 * 1024; resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+            "sys.exit(main(sys.argv[1:]))"
+        )
+        bounds = ["--mass-bound", mass_bound, "--max-points", max_points, "--max-n", "80"]
+        proc = subprocess.run(
+            [sys.executable, "-c", capped, "verify", "pairs", *bounds, "--format", "json"],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["passed"] and report["checked_count"] == checked
+        assert report["details"] == details
+        assert len(report["expected_exceptions_found"]) == exceptions
+
     def test_identity(self, capsys):
         # the addition identities are tier-1 properties of the lattice, not a check
         code, out, err = run(capsys, "verify", "identity", "--samples", "500", "--seed", "5")
@@ -651,6 +686,27 @@ class TestBatch:
             f"{path}:3: expected integer for the degree d, found '\\ufeff' (byte 3)",
         ]
 
+    def test_positions_are_utf8_byte_offsets(self, capsys, tmp_path, monkeypatch):
+        # into the stripped literal, the record's source: an em space is 3
+        # bytes, a no-break space 2, and the long line's first 50 characters 100
+        monkeypatch.setattr(cli, "MAX_LINE_CHARS", 50)
+        path = tmp_path / "wide.txt"
+        path.write_text("  L2(\u2003x)  # \u00e9\nL2(1;\xa01,x)\n" + "\u00e9" * 60 + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "batch", str(path), "--format", "json")
+        assert code == 2
+        assert [json.loads(line)["error"] for line in out.splitlines()] == [
+            {"line": 1, "position": 6, "message": "expected integer for the degree d, found 'x'", "source": "L2(\u2003x)"},
+            {"line": 2, "position": 9, "message": "expected integer for a multiplicity, found 'x'", "source": "L2(1;\xa01,x)"},
+            {"line": 3, "position": 100, "message": "line longer than 50 characters", "source": "\u00e9" * 40 + "..."},
+        ]  # fmt: skip
+        assert err.splitlines() == [
+            f"{path}:1: expected integer for the degree d, found 'x' (byte 6)",
+            f"{path}:2: expected integer for a multiplicity, found 'x' (byte 9)",
+            f"{path}:3: line longer than 50 characters (byte 100)",
+        ]
+        code, _, err = run(capsys, "dim", "\u2003L2(x)")
+        assert code == 2 and err == "parse error: expected integer for the degree d, found 'x' (byte 6)\n"
+
     @pytest.mark.parametrize("piece", [1, 2, 3, 4, 5, 7, 8])
     def test_chunked_reader_on_text_mode_files(self, tmp_path, monkeypatch, piece):
         # Each break lands on every offset of a piece as the prefix grows:
@@ -903,6 +959,36 @@ def test_parts_on_closed_stdout_exit_141_and_leave_no_child(tmp_path, max_part):
         proc.wait()
     assert proc.returncode == 141
     assert err == b""
+
+
+# PARTS_PROBE with the batch process's first part interrupted, as Ctrl-C
+# would, once its children are forked; it writes how many it forked.
+INTERRUPT_PROBE = """
+import os
+from k3linsys import cli
+forks, fork, batch_lines, parent = [], os.fork, cli._batch_lines, os.getpid()
+def counted_fork():
+    pid = fork()
+    forks.append(pid)
+    return pid
+def interrupted(*args):
+    if os.getpid() == parent:
+        os.write(1, b"%d forked\\n" % len(forks))
+        raise KeyboardInterrupt
+    return batch_lines(*args)
+os.fork, cli._batch_lines = counted_fork, interrupted
+""" + PARTS_PROBE
+
+
+def test_interrupt_exits_130_and_reaps_the_children(tmp_path):
+    path = tmp_path / "many.txt"
+    path.write_text("L2(4;4,3)\nL4(5;2^6,1)\n" * 2_000)
+    proc = subprocess.run(
+        [sys.executable, "-c", INTERRUPT_PROBE, "1000", "1000", "batch", str(path), "--format", "json"],
+        capture_output=True, env=CHILD_ENV, timeout=120,
+    )  # fmt: skip
+    # one line on stderr, no traceback, and no child left behind
+    assert (proc.returncode, proc.stdout, proc.stderr) == (130, b"1 forked\n", b"interrupted\n")
 
 
 def test_dev_stdin_stays_serial(tmp_path):

@@ -77,14 +77,23 @@ class TestDiagnostics:
             ("L2(1;1^100001)", 7, "more than 100000 points"),
             ("L2(\u00b2)", 3, "expected integer"),
             ("L\uff12(1)", 1, "expected integer"),
+            # positions are UTF-8 byte offsets: an em space is 3 bytes, a
+            # no-break space 2 and an ideographic space 3
+            ("\u2003L2(x)", 6, "expected integer"),
+            ("L2(1;\xa01,x)", 9, "expected integer"),
+            ("\u3000L3(1)", 4, "n must be even (n = 2g-2)"),
+            ("L2(1;\xa01^100001)", 9, "more than 100000 points"),
+            ("L2(\xa01)\xa0x", 9, "unexpected trailing input"),
             pytest.param("L2(" + "9" * 1001 + ")", 3, "more than 1000 digits", id="1001-digit-degree"),
         ],
     )
     def test_position_and_message(self, text, position, fragment):
-        with pytest.raises(LiteralSyntaxError) as exc:
-            parse_literal(text)
-        assert exc.value.position == position, str(exc.value)
-        assert fragment in exc.value.message
+        for parse in (parse_literal, parse_spec):
+            with pytest.raises(LiteralSyntaxError) as exc:
+                parse(text)
+            assert exc.value.position == position, str(exc.value)
+            assert fragment in exc.value.message
+            assert str(exc.value).endswith(f"(byte {position})")
 
     def test_str_includes_offset(self):
         with pytest.raises(LiteralSyntaxError, match=r"\(byte 1\)"):

@@ -35,7 +35,9 @@ from k3linsys.verify import (
     _HUNT_NOTE,
     VerificationReport,
     _mult_vectors,
+    _partner_lists,
     _v0_classes,
+    _v0_counts,
     class_record,
     derive_bounds_v0,
     enumerate_v0_classes,
@@ -634,6 +636,37 @@ class TestPairInequality:
             ("L2(1;1^2)", "L2(1;1^2)", ((1, 1, 2),), -1, -1),
             ("L4(1;2)", "L4(1;2)", ((2, 2, 1),), -1, -1),
         ]
+
+
+class TestPairCounts:
+    """verify_pair_inequality counts the classes by mass and builds only the
+    classes on the surfaces of the C^2 = 0 classes; _v0_classes, which
+    builds every class, is the oracle of both."""
+
+    @pytest.mark.parametrize("table", [True, False], ids=["table", "vector-by-vector"])
+    @pytest.mark.parametrize("max_points", range(6))
+    def test_counts_and_partner_lists_match_the_enumeration(self, monkeypatch, max_points, table):
+        if not table:
+            monkeypatch.setattr(verify, "_MAX_TABLE_CELLS", 0)
+        for mass_bound in range(61):
+            for max_n in range(2, 15):
+                bounds = pair_bounds(mass_bound, max_points, max_n)
+                classes, _ = _v0_classes(bounds)
+                assert _v0_counts(bounds) == Counter(c.n for c in classes), bounds
+                partners = _partner_lists(bounds)
+                assert list(partners) == sorted(partners) and set(partners) <= {2, 4}, bounds
+                for n in (2, 4):
+                    assert partners.get(n, []) == [c for c in classes if c.n == n], bounds
+
+    def test_large_bounds_without_the_class_list(self, monkeypatch):
+        def every_class(bounds):
+            raise AssertionError("verify pairs built every class")
+
+        monkeypatch.setattr(verify, "_v0_classes", every_class)
+        report = verify_pair_inequality(mass_bound=400, max_points=8, max_n=80)
+        assert report.passed and len(report.expected_exceptions_found) == 2
+        assert report.checked_count == 22_769_785
+        assert report.details == {"v0_classes": 34_677, "alignments_checked": 5_018}
 
 
 @dataclasses.dataclass(frozen=True)
