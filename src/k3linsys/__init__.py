@@ -7,6 +7,10 @@ loads no math module.
 
 __version__ = "0.1.0"
 
+# The most digits of an integer in a literal or a bound option: values such as
+# v ~ n*d^2/2 have up to three times as many, and Python prints at most 4300.
+MAX_INTEGER_DIGITS = 1000
+
 __all__ = [
     "ConeError",
     "DivisorClass",

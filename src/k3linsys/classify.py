@@ -256,17 +256,6 @@ class Decomposition(Value):
     def is_special(self) -> bool:
         return self.special is not None
 
-    def reconstructs(self) -> bool:
-        """Check fixed + free parts sum to the input divisor class."""
-        if not self.fixed_part and self.free_part is None:
-            return True  # empty system: nothing to reconstruct
-        total = DivisorClass(self.spec.surface, 0, ())
-        for mult, comp in self.fixed_part:
-            total = total + mult * comp.divisor_class()
-        if self.free_part is not None:
-            total = total + self.free_part.divisor_class()
-        return total == self.spec.divisor_class()
-
 
 def _decomposition(
     spec,

@@ -16,6 +16,8 @@ import os
 import re
 import sys
 
+from . import MAX_INTEGER_DIGITS
+
 RECORD_FIELDS = (
     "n",
     "d",
@@ -154,13 +156,8 @@ def record_values(dec: Decomposition) -> tuple:
     )
 
 
-def classification_record(dec: Decomposition) -> dict:
-    n, d, mults, *rest = record_values(dec)
-    return dict(zip(RECORD_FIELDS, (n, d, list(mults), *rest)))
-
-
 def json_record(dec: Decomposition) -> str:
-    """json.dumps(classification_record(dec)), rendered by one template.
+    """json.dumps of dec's record dict (RECORD_FIELDS order, mults a list), by one template.
 
     Every string in a record is a canonical literal, a family value or a
     member-kind name, none with a character JSON escapes, so quoting it
@@ -312,6 +309,17 @@ def _parse_range(text: str) -> tuple[int, int]:
     return int(bounds[0]), int(bounds[1])
 
 
+def _bound(text: str) -> int:
+    """A bound option's int, of at most MAX_INTEGER_DIGITS digits: argparse
+    names the option in the error, and does not echo a longer value."""
+    if sum(map(str.isdigit, text)) > MAX_INTEGER_DIGITS:
+        raise argparse.ArgumentTypeError(f"more than {MAX_INTEGER_DIGITS} digits")
+    return int(text)
+
+
+_bound.__name__ = "int"  # argparse's "invalid int value" for other text
+
+
 def _cmd_enumerate(args, out: _Output) -> int:
     classes = [class_record(c) for c in enumerate_v0_classes(args.self_int)]
     if args.format == "text":
@@ -347,10 +355,8 @@ def _render_report(report: VerificationReport, fmt: str, out: _Output) -> int:
                 ),
             ]
         ]
-        for cert in report.violations:
-            rows.append(["violation", cert.kind, cert.message, json.dumps(cert.data, sort_keys=True)])
-        for cert in report.expected_exceptions_found:
-            rows.append(["exception", cert.kind, cert.message, json.dumps(cert.data, sort_keys=True)])
+        for name, certs in ("violation", report.violations), ("exception", report.expected_exceptions_found):
+            rows += [[name, c.kind, c.message, json.dumps(c.data, sort_keys=True)] for c in certs]
         _write_csv(out, header, rows)
     else:
         status = "PASS" if report.passed else "FAIL"
@@ -505,15 +511,15 @@ def build_parser() -> argparse.ArgumentParser:
     checks = p.add_subparsers(dest="check", required=True)
     checks.add_parser("lemma-table", parents=[common], help="the five v = 0 classes with C^2 <= 1")
     p = checks.add_parser("pairs", parents=[common], help="v(C + C') >= 0 on pairs of v = 0 classes")
-    p.add_argument("--mass-bound", type=int, default=200)
-    p.add_argument("--max-points", type=int, default=6)
-    p.add_argument("--max-n", type=int, default=40)
+    p.add_argument("--mass-bound", type=_bound, default=200)
+    p.add_argument("--max-points", type=_bound, default=6)
+    p.add_argument("--max-n", type=_bound, default=40)
 
     p = sub.add_parser("hunt", parents=[common], help="coherence scan: any certificate is a bug")
-    p.add_argument("--max-n", type=int, default=10)
-    p.add_argument("--max-degree", type=int, default=6)
-    p.add_argument("--mass-bound", type=int, default=60)
-    p.add_argument("--max-points", type=int, default=None)
+    p.add_argument("--max-n", type=_bound, default=10)
+    p.add_argument("--max-degree", type=_bound, default=6)
+    p.add_argument("--mass-bound", type=_bound, default=60)
+    p.add_argument("--max-points", type=_bound, default=None)
 
     p = sub.add_parser("batch", parents=[common], help="classify literals from a file")
     p.add_argument("file")

@@ -24,12 +24,10 @@ from __future__ import annotations
 
 import re
 
+from . import MAX_INTEGER_DIGITS
 from .classify import LinearSystemSpec, normalize
 from .lattice import DivisorClass, SurfaceParams, Value
 
-# Derived values such as v ~ n*d^2/2 and n*t*t' have up to three times an
-# input's digits, and Python prints no integer over 4300 digits.
-MAX_INTEGER_DIGITS = 1000
 # Points a literal may expand to, zeros included; "1^10^9" would build a
 # billion-element tuple.
 MAX_POINTS = 100_000

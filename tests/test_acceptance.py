@@ -31,6 +31,7 @@ from k3linsys.verify import (
     verify_pair_inequality,
 )
 import k3linsys.cli as cli
+from oracles import reconstructs
 
 
 def _report(idx: int, label: str, ok: bool, extra: str = "") -> None:
@@ -138,7 +139,7 @@ def test_criterion_05_fixed_plus_pencil_family():
             and dec.free_part == _spec(2, 1, [1])
         )
         total = dec.fixed_part[0][1].divisor_class() * m + dec.free_part.divisor_class()
-        ok = ok and structural and total == spec.divisor_class() and dec.reconstructs()
+        ok = ok and structural and total == spec.divisor_class() and reconstructs(dec)
     _report(5, "L2(m+1;m+1,m) for m in 1..50: dim 1, fixed m copies, free pencil", ok)
 
 

@@ -23,6 +23,7 @@ from k3linsys.classify import decompose
 from k3linsys.cli import RECORD_FIELDS, main
 from k3linsys.literals import parse_literal
 from k3linsys.verify import Certificate, VerificationReport
+from oracles import classification_record
 
 
 def run(capsys, *argv):
@@ -126,6 +127,9 @@ class TestIntersect:
     def test_positional_padding(self, capsys):
         code, out, _ = run(capsys, "intersect", "L2(1;1,1)", "L2(1;0,0,1,1)")
         assert code == 0 and out.strip() == "2"
+        # padded to the 100,000-point literal cap: the zeros are stripped in linear time
+        code, out, _ = run(capsys, "intersect", "L2(1;1,0^99999)", "L2(1;1)")
+        assert code == 0 and out.strip() == "1"
 
     def test_aligned(self, capsys):
         _, out, _ = run(capsys, "intersect", "L2(1;1,1)", "L2(1;1,1)")
@@ -431,6 +435,40 @@ class TestHunt:
         assert report["passed"] and report["checked_count"] == checked
 
 
+# A bound of MAX_INTEGER_DIGITS digits, and longer ones: at 4,300 digits
+# Python stops converting ints to text, and argparse echoed a value it
+# could not read.
+LONGEST_BOUND = "9" * k3linsys.MAX_INTEGER_DIGITS
+LONG_BOUNDS = {"1001-digits": LONGEST_BOUND + "9", "5000-digits": "9" * 5000}
+HUNT_BOUNDS = ("--max-n", "--max-degree", "--mass-bound", "--max-points")
+PAIR_BOUNDS = ("--mass-bound", "--max-points", "--max-n")
+
+
+@pytest.mark.parametrize("value", LONG_BOUNDS.values(), ids=LONG_BOUNDS)
+@pytest.mark.parametrize(
+    "command, option",
+    # each command with bounds that finish fast whatever the long bound's value
+    [(["hunt", "--max-points", "0", "--max-degree", "0"], option) for option in HUNT_BOUNDS]
+    + [(["verify", "pairs", "--max-n", "0", "--max-points", "0"], option) for option in PAIR_BOUNDS],
+    ids=lambda arg: arg if isinstance(arg, str) else arg[0],
+)
+def test_long_bound_is_a_usage_error_naming_the_option(capsys, command, option, value):
+    code, out, err = run(capsys, *command, option, value)
+    assert (code, out) == (2, "")
+    assert err.endswith(f": error: argument {option}: more than 1000 digits\n") and "99999" not in err
+
+
+def test_longest_bounds_run(capsys):
+    hunt = ["hunt", "--max-n", LONGEST_BOUND, "--max-degree", LONGEST_BOUND, "--mass-bound", "10"]
+    code, out, err = run(capsys, *hunt, "--format", "json")
+    report = json.loads(out)
+    assert (code, err) == (0, "") and report["passed"]
+    # 9 vectors of mass <= 10 on (10^1000 - 2)/2 surfaces in 10^1000 degrees: 2,000 digits
+    assert report["checked_count"] == 9 * (10**1000 - 2) // 2 * 10**1000
+    code, out, err = run(capsys, "verify", "pairs", "--max-n", LONGEST_BOUND, "--mass-bound", "10", "--format", "json")
+    assert (code, err) == (0, "") and json.loads(out)["bounds"]["n_range"] == [2, 10**1000 - 2]
+
+
 class TestBatch:
     def good_file(self, tmp_path):
         path = tmp_path / "systems.txt"
@@ -521,7 +559,7 @@ class TestBatch:
             if text.startswith("L3("):
                 expected.append({"line": lineno, "position": 1, "message": "n must be even (n = 2g-2)", "source": text})
             else:
-                expected.append(cli.classification_record(decompose(parse_literal(text).to_spec())))
+                expected.append(classification_record(decompose(parse_literal(text).to_spec())))
         assert [rec.get("error", rec) for rec in records] == expected
         assert err.count("n must be even") == sum(1 for text in lines if text.startswith("L3("))
         code, out, _ = run(capsys, "batch", str(path), "--format", "json", "--quiet")
@@ -577,12 +615,12 @@ class TestBatch:
         records = [json.loads(line) for line in out.splitlines()]
         error = {"position": 50, "message": "line longer than 50 characters"}
         assert [rec.get("error", rec) for rec in records] == [
-            cli.classification_record(decompose(parse_literal("L2(4;4,3)").to_spec())),
-            cli.classification_record(decompose(parse_literal("L2(1)").to_spec())),
+            classification_record(decompose(parse_literal("L2(4;4,3)").to_spec())),
+            classification_record(decompose(parse_literal("L2(1)").to_spec())),
             {"line": 3, **error, "source": "L2(1..."},
-            cli.classification_record(decompose(parse_literal("L2(2;2)").to_spec())),
+            classification_record(decompose(parse_literal("L2(2;2)").to_spec())),
             {"line": 5, **error, "source": "# xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx..."},
-            cli.classification_record(decompose(parse_literal("L4(1;2)").to_spec())),
+            classification_record(decompose(parse_literal("L4(1;2)").to_spec())),
         ]
         assert err.splitlines() == [
             f"{path}:3: line longer than 50 characters (byte 50)",
@@ -1074,9 +1112,17 @@ GOLDEN_BATCH = str(Path(__file__).parent / "golden" / "batch.txt")
             CODEGEN | PARTS | {"k3linsys.literals", "csv"},
             {"k3linsys.verify"},
         ),
-        (["verify", "lemma-table", "--format", "csv"], CODEGEN | PARTS | {"k3linsys.literals"}, {"csv"}),
-        (["hunt", "--max-n", "4", "--max-degree", "2", "--format", "json"], CODEGEN | PARTS | {"k3linsys.literals", "csv"}, set()),
-        (["enumerate", "v0", "--self-int=-2..2", "--format", "json"], CODEGEN | PARTS | {"k3linsys.literals", "csv"}, set()),
+        (["verify", "lemma-table", "--format", "csv"], CODEGEN | PARTS | {"k3linsys.literals"}, {"k3linsys.verify", "csv"}),
+        (
+            ["hunt", "--max-n", "4", "--max-degree", "2", "--format", "json"],
+            CODEGEN | PARTS | {"k3linsys.literals", "csv"},
+            {"k3linsys.verify"},
+        ),
+        (
+            ["enumerate", "v0", "--self-int=-2..2", "--format", "json"],
+            CODEGEN | PARTS | {"k3linsys.literals", "csv"},
+            {"k3linsys.verify"},
+        ),
     ],
 )
 def test_command_imports_only_its_modules(tmp_path, argv, absent, present):

@@ -19,8 +19,8 @@ the same two bounds; csv carries no `elapsed`.  `pairs.json` holds the
 at the benchmark's verify_pairs bounds.
 `lemma-table.json` holds the `verify lemma-table` report without `elapsed`,
 and `enumerate.<format>.out` the stdout of `enumerate v0 --self-int=-2..6`.
-The CI workflow diffs the installed console script's output against the
-same files.
+tests/test_console.py diffs the console script's batch, intersect and
+lemma-table output against the same files.
 """
 
 import json
@@ -34,6 +34,7 @@ import k3linsys.cli as cli
 from k3linsys.classify import decompose, normalize
 from k3linsys.literals import parse_literal, parse_spec
 from k3linsys.verify import hunt_counterexamples, verify_lemma_table, verify_pair_inequality
+from oracles import classification_record
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path("tests") / "golden"
@@ -154,7 +155,7 @@ def test_parse_spec_is_parse_literal_to_spec():
 def test_json_template_equals_json_dumps(n, d, mults):
     spec = normalize(n, d, mults)
     dec = decompose(spec)
-    assert cli.json_record(dec) == json.dumps(cli.classification_record(dec))
+    assert cli.json_record(dec) == json.dumps(classification_record(dec))
 
 
 @given(
