@@ -310,14 +310,14 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _bound(text: str) -> int:
-    """A bound option's int, of at most MAX_INTEGER_DIGITS digits: argparse
-    names the option in the error, and does not echo a longer value."""
-    if sum(map(str.isdigit, text)) > MAX_INTEGER_DIGITS:
-        raise argparse.ArgumentTypeError(f"more than {MAX_INTEGER_DIGITS} digits")
-    return int(text)
-
-
-_bound.__name__ = "int"  # argparse's "invalid int value" for other text
+    """A bound option's int, of at most MAX_INTEGER_DIGITS digits and a sign:
+    argparse names the option in the error, which does not echo the value."""
+    try:
+        if len(text) <= MAX_INTEGER_DIGITS + 1 and abs(value := int(text)) < 10**MAX_INTEGER_DIGITS:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer of at most {MAX_INTEGER_DIGITS} digits")
 
 
 def _cmd_enumerate(args, out: _Output) -> int:
@@ -355,8 +355,10 @@ def _render_report(report: VerificationReport, fmt: str, out: _Output) -> int:
                 ),
             ]
         ]
-        for name, certs in ("violation", report.violations), ("exception", report.expected_exceptions_found):
-            rows += [[name, c.kind, c.message, json.dumps(c.data, sort_keys=True)] for c in certs]
+        for cert in report.violations:
+            rows.append(["violation", cert.kind, cert.message, json.dumps(cert.data, sort_keys=True)])
+        for cert in report.expected_exceptions_found:
+            rows.append(["exception", cert.kind, cert.message, json.dumps(cert.data, sort_keys=True)])
         _write_csv(out, header, rows)
     else:
         status = "PASS" if report.passed else "FAIL"

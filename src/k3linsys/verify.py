@@ -145,16 +145,14 @@ def _mult_vectors(max_points: int, mass_bound: int, sum_bound: int | None = None
     yield from extend((), mass_bound, sum_bound, mass_bound)
 
 
-def _surfaces_of_mass(mass: int, n_hi: int) -> list[tuple[int, int]]:
-    """The (n, t), t >= 1 and even n <= n_hi, of n*t^2 = mass - 2: by each
-    t <= sqrt((mass - 2)/2), or by each even n <= n_hi where those are fewer."""
+def _surfaces_of_mass(mass: int, n_hi: int):
+    """The (n, t), t >= 1 ascending and even n <= n_hi, of n*t^2 = mass - 2."""
     target = mass - 2
-    t_hi = isqrt(max(0, target) // 2)
-    if n_hi // 2 < t_hi:
-        found = ((n, isqrt(target // n)) for n in range(2, n_hi + 1, 2))
-        return [(n, t) for n, t in found if n * t * t == target]
-    found = ((target // (t * t), t) for t in range(1, t_hi + 1) if not target % (t * t))
-    return [(n, t) for n, t in found if n % 2 == 0 and n <= n_hi]
+    for t in range(1, isqrt(max(0, target) // 2) + 1):
+        if not target % (t * t):
+            n = target // (t * t)
+            if n % 2 == 0 and n <= n_hi:
+                yield n, t
 
 
 def _v0_classes(bounds: dict) -> tuple[list[LinearSystemSpec], int]:
@@ -211,7 +209,7 @@ def _v0_counts(bounds: dict) -> Counter:
         for fewer, row in zip(ways, ways[1:]):
             row[m * (m + 1) :] = map(add, row[m * (m + 1) :], fewer)
     for mass, count in enumerate(map(sum, zip(*ways))):
-        for n, _ in _surfaces_of_mass(mass, n_hi) if count else ():
+        for n, _ in _surfaces_of_mass(mass, n_hi):
             counts[n] += count
     return counts
 

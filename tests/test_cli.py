@@ -127,9 +127,11 @@ class TestIntersect:
     def test_positional_padding(self, capsys):
         code, out, _ = run(capsys, "intersect", "L2(1;1,1)", "L2(1;0,0,1,1)")
         assert code == 0 and out.strip() == "2"
-        # padded to the 100,000-point literal cap: the zeros are stripped in linear time
-        code, out, _ = run(capsys, "intersect", "L2(1;1,0^99999)", "L2(1;1)")
-        assert code == 0 and out.strip() == "1"
+        # padded to the 100,000-point literal cap, in a child given 10 s:
+        # the zeros are stripped in linear time
+        padded = [sys.executable, "-m", "k3linsys", "intersect", "L2(1;1,0^99999)", "L2(1;1)"]
+        proc = subprocess.run(padded, capture_output=True, text=True, env=CHILD_ENV, timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
 
     def test_aligned(self, capsys):
         _, out, _ = run(capsys, "intersect", "L2(1;1,1)", "L2(1;1,1)")
@@ -435,11 +437,16 @@ class TestHunt:
         assert report["passed"] and report["checked_count"] == checked
 
 
-# A bound of MAX_INTEGER_DIGITS digits, and longer ones: at 4,300 digits
-# Python stops converting ints to text, and argparse echoed a value it
-# could not read.
+# A bound of MAX_INTEGER_DIGITS digits, and longer or non-integer ones: at
+# 4,300 digits Python stops converting ints to text, and argparse echoed a
+# value it could not read.
 LONGEST_BOUND = "9" * k3linsys.MAX_INTEGER_DIGITS
-LONG_BOUNDS = {"1001-digits": LONGEST_BOUND + "9", "5000-digits": "9" * 5000}
+LONG_BOUNDS = {
+    "1001-digits": LONGEST_BOUND + "9",
+    "5000-digits": "9" * 5000,
+    "digits-then-text": LONGEST_BOUND + "x" * 5000,
+    "text": "ten",
+}
 HUNT_BOUNDS = ("--max-n", "--max-degree", "--mass-bound", "--max-points")
 PAIR_BOUNDS = ("--mass-bound", "--max-points", "--max-n")
 
@@ -455,7 +462,8 @@ PAIR_BOUNDS = ("--mass-bound", "--max-points", "--max-n")
 def test_long_bound_is_a_usage_error_naming_the_option(capsys, command, option, value):
     code, out, err = run(capsys, *command, option, value)
     assert (code, out) == (2, "")
-    assert err.endswith(f": error: argument {option}: more than 1000 digits\n") and "99999" not in err
+    assert err.endswith(f": error: argument {option}: expected an integer of at most 1000 digits\n")
+    assert value[-3:] not in err
 
 
 def test_longest_bounds_run(capsys):

@@ -1,9 +1,10 @@
 """The command line as a user runs it, one child process per command.
 
-The console script is `k3linsys` when one is on PATH (as after
-`pip install .`), with PYTHONPATH unset so that it runs the installed
-package; otherwise it is `python -m k3linsys` with this checkout's `src`
-on PYTHONPATH.  Its output does not depend on the command, so a few
+The console script is the `k3linsys` on PATH, with PYTHONPATH unset so
+that it runs the installed package, when K3LINSYS_CONSOLE_SCRIPT is set:
+the CI workflow sets it after `pip install .` of this checkout.  Otherwise
+it is `python -m k3linsys` with this checkout's `src` on PYTHONPATH, so
+that a stale install elsewhere on PATH is never the code under test.  Its output does not depend on the command, so a few
 commands stand for all: batch on the golden file and intersect on the
 golden pairs in every format, and `verify lemma-table` in JSON, each
 against its golden stdout, stderr and exit code (see test_golden.py,
@@ -19,7 +20,6 @@ host with one usable CPU both sides run one pass.
 import json
 import os
 import runpy
-import shutil
 import subprocess
 import sys
 from hashlib import sha256
@@ -31,7 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 FORMATS = ["json", "text", "csv"]
 
-if shutil.which("k3linsys"):
+if os.environ.get("K3LINSYS_CONSOLE_SCRIPT"):
     COMMAND = ["k3linsys"]
     ENV = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
 else:

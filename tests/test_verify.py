@@ -36,7 +36,6 @@ from k3linsys.verify import (
     VerificationReport,
     _mult_vectors,
     _partner_lists,
-    _surfaces_of_mass,
     _v0_classes,
     _v0_counts,
     class_record,
@@ -679,16 +678,6 @@ class _cert_key:
         import json
 
         return json.dumps(self.cert.to_dict(), sort_keys=True)
-
-
-@pytest.mark.parametrize("mass", [0, 2, 4, 6, 20, 52, 74, 102, 130, 1002])
-def test_surfaces_of_mass_by_n_or_by_t(mass):
-    # every even n <= n_hi with n*t^2 = mass - 2, t >= 1, from a scan of both;
-    # n_hi below and above sqrt(mass) tries n and t in turn
-    for n_hi in [0, 1, 2, 3, 4, 8, 30, 50, 1000, 10**9]:
-        expected = {(n, t) for n in range(2, min(n_hi, mass) + 1, 2) for t in range(1, isqrt(mass) + 1) if n * t * t == mass - 2}
-        got = _surfaces_of_mass(mass, n_hi)
-        assert len(got) == len(expected) and set(got) == expected, (mass, n_hi)
 
 
 @pytest.mark.parametrize(
