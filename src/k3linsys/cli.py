@@ -303,10 +303,11 @@ def _cmd_intersect(args, out: _Output) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    bounds = text.strip().split("..")
-    if len(bounds) != 2 or not all(b.removeprefix("-").isdigit() and b.isascii() for b in bounds):
-        raise argparse.ArgumentTypeError(f"expected A..B integer range, got {text!r}")
-    return int(bounds[0]), int(bounds[1])
+    """--self-int's A..B, each end read by _bound's rule; no error echoes the value."""
+    ends = text.strip().split("..")
+    if len(ends) != 2 or not all(e.removeprefix("-").isdigit() and e.isascii() for e in ends):
+        raise argparse.ArgumentTypeError("expected A..B integer range")
+    return _bound(ends[0]), _bound(ends[1])
 
 
 def _bound(text: str) -> int:

@@ -185,33 +185,9 @@ def _v0_classes(bounds: dict) -> tuple[list[LinearSystemSpec], int]:
     return found, probes
 
 
-# The most cells _v0_counts' table may have: 8 MB of references, and up to
-# 32 MB more for counts past the small-int cache.
+# The most cells _pair_classes' table may have: 8 MB of references, and up
+# to 32 MB more for counts past the small-int cache.
 _MAX_TABLE_CELLS = 1 << 20
-
-
-def _v0_counts(bounds: dict) -> Counter:
-    """The number of v = 0 classes on each surface n in a pair report's
-    bounds, as _v0_classes finds them, counted by mass: ways[k][s] counts
-    the vectors of k points and mass s, the part sizes m taken in turn.
-    Past _MAX_TABLE_CELLS, as at a huge mass_bound with few points, the
-    vectors are counted one at a time instead, in flat memory."""
-    mass_bound, n_hi = bounds["mass_bound"], bounds["n_range"][1]
-    points = min(bounds["max_points"], mass_bound // 2)
-    counts = Counter()
-    if (points + 1) * (mass_bound + 1) > _MAX_TABLE_CELLS:
-        for _, mass in _mult_vectors(points, mass_bound):
-            for n, _ in _surfaces_of_mass(mass, n_hi):
-                counts[n] += 1
-        return counts
-    ways = [[1] + [0] * mass_bound] + [[0] * (mass_bound + 1) for _ in range(points)]
-    for m in range(1, (isqrt(4 * mass_bound + 1) - 1) // 2 + 1):
-        for fewer, row in zip(ways, ways[1:]):
-            row[m * (m + 1) :] = map(add, row[m * (m + 1) :], fewer)
-    for mass, count in enumerate(map(sum, zip(*ways))):
-        for n, _ in _surfaces_of_mass(mass, n_hi):
-            counts[n] += count
-    return counts
 
 
 def _vectors_of_mass(mass: int, max_points: int, cap: int):
@@ -225,19 +201,42 @@ def _vectors_of_mass(mass: int, max_points: int, cap: int):
             yield (m,) + rest
 
 
-def _partner_lists(bounds: dict) -> dict[int, list[LinearSystemSpec]]:
-    """The v = 0 classes in a pair report's bounds, in report order, on each
-    surface n that a vector of sum 2 (C^2 = 0) has v = 0 on, by ascending n.
-    Only the vectors of the masses n*t^2 + 2 there are built."""
-    mass_bound, max_points = bounds["mass_bound"], bounds["max_points"]
-    sum_two = (mass for mults, mass in _mult_vectors(2, mass_bound, 2) if sum(mults) == 2)
-    lists = {}
-    for n in sorted({n for mass in sum_two for n, _ in _surfaces_of_mass(mass, bounds["n_range"][1])}):
-        surface, degrees = SurfaceParams(n), range(1, isqrt((mass_bound - 2) // n) + 1)
-        specs = (LinearSystemSpec._from_canonical(surface, t, mults) for t in degrees
-                 for mults in _vectors_of_mass(n * t * t + 2, max_points, mass_bound))  # fmt: skip
-        lists[n] = sorted(specs, key=_order)
-    return lists
+def _pair_classes(bounds: dict) -> tuple[dict[int, int], dict[int, list[LinearSystemSpec]]]:
+    """The v = 0 classes of a pair report's bounds, walked once by cell: a
+    cell is an even n <= n_hi and a t >= 1 of mass n*t^2 + 2 <= mass_bound,
+    its classes the vectors of that mass.  Returns the count of each n that
+    holds a class and, by ascending n, the classes in report order of the
+    surfaces with a C^2 = sum m_i - 2 = 0 class, the only ones built: (1, 1)
+    and (2,) have mass 4 and 6, so n = 2 and 4 if their t = 1 cell holds a
+    class.  A count is read off a table, ways[k][s] the vectors of k points
+    and mass s with the part sizes taken in turn, or counted vector by
+    vector: with at most two points a cell costs O(sqrt(mass)), less than
+    the table's O(points * mass_bound * sqrt(mass_bound)), and past
+    _MAX_TABLE_CELLS no table is built."""
+    mass_bound, n_hi = bounds["mass_bound"], bounds["n_range"][1]
+    points = min(bounds["max_points"], mass_bound // 2)
+
+    def count(mass):
+        return sum(1 for _ in _vectors_of_mass(mass, points, mass))
+
+    if points > 2 and (points + 1) * (mass_bound + 1) <= _MAX_TABLE_CELLS:
+        ways = [[1] + [0] * mass_bound] + [[0] * (mass_bound + 1) for _ in range(points)]
+        for m in range(1, (isqrt(4 * mass_bound + 1) - 1) // 2 + 1):
+            for fewer, row in zip(ways, ways[1:]):
+                row[m * (m + 1) :] = map(add, row[m * (m + 1) :], fewer)
+        count = list(map(sum, zip(*ways))).__getitem__
+    counts, lists = {}, {}
+    for n in range(2, min(n_hi, mass_bound - 2) + 1 if points else 0, 2):  # no point, no class
+        degrees = range(1, isqrt((mass_bound - 2) // n) + 1)
+        if n <= 4 and count(n + 2):
+            surface = SurfaceParams(n)
+            specs = (LinearSystemSpec._from_canonical(surface, t, mults) for t in degrees
+                     for mults in _vectors_of_mass(n * t * t + 2, points, mass_bound))  # fmt: skip
+            lists[n] = sorted(specs, key=_order)
+            counts[n] = len(lists[n])
+        elif k := sum(count(n * t * t + 2) for t in degrees):
+            counts[n] = k
+    return counts, lists
 
 
 def enumerate_v0_classes(self_int_range: tuple[int, int]) -> list[LinearSystemSpec]:
@@ -328,9 +327,10 @@ def verify_pair_inequality(
     rows, classify.RIGID_CURVES[:2], read at each call.  Any other dip would
     contradict the argument above, so it is a violation, reported once, at
     its worst alignment.  So only the C^2 = 0 classes are evaluated, each
-    against every class of its surface in report order, and only those
-    surfaces' classes are built (_partner_lists); the rest are counted by
-    mass (_v0_counts).  checked_count counts every unordered same-surface
+    against every class of its surface in report order.  One walk over the
+    cells (n, t) of mass n*t^2 + 2 builds those surfaces' classes and counts
+    the rest, off a knapsack table or, with at most two points, vector by
+    vector (_pair_classes).  checked_count counts every unordered same-surface
     pair, proved or evaluated, k(k + 1)/2 for a surface of k classes, and
     details["v0_classes"] the classes, details["alignments_checked"] the
     alignments evaluated.
@@ -347,12 +347,11 @@ def verify_pair_inequality(
         "t_range": [1, max(1, isqrt(max(0, mass_bound - 2) // 2))],
         "self_int_range": None,
     }
-    counts = _v0_counts(bounds)
+    counts, partners = _pair_classes(bounds)
     checked = sum(k * (k + 1) // 2 for k in counts.values())
     alignments_checked = 0
     violations = []
     exceptions = []
-    partners = _partner_lists(bounds)
     # each C^2 = sum m_i - 2 = 0 class, in report order, against its surface's classes
     for ca in [c for cs in partners.values() for c in cs if sum(c.mults) == 2]:
         surface = ca.surface

@@ -182,6 +182,19 @@ class TestEnumerate:
         assert code == 2 and out == ""
         assert "expected A..B integer range" in err
 
+    @pytest.mark.parametrize("digits", [1200, 5000])
+    def test_long_self_int_is_a_usage_error(self, capsys, digits):
+        # each end takes at most MAX_INTEGER_DIGITS digits, as a bound option
+        # does: 1,200 digits ran silently, and 5,000 echoed the value back
+        code, out, err = run(capsys, "enumerate", "v0", f"--self-int=-2..{'9' * digits}")
+        assert (code, out) == (2, "")
+        message = "argument --self-int: expected an integer of at most 1000 digits"
+        assert err.endswith(f": error: {message}\n") and "999" not in err
+
+    def test_longest_self_int_runs(self, capsys):
+        code, out, err = run(capsys, "enumerate", "v0", f"--self-int=-{LONGEST_BOUND}..-3")
+        assert (code, out, err) == (0, "total: 0\n", "")
+
     def test_inverted_range_rejected(self, capsys):
         code, _, err = run(capsys, "enumerate", "v0", "--self-int", "3..1")
         assert code == 2 and "empty self-intersection range" in err
@@ -207,15 +220,19 @@ class TestVerifyCommands:
             # 30,866 of 185,786 classes built; a list of every class does
             # not fit in 64 MB over the child's own size
             ("600", "9", 659_404_301, {"v0_classes": 185_786, "alignments_checked": 30_866}, 2),
-            # too wide for the counting table: counted vector by vector
+            # at most two points: each cell's vectors are counted one by one,
+            # with no table of every mass up to the bound
             ("10000000", "1", 138, {"v0_classes": 74, "alignments_checked": 1}, 1),
+            ("500000", "1", 96, {"v0_classes": 60, "alignments_checked": 1}, 1),
+            ("200000", "2", 286_117, {"v0_classes": 3_390, "alignments_checked": 293}, 2),
         ],
     )
     def test_large_pair_bounds_under_address_space_cap(
         self, mass_bound, max_points, checked, details, exceptions
     ):
         # verify pairs counts the classes and builds only those of n = 2 and
-        # n = 4, so it fits in 40 MB of address space over the child's own.
+        # n = 4, so it fits in 40 MB of address space over the child's own,
+        # and in 10 s.
         capped = (
             "import resource, sys; from k3linsys.cli import main; "
             "size = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize(); "
@@ -228,7 +245,7 @@ class TestVerifyCommands:
             capture_output=True,
             text=True,
             env=CHILD_ENV,
-            timeout=300,
+            timeout=10,
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)

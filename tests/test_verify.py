@@ -35,9 +35,8 @@ from k3linsys.verify import (
     _HUNT_NOTE,
     VerificationReport,
     _mult_vectors,
-    _partner_lists,
+    _pair_classes,
     _v0_classes,
-    _v0_counts,
     class_record,
     derive_bounds_v0,
     enumerate_v0_classes,
@@ -639,9 +638,9 @@ class TestPairInequality:
 
 
 class TestPairCounts:
-    """verify_pair_inequality counts the classes by mass and builds only the
-    classes on the surfaces of the C^2 = 0 classes; _v0_classes, which
-    builds every class, is the oracle of both."""
+    """verify_pair_inequality walks its cells once, counting the classes and
+    building only those on the surfaces of the C^2 = 0 classes;
+    _v0_classes, which builds every class, is the oracle of both."""
 
     @pytest.mark.parametrize("table", [True, False], ids=["table", "vector-by-vector"])
     @pytest.mark.parametrize("max_points", range(6))
@@ -652,17 +651,19 @@ class TestPairCounts:
             for max_n in range(2, 15):
                 bounds = pair_bounds(mass_bound, max_points, max_n)
                 classes, _ = _v0_classes(bounds)
-                assert _v0_counts(bounds) == Counter(c.n for c in classes), bounds
-                partners = _partner_lists(bounds)
-                assert list(partners) == sorted(partners) and set(partners) <= {2, 4}, bounds
-                for n in (2, 4):
-                    assert partners.get(n, []) == [c for c in classes if c.n == n], bounds
+                counts, built = _pair_classes(bounds)
+                assert counts == Counter(c.n for c in classes), bounds
+                # built: exactly the surfaces with a C^2 = 0 class, ascending
+                assert list(built) == sorted({c.n for c in classes if sum(c.mults) == 2}), bounds
+                for n, specs in built.items():
+                    assert specs == [c for c in classes if c.n == n], bounds
 
     def test_large_bounds_without_the_class_list(self, monkeypatch):
-        def every_class(bounds):
-            raise AssertionError("verify pairs built every class")
+        def every_class(*args):
+            raise AssertionError("verify pairs built every class or probed a mass")
 
         monkeypatch.setattr(verify, "_v0_classes", every_class)
+        monkeypatch.setattr(verify, "_surfaces_of_mass", every_class)
         report = verify_pair_inequality(mass_bound=400, max_points=8, max_n=80)
         assert report.passed and len(report.expected_exceptions_found) == 2
         assert report.checked_count == 22_769_785
