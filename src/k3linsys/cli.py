@@ -311,31 +311,31 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _bound(text: str) -> int:
-    """A bound option's int, of at most MAX_INTEGER_DIGITS digits and a sign:
-    argparse names the option in the error, which does not echo the value."""
-    try:
-        if len(text) <= MAX_INTEGER_DIGITS + 1 and abs(value := int(text)) < 10**MAX_INTEGER_DIGITS:
-            return value
-    except ValueError:
-        pass
+    """A bound option's int: an optional '-' and at most MAX_INTEGER_DIGITS
+    ASCII digits.  argparse names the option in the error, which does not
+    echo the value."""
+    digits = text.removeprefix("-")
+    if digits.isdigit() and digits.isascii() and len(digits) <= MAX_INTEGER_DIGITS:
+        return int(text)
     raise argparse.ArgumentTypeError(f"expected an integer of at most {MAX_INTEGER_DIGITS} digits")
 
 
 def _cmd_enumerate(args, out: _Output) -> int:
-    classes = [class_record(c) for c in enumerate_v0_classes(args.self_int)]
+    classes = enumerate_v0_classes(args.self_int)
+    records = map(class_record, classes)  # each rendered as it is made
     if args.format == "text":
-        for c in classes:
+        for c in records:
             out.line(f"{c['literal']}  (C^2 = {c['c2']})")
         out.line(f"total: {len(classes)}")
     elif args.format == "json":
-        for c in classes:
+        for c in records:
             out.line(json.dumps(c))
     else:
         header = ["c2", "n", "t", "mults", "v", "literal"]
-        rows = [
+        rows = (
             [c["c2"], c["n"], c["t"], format_multiplicities(c["mults"]), c["v"], c["literal"]]
-            for c in classes
-        ]
+            for c in records
+        )
         _write_csv(out, header, rows)
     return 0
 

@@ -145,44 +145,39 @@ def _mult_vectors(max_points: int, mass_bound: int, sum_bound: int | None = None
     yield from extend((), mass_bound, sum_bound, mass_bound)
 
 
-def _surfaces_of_mass(mass: int, n_hi: int):
-    """The (n, t), t >= 1 ascending and even n <= n_hi, of n*t^2 = mass - 2."""
-    target = mass - 2
-    for t in range(1, isqrt(max(0, target) // 2) + 1):
-        if not target % (t * t):
-            n = target // (t * t)
-            if n % 2 == 0 and n <= n_hi:
-                yield n, t
+def _cells(mass_bound: int, n_hi: int):
+    """The cells (n, t, mass) of v = 0 classes within the bounds: each even
+    n <= n_hi by ascending t >= 1, mass = n*t^2 + 2 <= mass_bound."""
+    for n in range(2, min(n_hi, mass_bound - 2) + 1, 2):
+        for t in range(1, isqrt((mass_bound - 2) // n) + 1):
+            yield n, t, n * t * t + 2
 
 
 def _v0_classes(bounds: dict) -> tuple[list[LinearSystemSpec], int]:
-    """All v = 0 classes with t >= 1 in a report's bounds dict, as specs with
-    d = t in report order (see _order), plus the probe count.
+    """All v = 0 classes with t >= 1 in a C^2 window's bounds dict (see
+    derive_bounds_v0), as specs with d = t in report order (see _order),
+    plus the number of cells walked.
 
-    v = 0 for t >= 1 is equivalent to n*t^2 = mass - 2 with mass equal to
-    sum m_i(m_i+1), so for each multiplicity vector the (n, t) solutions are
-    read off the divisors of mass - 2, and C^2 = n*t^2 - sum m_i^2 is
-    sum m_i - 2.  Only the upper end of n_range is read: t^2 <= (mass - 2)/2
-    gives n >= 2, and t^2 <= (mass_bound - 2)/2 puts t within t_range, which
-    every caller sets from that bound.  The vectors are canonical, so specs
+    v = 0 for t >= 1 is equivalent to n*t^2 + 2 = mass with mass equal to
+    sum m_i(m_i+1), so a multiplicity vector's (n, t) are the cells of its
+    mass, looked up in a dict built by one walk (_cells), and C^2 =
+    n*t^2 - sum m_i^2 is sum m_i - 2.  The vectors are canonical, so specs
     are built unchecked, on one SurfaceParams per n.
     """
-    lo_c2, hi_c2 = bounds["self_int_range"] or (None, None)
-    sum_bound = None if hi_c2 is None else max(0, hi_c2 + 2)
-    n_hi = bounds["n_range"][1]
+    lo_c2, hi_c2 = bounds["self_int_range"]
+    cells: dict[int, list[tuple[int, int]]] = {}
+    for n, t, mass in _cells(bounds["mass_bound"], bounds["n_range"][1]):
+        cells.setdefault(mass, []).append((n, t))
     surfaces: dict[int, SurfaceParams] = {}
     found = []
-    probes = 0
-    for mults, mass in _mult_vectors(bounds["max_points"], bounds["mass_bound"], sum_bound):
-        if lo_c2 is not None and not (lo_c2 <= sum(mults) - 2 <= hi_c2):
-            continue
-        probes += isqrt(max(0, mass - 2) // 2)
-        for n, t in _surfaces_of_mass(mass, n_hi):
-            if n not in surfaces:
-                surfaces[n] = SurfaceParams(n)
-            found.append(LinearSystemSpec._from_canonical(surfaces[n], t, mults))
+    for mults, mass in _mult_vectors(bounds["max_points"], bounds["mass_bound"], max(0, hi_c2 + 2)):
+        if lo_c2 <= sum(mults) - 2 <= hi_c2:
+            for n, t in cells.get(mass, ()):
+                if n not in surfaces:
+                    surfaces[n] = SurfaceParams(n)
+                found.append(LinearSystemSpec._from_canonical(surfaces[n], t, mults))
     found.sort(key=_order)
-    return found, probes
+    return found, sum(map(len, cells.values()))
 
 
 # The most cells _pair_classes' table may have: 8 MB of references, and up
@@ -202,17 +197,17 @@ def _vectors_of_mass(mass: int, max_points: int, cap: int):
 
 
 def _pair_classes(bounds: dict) -> tuple[dict[int, int], dict[int, list[LinearSystemSpec]]]:
-    """The v = 0 classes of a pair report's bounds, walked once by cell: a
-    cell is an even n <= n_hi and a t >= 1 of mass n*t^2 + 2 <= mass_bound,
-    its classes the vectors of that mass.  Returns the count of each n that
-    holds a class and, by ascending n, the classes in report order of the
-    surfaces with a C^2 = sum m_i - 2 = 0 class, the only ones built: (1, 1)
-    and (2,) have mass 4 and 6, so n = 2 and 4 if their t = 1 cell holds a
-    class.  A count is read off a table, ways[k][s] the vectors of k points
-    and mass s with the part sizes taken in turn, or counted vector by
-    vector: with at most two points a cell costs O(sqrt(mass)), less than
-    the table's O(points * mass_bound * sqrt(mass_bound)), and past
-    _MAX_TABLE_CELLS no table is built."""
+    """The v = 0 classes of a pair report's bounds, walked once by cell
+    (_cells), a cell's classes the vectors of its mass.  Returns the count
+    of each n that holds a class and, by ascending n, the classes in report
+    order of the surfaces with a C^2 = sum m_i - 2 = 0 class, the only ones
+    built: (1, 1) and (2,) have mass 4 and 6, so n = 2 and 4 if their t = 1
+    cell, the first of their n, holds a class.  A count is read off a
+    table, ways[k][s] the vectors of k points and mass s with the part
+    sizes taken in turn, or counted vector by vector: with at most two
+    points a cell costs O(sqrt(mass)), less than the table's
+    O(points * mass_bound * sqrt(mass_bound)), and past _MAX_TABLE_CELLS no
+    table is built."""
     mass_bound, n_hi = bounds["mass_bound"], bounds["n_range"][1]
     points = min(bounds["max_points"], mass_bound // 2)
 
@@ -226,16 +221,17 @@ def _pair_classes(bounds: dict) -> tuple[dict[int, int], dict[int, list[LinearSy
                 row[m * (m + 1) :] = map(add, row[m * (m + 1) :], fewer)
         count = list(map(sum, zip(*ways))).__getitem__
     counts, lists = {}, {}
-    for n in range(2, min(n_hi, mass_bound - 2) + 1 if points else 0, 2):  # no point, no class
-        degrees = range(1, isqrt((mass_bound - 2) // n) + 1)
-        if n <= 4 and count(n + 2):
-            surface = SurfaceParams(n)
-            specs = (LinearSystemSpec._from_canonical(surface, t, mults) for t in degrees
-                     for mults in _vectors_of_mass(n * t * t + 2, points, mass_bound))  # fmt: skip
-            lists[n] = sorted(specs, key=_order)
-            counts[n] = len(lists[n])
-        elif k := sum(count(n * t * t + 2) for t in degrees):
-            counts[n] = k
+    for n, t, mass in _cells(mass_bound, n_hi if points else 0):  # no point, no class
+        if t == 1 and n <= 4 and count(mass):
+            surface, lists[n] = SurfaceParams(n), []
+        if n in lists:
+            lists[n] += (LinearSystemSpec._from_canonical(surface, t, mults)
+                         for mults in _vectors_of_mass(mass, points, mass_bound))  # fmt: skip
+        elif k := count(mass):
+            counts[n] = counts.get(n, 0) + k
+    for n, specs in lists.items():
+        specs.sort(key=_order)
+        counts[n] = len(specs)
     return counts, lists
 
 
@@ -261,12 +257,12 @@ def verify_lemma_table() -> VerificationReport:
     The enumerated classes must equal the table as a set; each class on one
     side only is a violation, with the class's record (see class_record) as
     its data.  details["classes"] and details["expected"] hold the records
-    of both sides in report order.  checked_count is the number of
-    (vector, t) divisibility probes.
+    of both sides in report order.  checked_count is the number of cells
+    (n, t) walked.
     """
     start = time.perf_counter()
     bounds = derive_bounds_v0(_TABLE_C2_WINDOW)
-    classes, probes = _v0_classes(bounds)
+    classes, walked = _v0_classes(bounds)
     found, expected = set(classes), set(classify.RIGID_CURVES)
     violations = [
         Certificate("missing-class", f"expected class {c.literal()} was not found", class_record(c))
@@ -278,7 +274,7 @@ def verify_lemma_table() -> VerificationReport:
     return VerificationReport(
         name="lemma-table",
         bounds=bounds,
-        checked_count=probes,
+        checked_count=walked,
         violations=tuple(violations),
         expected_exceptions_found=(),
         elapsed=time.perf_counter() - start,

@@ -50,6 +50,24 @@ PAIR_BOUND_SPELLINGS = {
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(k3linsys.__file__).parents[1])}
 
 
+def run_capped(megabytes, *argv):
+    """The CLI on argv in a child process whose address space is capped at
+    its own size plus `megabytes` MB, stopped after 10 s."""
+    capped = (
+        "import resource, sys; from k3linsys.cli import main; "
+        "size = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize(); "
+        "cap = size + int(sys.argv[1]) * 1024 * 1024; resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+        "sys.exit(main(sys.argv[2:]))"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", capped, str(megabytes), *argv],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=10,
+    )
+
+
 class TestDim:
     def test_special_text(self, capsys):
         code, out, _ = run(capsys, "dim", "L4(3;6)")
@@ -171,6 +189,20 @@ class TestEnumerate:
         assert rows[0] == ["c2", "n", "t", "mults", "v", "literal"]
         assert len(rows) == 4
 
+    def test_large_window_under_address_space_cap(self):
+        # each record is rendered as it is made, so the 104,071 classes fit
+        # in 64 MB of address space over the child's own size
+        proc = run_capped(64, "enumerate", "v0", "--self-int=-2..32", "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 104_071
+        assert json.loads(lines[0]) == {
+            "n": 2, "t": 1, "mults": [1, 1], "v": 0, "c2": 0, "literal": "L2(1;1^2)"
+        }  # fmt: skip
+        assert json.loads(lines[-1]) == {
+            "n": 1188, "t": 1, "mults": [34], "v": 0, "c2": 32, "literal": "L1188(1;34)"
+        }  # fmt: skip
+
     def test_bad_range_usage_error(self, capsys):
         code, _, _ = run(capsys, "enumerate", "v0", "--self-int", "nope")
         assert code == 2
@@ -233,20 +265,8 @@ class TestVerifyCommands:
         # verify pairs counts the classes and builds only those of n = 2 and
         # n = 4, so it fits in 40 MB of address space over the child's own,
         # and in 10 s.
-        capped = (
-            "import resource, sys; from k3linsys.cli import main; "
-            "size = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize(); "
-            "cap = size + 40 * 1024 * 1024; resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
-            "sys.exit(main(sys.argv[1:]))"
-        )
         bounds = ["--mass-bound", mass_bound, "--max-points", max_points, "--max-n", "80"]
-        proc = subprocess.run(
-            [sys.executable, "-c", capped, "verify", "pairs", *bounds, "--format", "json"],
-            capture_output=True,
-            text=True,
-            env=CHILD_ENV,
-            timeout=10,
-        )
+        proc = run_capped(40, "verify", "pairs", *bounds, "--format", "json")
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         assert report["passed"] and report["checked_count"] == checked
@@ -456,13 +476,18 @@ class TestHunt:
 
 # A bound of MAX_INTEGER_DIGITS digits, and longer or non-integer ones: at
 # 4,300 digits Python stops converting ints to text, and argparse echoed a
-# value it could not read.
+# value it could not read.  A bound is an optional '-' and ASCII digits, as
+# each end of --self-int is: int() also read the last four, as 3, 10, 5, 12.
 LONGEST_BOUND = "9" * k3linsys.MAX_INTEGER_DIGITS
 LONG_BOUNDS = {
     "1001-digits": LONGEST_BOUND + "9",
     "5000-digits": "9" * 5000,
     "digits-then-text": LONGEST_BOUND + "x" * 5000,
     "text": "ten",
+    "arabic-indic-digit": "\u0663",
+    "underscore": "1_0",
+    "plus-sign": "+5",
+    "leading-space": " 12",
 }
 HUNT_BOUNDS = ("--max-n", "--max-degree", "--mass-bound", "--max-points")
 PAIR_BOUNDS = ("--mass-bound", "--max-points", "--max-n")

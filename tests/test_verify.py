@@ -36,7 +36,6 @@ from k3linsys.verify import (
     VerificationReport,
     _mult_vectors,
     _pair_classes,
-    _v0_classes,
     class_record,
     derive_bounds_v0,
     enumerate_v0_classes,
@@ -44,6 +43,7 @@ from k3linsys.verify import (
     verify_lemma_table,
     verify_pair_inequality,
 )
+from oracles import v0_classes
 
 
 def naive_v0_scan(lo, hi):
@@ -149,7 +149,7 @@ def naive_pair_scan(bounds):
     """Every same-surface pair of v = 0 classes: the worst alignment, and on
     a dip below zero every alignment.  Returns the report fields the proof
     must not change, and the number of pairs holding a C^2 = 0 class."""
-    classes, _ = _v0_classes(bounds)
+    classes, _ = v0_classes(bounds)
     checked, isotropic_pairs, violations, exceptions = 0, 0, [], []
     for i, ca in enumerate(classes):
         for cb in classes[i:]:
@@ -388,6 +388,24 @@ class TestEnumeration:
         fast = {(c.n, c.d, c.mults) for c in enumerate_v0_classes((-2, 2))}
         assert fast == naive_v0_scan(-2, 2)
 
+    def test_cell_walk_matches_the_divisor_probe(self):
+        # the cells of each mass against oracles.v0_classes, which reads each
+        # vector's (n, t) off the divisors of its mass - 2
+        for lo in range(-6, 5):
+            for hi in range(lo, 15):
+                expected, _ = v0_classes(derive_bounds_v0((lo, hi)))
+                assert enumerate_v0_classes((lo, hi)) == expected, (lo, hi)
+        # lemma-table checks one cell per even n <= n_hi and t >= 1 with
+        # n*t^2 + 2 <= mass_bound
+        bounds = derive_bounds_v0((-2, 1))
+        cells = [
+            (n, t)
+            for n in range(2, bounds["n_range"][1] + 1, 2)
+            for t in range(1, bounds["mass_bound"])
+            if n * t * t + 2 <= bounds["mass_bound"]
+        ]
+        assert verify_lemma_table().checked_count == len(cells) == 6
+
     def test_bound_monotonicity(self):
         small = set(enumerate_v0_classes((-2, 1)))
         big = set(enumerate_v0_classes((-2, 2)))
@@ -602,7 +620,7 @@ class TestPairInequality:
         # The proof with no shortcut: every alignment of every same-surface
         # pair, 57 classes and 5,428 alignments.  Only the two fully aligned
         # self-pairs dip, to v = -1, each at its pair's worst alignment.
-        classes, _ = _v0_classes(pair_bounds(60, 4, 14))
+        classes, _ = v0_classes(pair_bounds(60, 4, 14))
         dips, alignments = [], 0
         for i, ca in enumerate(classes):
             for cb in classes[i:]:
@@ -640,7 +658,7 @@ class TestPairInequality:
 class TestPairCounts:
     """verify_pair_inequality walks its cells once, counting the classes and
     building only those on the surfaces of the C^2 = 0 classes;
-    _v0_classes, which builds every class, is the oracle of both."""
+    oracles.v0_classes, which builds every class, is the oracle of both."""
 
     @pytest.mark.parametrize("table", [True, False], ids=["table", "vector-by-vector"])
     @pytest.mark.parametrize("max_points", range(6))
@@ -650,7 +668,7 @@ class TestPairCounts:
         for mass_bound in range(61):
             for max_n in range(2, 15):
                 bounds = pair_bounds(mass_bound, max_points, max_n)
-                classes, _ = _v0_classes(bounds)
+                classes, _ = v0_classes(bounds)
                 counts, built = _pair_classes(bounds)
                 assert counts == Counter(c.n for c in classes), bounds
                 # built: exactly the surfaces with a C^2 = 0 class, ascending
@@ -660,10 +678,9 @@ class TestPairCounts:
 
     def test_large_bounds_without_the_class_list(self, monkeypatch):
         def every_class(*args):
-            raise AssertionError("verify pairs built every class or probed a mass")
+            raise AssertionError("verify pairs built every class")
 
         monkeypatch.setattr(verify, "_v0_classes", every_class)
-        monkeypatch.setattr(verify, "_surfaces_of_mass", every_class)
         report = verify_pair_inequality(mass_bound=400, max_points=8, max_n=80)
         assert report.passed and len(report.expected_exceptions_found) == 2
         assert report.checked_count == 22_769_785
