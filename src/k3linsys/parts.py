@@ -11,6 +11,12 @@ to its next part.  So stdout, stderr and the exit status are those of one
 pass, and the memfd files hold at most one part's output for each child.
 One pass is the case k = 1: one part of every line, and no child.
 
+When the k processes use every CPU of the affinity mask, each runs on its
+own CPU of it: left alone, the kernel often keeps a child on its parent's
+CPU for their whole life, and the two then share one core.  With fewer
+parts than CPUs the kernel places them, so that concurrent runs do not all
+pile onto the same first k CPUs.
+
 The command-line module binds run_parts for batch only: no other command
 compiles this module.
 """
@@ -101,15 +107,26 @@ def _memfd():
     return open(fd, "w+", encoding="utf-8", errors="surrogateescape", newline="")
 
 
-def _child(args, handle, j: int, k: int, size: int, sinks, done: int, go: int) -> None:
+def _pin(cpus) -> None:
+    """Run this process on `cpus` only; a mask the host refuses (it may name
+    a CPU the host lacks) leaves the process where it is."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _child(args, handle, j: int, k: int, size: int, sinks, done: int, go: int, cpus) -> None:
     """Classify parts j, k + j, ... of `size` lines of handle's file with
-    `sinks` as stdout and stderr.  After each part, write (its _batch_lines
-    result, whether a line follows it) to the pipe `done`, then wait for a
-    byte on `go`.  A crash writes its traceback and exits 1.  Never
-    returns."""
+    `sinks` as stdout and stderr, on CPU cpus[j] if `cpus` names one per
+    part.  After each part, write (its _batch_lines result, whether a line
+    follows it) to the pipe `done`, then wait for a byte on `go`.  A crash
+    writes its traceback and exits 1.  Never returns."""
     code = 1
     try:
         sys.stdout, sys.stderr = sinks
+        if cpus:
+            _pin({cpus[j]})
         out = cli._Output(args.quiet)
         emit, emit_error = cli._record_writer(args.format, out, header=False)
         lines = cli._file_lines(handle)
@@ -144,8 +161,13 @@ def run_parts(args, out, handle) -> int:
     line (see _plan).  Returns batch's exit status: 2 if a line gave an
     error record or a line that is not UTF-8 ended the run, 1 if a part
     crashed.  A part that ends the run ends it after its own output; no
-    child outlives this call."""
+    child outlives this call.  When the k parts use every CPU of the
+    affinity mask, part process j runs on the mask's j-th CPU, and this
+    process gets back its mask on return, for callers that run batch
+    in-process."""
     k, size = _plan(handle)
+    mask = os.sched_getaffinity(0) if k > 1 else ()
+    cpus = sorted(mask) if len(mask) == k else ()
     sys.stdout.flush()
     sys.stderr.flush()
     children = []  # [pid, or 0 once reaped; stdout and stderr sinks; done; go]
@@ -160,12 +182,14 @@ def run_parts(args, out, handle) -> int:
             try:
                 pid = os.fork()
                 if not pid:
-                    _child(args, reader, j, k, size, sinks, done_w, go_r)
+                    _child(args, reader, j, k, size, sinks, done_w, go_r, cpus)
                 children[-1][0] = pid
             finally:
                 for fd in (done_w, go_r):
                     os.close(fd)
                 reader.close()
+        if cpus:
+            _pin({cpus[0]})
         emit, emit_error = cli._record_writer(args.format, out)
         lines = cli._file_lines(handle)
         results = set()
@@ -181,6 +205,8 @@ def run_parts(args, out, handle) -> int:
                 return 1 if 1 in results else min(max(results), 2)
             _skip(lines, (k - 1) * size - 1)  # next() read the first
     finally:
+        if cpus:
+            _pin(mask)
         for child in children:
             pid, sinks, *fds = child
             if pid:

@@ -207,9 +207,16 @@ def _pair_classes(bounds: dict) -> tuple[dict[int, int], dict[int, list[LinearSy
     sizes taken in turn, or counted vector by vector: with at most two
     points a cell costs O(sqrt(mass)), less than the table's
     O(points * mass_bound * sqrt(mass_bound)), and past _MAX_TABLE_CELLS no
-    table is built."""
+    table is built.  Without a table the walk stops at
+    n = sqrt(mass_bound) (n = 2 and 4 stay in it), and the cells (n, t) past
+    it are counted off the vectors, one pass for each t, of mass
+    n*t^2 + 2: the walk's sqrt(mass_bound * n_hi) cells, each counted
+    vector by vector, fall to mass_bound^(3/4), for mass_bound^(1/4)
+    passes."""
     mass_bound, n_hi = bounds["mass_bound"], bounds["n_range"][1]
     points = min(bounds["max_points"], mass_bound // 2)
+    n_hi = min(n_hi, mass_bound - 2) if points else 0  # no point, no class
+    walk_hi = max(4, isqrt(mass_bound))
 
     def count(mass):
         return sum(1 for _ in _vectors_of_mass(mass, points, mass))
@@ -220,8 +227,9 @@ def _pair_classes(bounds: dict) -> tuple[dict[int, int], dict[int, list[LinearSy
             for fewer, row in zip(ways, ways[1:]):
                 row[m * (m + 1) :] = map(add, row[m * (m + 1) :], fewer)
         count = list(map(sum, zip(*ways))).__getitem__
+        walk_hi = n_hi
     counts, lists = {}, {}
-    for n, t, mass in _cells(mass_bound, n_hi if points else 0):  # no point, no class
+    for n, t, mass in _cells(mass_bound, min(n_hi, walk_hi)):
         if t == 1 and n <= 4 and count(mass):
             surface, lists[n] = SurfaceParams(n), []
         if n in lists:
@@ -229,6 +237,13 @@ def _pair_classes(bounds: dict) -> tuple[dict[int, int], dict[int, list[LinearSy
                          for mults in _vectors_of_mass(mass, points, mass_bound))  # fmt: skip
         elif k := count(mass):
             counts[n] = counts.get(n, 0) + k
+    t = 1
+    while (top := min(n_hi, (mass_bound - 2) // (t * t))) > walk_hi:
+        for _, mass in _mult_vectors(points, top * t * t + 2):
+            n, rest = divmod(mass - 2, t * t)
+            if n > walk_hi and not rest and not n % 2:
+                counts[n] = counts.get(n, 0) + 1
+        t += 1
     for n, specs in lists.items():
         specs.sort(key=_order)
         counts[n] = len(specs)

@@ -50,9 +50,13 @@ PAIR_BOUND_SPELLINGS = {
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(k3linsys.__file__).parents[1])}
 
 
-def run_capped(megabytes, *argv):
+# The kernel's affinity calls, which TestBatchParts' forks fixture fakes.
+SCHED_GETAFFINITY, SCHED_SETAFFINITY = os.sched_getaffinity, os.sched_setaffinity
+
+
+def run_capped(megabytes, *argv, timeout=10):
     """The CLI on argv in a child process whose address space is capped at
-    its own size plus `megabytes` MB, stopped after 10 s."""
+    its own size plus `megabytes` MB, stopped after `timeout` seconds."""
     capped = (
         "import resource, sys; from k3linsys.cli import main; "
         "size = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize(); "
@@ -64,7 +68,7 @@ def run_capped(megabytes, *argv):
         capture_output=True,
         text=True,
         env=CHILD_ENV,
-        timeout=10,
+        timeout=timeout,
     )
 
 
@@ -272,6 +276,25 @@ class TestVerifyCommands:
         assert report["passed"] and report["checked_count"] == checked
         assert report["details"] == details
         assert len(report["expected_exceptions_found"]) == exceptions
+
+    @pytest.mark.parametrize(
+        "mass_bound,checked,details,timeout",
+        [
+            ("1000000", 2_214, {"v0_classes": 2_152, "alignments_checked": 1}, 1),
+            ("10000000", 7_053, {"v0_classes": 6_956, "alignments_checked": 1}, 4),
+        ],
+    )
+    def test_pair_bounds_with_max_n_at_the_mass_bound(self, mass_bound, checked, details, timeout):
+        # Past n = sqrt(mass_bound) the cells are counted off the vectors,
+        # one pass for each degree t, not one cell at a time: about 0.1 and
+        # 0.4 s here, where counting every cell took 1.5 and 15 s.
+        bounds = ["--mass-bound", mass_bound, "--max-points", "1", "--max-n", mass_bound]
+        proc = run_capped(40, "verify", "pairs", *bounds, "--format", "json", timeout=timeout)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["passed"] and report["checked_count"] == checked
+        assert report["details"] == details
+        assert len(report["expected_exceptions_found"]) == 1
 
     def test_identity(self, capsys):
         # the addition identities are tier-1 properties of the lattice, not a check
@@ -875,6 +898,7 @@ class TestBatchParts:
 
     @pytest.fixture
     def forks(self, monkeypatch):
+        mask = os.sched_getaffinity(0)
         monkeypatch.setattr(parts, "MIN_PART_LINES", 8)
         monkeypatch.setattr(parts, "CPU_QUOTA_FILES", ())
         monkeypatch.setattr(cli, "MAX_LINE_CHARS", 100)
@@ -882,8 +906,23 @@ class TestBatchParts:
         made, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
         yield made
+        # batch gives back the fake mask, which can differ from this process's
+        SCHED_SETAFFINITY(0, mask)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def pins(self, monkeypatch):
+        """The masks this process passes to sched_setaffinity, which still
+        sets them; a forked part's own calls stay in its copy."""
+        calls = []
+
+        def record(pid, cpus):
+            calls.append(set(cpus))
+            SCHED_SETAFFINITY(pid, cpus)
+
+        monkeypatch.setattr(os, "sched_setaffinity", record)
+        return calls
 
     def test_plan(self, tmp_path, monkeypatch, forks):
         with cli._open_batch(parts_file(tmp_path / "parts.txt")) as handle:
@@ -939,7 +978,7 @@ class TestBatchParts:
     @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
     @pytest.mark.parametrize("max_part", [100, 5], ids=["one-round", "rounds"])
     def test_parts_write_the_serial_output(
-        self, capsys, tmp_path, monkeypatch, forks, max_part, fmt, quiet, bad_line
+        self, capsys, tmp_path, monkeypatch, forks, pins, max_part, fmt, quiet, bad_line
     ):
         monkeypatch.setattr(parts, "MIN_PART_LINES", min(max_part, 8))
         monkeypatch.setattr(parts, "MAX_PART_LINES", max_part)
@@ -948,11 +987,14 @@ class TestBatchParts:
         argv = ["batch", parts_file(tmp_path / "parts.txt", bad_line), "--format", fmt] + ["--quiet"] * quiet
         parallel = run(capsys, *argv)
         assert len(forks) == 2
+        # three parts on the three CPUs of the fake mask: batch on the first,
+        # then back on the mask (CPU 2 may be missing: the pins are best effort)
+        assert pins == [{0}, {0, 1, 2}]
         if bad_line is None:  # parts 1 and 2, or 1, 2, 4, 5 and 7 of 8, come from the children
             assert copies == ([15, 29] if max_part == 100 else [6, 11, 21, 26, 36])
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         serial = run(capsys, *argv)
-        assert len(forks) == 2
+        assert len(forks) == 2 and len(pins) == 2
         assert parallel == serial
         code, out, err = serial
         assert code == 2 and (out == "") == quiet
@@ -995,6 +1037,45 @@ class TestBatchParts:
         code, _, err = run(capsys, "batch", path, "--format", "text")
         assert code == 1 and len(forks) == 2
         assert err.endswith(f"{path}: the part of lines 15-28 ended with exit status -9\n")
+
+    @pytest.mark.parametrize("path", ["clean", "error-records", "crash", "killed"])
+    def test_parts_give_back_the_callers_mask(self, capsys, tmp_path, monkeypatch, forks, pins, path):
+        mask = set(sorted(SCHED_GETAFFINITY(0))[:3])  # the parts use every CPU of it
+        if len(mask) < 2:
+            pytest.skip("one CPU: batch is one pass")
+        SCHED_SETAFFINITY(0, mask)  # forks gives back the whole mask
+        monkeypatch.setattr(os, "sched_getaffinity", SCHED_GETAFFINITY)
+        parent, parse_spec = os.getpid(), cli.parse_spec
+
+        def end_children(text):
+            if os.getpid() != parent and path == "crash":
+                raise RuntimeError("part crashed")
+            if os.getpid() != parent and path == "killed":
+                os.kill(os.getpid(), 9)
+            return parse_spec(text)
+
+        monkeypatch.setattr(cli, "parse_spec", end_children)
+        if path == "error-records":
+            file = parts_file(tmp_path / "parts.txt")
+        else:
+            file = tmp_path / "clean.txt"
+            file.write_text("L2(4;4,3)\nL4(5;2^6,1)\n" * 20)
+        code, _, _ = run(capsys, "batch", str(file))
+        assert code == {"clean": 0, "error-records": 2, "crash": 1, "killed": 1}[path]
+        assert len(forks) == len(mask) - 1
+        assert pins == [{min(mask)}, mask]
+        assert SCHED_GETAFFINITY(0) == mask
+
+    @pytest.mark.parametrize(
+        "min_part, mask, forked", [(14, {0, 1, 2}, 1), (8, {0}, 0)], ids=["two-of-three", "one-pass"]
+    )
+    def test_fewer_parts_than_cpus_stay_unpinned(
+        self, capsys, tmp_path, monkeypatch, forks, pins, min_part, mask, forked
+    ):
+        monkeypatch.setattr(parts, "MIN_PART_LINES", min_part)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask)
+        code, _, _ = run(capsys, "batch", parts_file(tmp_path / "parts.txt"))
+        assert code == 2 and len(forks) == forked and pins == []
 
     def test_fifo_stays_serial(self, capsys, tmp_path, forks):
         path = parts_file(tmp_path / "parts.txt")
@@ -1077,6 +1158,45 @@ def test_interrupt_exits_130_and_reaps_the_children(tmp_path):
     )  # fmt: skip
     # one line on stderr, no traceback, and no child left behind
     assert (proc.returncode, proc.stdout, proc.stderr) == (130, b"1 forked\n", b"interrupted\n")
+
+
+# Batch in parts of five lines on at most four CPUs of this process's own
+# mask: each part process writes the CPUs it may run on to stderr, and the
+# batch process writes its mask when the run is over.
+AFFINITY_PROBE = """
+import os, sys
+from k3linsys import cli, parts
+parts.MIN_PART_LINES = parts.MAX_PART_LINES = 5
+parts.CPU_QUOTA_FILES = ()
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:4])
+batch_lines = cli._batch_lines
+def recorded(*args):
+    sys.stderr.write(f"part {os.getpid()} {sorted(os.sched_getaffinity(0))}\\n")
+    return batch_lines(*args)
+cli._batch_lines = recorded
+try:
+    cli.entrypoint()
+finally:
+    sys.stderr.write(f"after {sorted(os.sched_getaffinity(0))}\\n")
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU: batch is one pass")
+def test_parts_run_each_on_its_own_cpu(tmp_path):
+    path = tmp_path / "many.txt"
+    path.write_text("L2(4;4,3)\nL4(5;2^6,1)\n" * 20)
+    proc = subprocess.run(
+        [sys.executable, "-c", AFFINITY_PROBE, "batch", str(path)],
+        capture_output=True, text=True, env=CHILD_ENV, timeout=120,
+    )  # fmt: skip
+    *records, after = proc.stderr.splitlines()
+    assert proc.returncode == 0 and after.startswith("after ")
+    cpus = {}  # each part process's CPUs, by pid
+    for record in records:
+        _, pid, on = record.split(" ", 2)
+        assert cpus.setdefault(pid, json.loads(on)) == json.loads(on)
+    mask = json.loads(after.split(" ", 1)[1])
+    assert sorted(cpus.values()) == [[cpu] for cpu in mask] and len(mask) >= 2
 
 
 def test_dev_stdin_stays_serial(tmp_path):
