@@ -4,11 +4,12 @@ The console script is the `k3linsys` on PATH, with PYTHONPATH unset so
 that it runs the installed package, when K3LINSYS_CONSOLE_SCRIPT is set:
 the CI workflow sets it after `pip install .` of this checkout.  Otherwise
 it is `python -m k3linsys` with this checkout's `src` on PYTHONPATH, so
-that a stale install elsewhere on PATH is never the code under test.  Its output does not depend on the command, so a few
-commands stand for all: batch on the golden file and intersect on the
-golden pairs in every format, and `verify lemma-table` in JSON, each
-against its golden stdout, stderr and exit code (see test_golden.py,
-which diffs every command in-process).
+that a stale install elsewhere on PATH is never the code under test.  Its
+output does not depend on the command, so a few commands stand for all,
+each in every format against its golden stdout, stderr and exit code:
+batch on the golden file, intersect on the golden pairs, and the
+`verify lemma-table` report (see test_golden.py, which diffs every
+command in-process).
 
 Batch in parts then runs at its production MIN_PART_LINES and
 MAX_PART_LINES on the real CPU affinity, against one pass: on 280 copies
@@ -19,6 +20,7 @@ host with one usable CPU both sides run one pass.
 
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -68,11 +70,16 @@ def test_intersect_matches_golden(fmt):
     assert b"".join(blocks) == (GOLDEN / f"intersect.{fmt}.out").read_bytes()
 
 
-def test_lemma_table_matches_golden():
-    proc = k3linsys("verify", "lemma-table", "--format", "json")
-    report = json.loads(proc.stdout)
-    assert (proc.returncode, proc.stderr) == (0, b"") and report.pop("elapsed") >= 0
-    assert report == json.loads((GOLDEN / "lemma-table.json").read_bytes())
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_lemma_table_matches_golden(fmt):
+    proc = k3linsys("verify", "lemma-table", "--format", fmt)
+    if fmt == "json":
+        report = json.loads(proc.stdout)
+        assert (proc.returncode, proc.stderr) == (0, b"") and report.pop("elapsed") >= 0
+        assert report == json.loads((GOLDEN / "lemma-table.json").read_bytes())
+        return
+    block = re.sub(rb"elapsed=\d+\.\d{3}s", b"elapsed=...s", proc.stdout + proc.stderr)
+    assert block + b"exit %d\n" % proc.returncode == (GOLDEN / f"lemma-table.{fmt}.out").read_bytes()
 
 
 def one_cpu() -> None:

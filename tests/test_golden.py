@@ -19,11 +19,18 @@ the same two bounds; csv carries no `elapsed`.  `pairs.json` holds the
 at the benchmark's verify_pairs bounds.
 `lemma-table.json` holds the `verify lemma-table` report without `elapsed`,
 and `enumerate.<format>.out` the stdout of `enumerate v0 --self-int=-2..6`.
-tests/test_console.py diffs the console script's batch, intersect and
-lemma-table output against the same files.
+`<report>.<format>.out` holds the text and csv stdout, stderr and exit code
+of `verify lemma-table`, of `verify pairs` and of `hunt` (at the bounds of
+pairs.json and hunt.json), with a text report's `elapsed=...s` masked, and
+`failed.<format>.out` those of a synthetic failed lemma-table report, with
+a violation, an exception, a note and a class, in every format.  All of
+them were frozen from the renderers that branched on the format one
+command at a time.  tests/test_console.py diffs the console script's
+batch, intersect and lemma-table output against the same files.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -33,11 +40,34 @@ from hypothesis import strategies as st
 import k3linsys.cli as cli
 from k3linsys.classify import decompose, normalize
 from k3linsys.literals import parse_literal, parse_spec
-from k3linsys.verify import hunt_counterexamples, verify_lemma_table, verify_pair_inequality
+from k3linsys.verify import (
+    Certificate,
+    VerificationReport,
+    hunt_counterexamples,
+    verify_lemma_table,
+    verify_pair_inequality,
+)
 from oracles import classification_record
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path("tests") / "golden"
+# A text report's time, which the golden files hold as "elapsed=...s".
+ELAPSED = re.compile(r"elapsed=\d+\.\d{3}s")
+
+
+def _blocks(capsys, *argvs) -> str:
+    """The stdout, stderr and exit code of cli.main on each argv, one block
+    each, with a text report's elapsed masked."""
+    blocks = []
+    for argv in argvs:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        blocks.append(f"{captured.out}{captured.err}exit {code}\n")
+    return ELAPSED.sub("elapsed=...s", "".join(blocks))
+
+
+def _golden(name: str) -> str:
+    return (ROOT / GOLDEN / name).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
@@ -46,29 +76,22 @@ def test_batch_matches_golden(capsys, monkeypatch, fmt):
     code = cli.main(["batch", str(GOLDEN / "batch.txt"), "--format", fmt])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.out == (ROOT / GOLDEN / f"batch.{fmt}.out").read_text(encoding="utf-8")
-    assert captured.err == (ROOT / GOLDEN / "batch.err").read_text(encoding="utf-8")
+    assert captured.out == _golden(f"batch.{fmt}.out")
+    assert captured.err == _golden("batch.err")
 
 
 @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
 @pytest.mark.parametrize("command", ["dim", "classify"])
 def test_single_system_commands_match_golden(capsys, command, fmt):
-    blocks = []
-    for text in _golden_literals():
-        code = cli.main([command, text, "--format", fmt])
-        captured = capsys.readouterr()
-        blocks.append(f"{captured.out}{captured.err}exit {code}\n")
-    assert "".join(blocks) == (ROOT / GOLDEN / f"{command}.{fmt}.out").read_text(encoding="utf-8")
+    got = _blocks(capsys, *([command, text, "--format", fmt] for text in _golden_literals()))
+    assert got == _golden(f"{command}.{fmt}.out")
 
 
 @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
 def test_intersect_matches_golden(capsys, fmt):
-    blocks = []
-    for line in (ROOT / GOLDEN / "intersect.txt").read_text(encoding="utf-8").splitlines():
-        code = cli.main(["intersect", *line.split(), "--format", fmt])
-        captured = capsys.readouterr()
-        blocks.append(f"{captured.out}{captured.err}exit {code}\n")
-    assert "".join(blocks) == (ROOT / GOLDEN / f"intersect.{fmt}.out").read_text(encoding="utf-8")
+    pairs = _golden("intersect.txt").splitlines()
+    got = _blocks(capsys, *(["intersect", *line.split(), "--format", fmt] for line in pairs))
+    assert got == _golden(f"intersect.{fmt}.out")
 
 
 _HUNT_ARGS = {"defaults": [], "hunt_grid": ["--max-n", "12", "--max-degree", "7", "--mass-bound", "64"]}
@@ -77,7 +100,7 @@ _HUNT_ARGS = {"defaults": [], "hunt_grid": ["--max-n", "12", "--max-degree", "7"
 @pytest.mark.parametrize("label", _HUNT_ARGS)
 def test_hunt_matches_golden(capsys, label):
     argv = _HUNT_ARGS[label]
-    golden = json.loads((ROOT / GOLDEN / "hunt.json").read_text(encoding="utf-8"))[label]
+    golden = json.loads(_golden("hunt.json"))[label]
     code = cli.main(["hunt", *argv, "--format", "json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report.pop("elapsed") >= 0
@@ -86,22 +109,13 @@ def test_hunt_matches_golden(capsys, label):
     assert hunt_counterexamples(**bounds).canonical_json() == json.dumps(golden, sort_keys=True)
 
 
-def test_hunt_csv_matches_golden(capsys):
-    blocks = []
-    for argv in _HUNT_ARGS.values():
-        code = cli.main(["hunt", *argv, "--format", "csv"])
-        captured = capsys.readouterr()
-        blocks.append(f"{captured.out}{captured.err}exit {code}\n")
-    assert "".join(blocks) == (ROOT / GOLDEN / "hunt.csv.out").read_text(encoding="utf-8")
-
-
 _PAIRS_ARGS = {"defaults": [], "verify_pairs": ["--mass-bound", "180", "--max-points", "6", "--max-n", "36"]}
 
 
 @pytest.mark.parametrize("label", _PAIRS_ARGS)
 def test_pairs_matches_golden(capsys, label):
     argv = _PAIRS_ARGS[label]
-    golden = json.loads((ROOT / GOLDEN / "pairs.json").read_text(encoding="utf-8"))[label]
+    golden = json.loads(_golden("pairs.json"))[label]
     code = cli.main(["verify", "pairs", *argv, "--format", "json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report.pop("elapsed") >= 0
@@ -111,7 +125,7 @@ def test_pairs_matches_golden(capsys, label):
 
 
 def test_lemma_table_matches_golden(capsys):
-    golden = json.loads((ROOT / GOLDEN / "lemma-table.json").read_text(encoding="utf-8"))
+    golden = json.loads(_golden("lemma-table.json"))
     code = cli.main(["verify", "lemma-table", "--format", "json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report.pop("elapsed") >= 0
@@ -119,16 +133,52 @@ def test_lemma_table_matches_golden(capsys):
     assert verify_lemma_table().canonical_json() == json.dumps(golden, sort_keys=True)
 
 
+# The text and csv reports each golden file holds, one block per command line.
+_REPORT_ARGS = {
+    "lemma-table": [["verify", "lemma-table"]],
+    "pairs": [["verify", "pairs", *argv] for argv in _PAIRS_ARGS.values()],
+    "hunt": [["hunt", *argv] for argv in _HUNT_ARGS.values()],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("report", _REPORT_ARGS)
+def test_report_matches_golden(capsys, report, fmt):
+    got = _blocks(capsys, *([*argv, "--format", fmt] for argv in _REPORT_ARGS[report]))
+    assert got == _golden(f"{report}.{fmt}.out")
+
+
+# A failed report with a violation and an exception, whose messages and
+# data CSV must quote, a note and a class.
+FAILED = VerificationReport(
+    name="lemma-table",
+    bounds={"n_range": [2, 4], "mass_bound": 12},
+    checked_count=2,
+    violations=(Certificate("missing-class", 'no "L4(1;2)", C^2 = 0', {"n": 4, "c2": 0, "mults": [2]}),),
+    expected_exceptions_found=(Certificate("special-family", "L4(2;4) = 2*L4(1;2)", {"d": 2}),),
+    elapsed=0.0,
+    notes=("synthetic, with a comma",),
+    details={"classes": [{"literal": "L2(1;1^2)", "c2": 0}]},
+)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_failed_report_matches_golden(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(cli, "verify_lemma_table", lambda: FAILED)
+    got = _blocks(capsys, ["verify", "lemma-table", "--format", fmt])
+    assert got == _golden(f"failed.{fmt}.out")
+
+
 @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
 def test_enumerate_v0_matches_golden(capsys, fmt):
     code = cli.main(["enumerate", "v0", "--self-int=-2..6", "--format", fmt])
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
-    assert captured.out == (ROOT / GOLDEN / f"enumerate.{fmt}.out").read_text(encoding="utf-8")
+    assert captured.out == _golden(f"enumerate.{fmt}.out")
 
 
 def _golden_literals():
-    for line in (ROOT / GOLDEN / "batch.txt").read_text(encoding="utf-8").splitlines():
+    for line in _golden("batch.txt").splitlines():
         text = line.split("#", 1)[0].strip()
         if text:
             yield text
