@@ -1,12 +1,15 @@
 """Command-line front end: classify systems, run verifiers, batch files.
 
-Commands: dim, classify, intersect, enumerate, verify, hunt, batch.  Output
-goes to stdout in text, JSON, or CSV; diagnostics go to stderr.  Exit codes:
-0 success or verification pass, 1 verification violation, 2 usage or parse
-error, 141 (128 + SIGPIPE) stdout closed by the reader.  Classification
-records carry a fixed field order (n, d, mults, v, e, dim, special, h1,
-h1_lower_bound, member_kind, fixed_part, free_part, conjectural) in every
-format; h1 is null when only the lower bound is known.
+Commands: dim, classify, intersect, enumerate, verify, hunt, batch.  Each
+builds records, which one output layer writes to stdout in text, JSON or
+CSV: _writer renders a record dict (reports, intersect, enumerate, batch's
+error records), _record_writer a classification record by a fast path of
+its own.  Diagnostics go to stderr.  Exit codes: 0 success or verification
+pass, 1 verification violation, 2 usage or parse error, 141 (128 + SIGPIPE)
+stdout closed by the reader.  Classification records carry a fixed field
+order (n, d, mults, v, e, dim, special, h1, h1_lower_bound, member_kind,
+fixed_part, free_part, conjectural) in every format; h1 is null when only
+the lower bound is known.
 """
 
 from __future__ import annotations
@@ -188,49 +191,71 @@ def _csv_cell(key: str, value) -> str:
     return str(value)
 
 
-def _write_csv(out: _Output, header, rows) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _writer(fmt: str, out: _Output, fields, text, header: bool = True):
+    """write(record) for a record dict: json.dumps(record) on one line in
+    json; in csv a row of its `fields` (blank where it has none), after a
+    header row of them if `header`; text(record) in text."""
+    if fmt == "json":
+        return lambda record: out.line(json.dumps(record))
+    if fmt == "csv":
+        rows = csv.writer(out, lineterminator="\n")
+        if header:
+            rows.writerow(fields)
+        return lambda record: rows.writerow([_csv_cell(key, record.get(key)) for key in fields])
+    return lambda record: out.line(text(record))
 
 
 def _h1_text(h1: int | None, lower: int) -> str:
     return f"h1 >= {lower}" if h1 is None else f"h1 = {h1}"
 
 
-def _record_line(dec: Decomposition, source: str) -> str:
+def _batch_text(dec: Decomposition) -> str:
     _, _, _, v, e, dim, special, h1, lower, kind, fixed, free, _ = record_values(dec)
     return (
-        f"{source}: dim={dim} v={v} e={e} special={special or '-'} "
+        f"{dec.spec.literal()}: dim={dim} v={v} e={e} special={special or '-'} "
         f"{_h1_text(h1, lower).replace(' ', '')} "
         f"kind={kind} fixed={'+'.join(fixed) or '-'} free={free or '-'}"
     )
 
 
-def _record_writer(fmt: str, out: _Output, header: bool = True):
-    """Record renderers (record, error) of batch, and of dim and classify in
-    json and csv: record(spec) writes a spec's record, error(err, text) the
-    error record of the stripped line `text`.  A csv writer writes the
-    header row first if `header`."""
+def _dim_text(dec: Decomposition) -> str:
+    _, _, _, v, _, dim, special, h1, lower, *_ = record_values(dec)
+    if special:
+        return f"{dim} (special; v = {v}, h1 = {h1})"
+    return f"-1 (empty; v = {v}, {_h1_text(h1, lower)})" if dim == -1 else str(dim)
+
+
+def _classify_text(dec: Decomposition) -> str:
+    _, _, _, v, e, dim, special, h1, lower, kind, fixed, free, conjectural = record_values(dec)
+    return (
+        f"{dec.spec.literal()}\n  v = {v}, e = {e}\n"
+        f"  dim = {dim}{' (conjectural)' if conjectural else ''}\n"
+        f"  special: {special or 'no'}\n  {_h1_text(h1, lower)}\n  member kind: {kind}\n"
+        f"  fixed part: {'+'.join(fixed) or '-'}\n  free part: {free or '-'}"
+    )
+
+
+def _error_text(record: dict) -> str:
+    error = record["error"]
+    return f"{error['source']}: error: {error['message']} (byte {error['position']})"
+
+
+def _record_writer(fmt: str, out: _Output, text, header: bool = True):
+    """The renderers (record, error) of classification records: record(spec)
+    writes a spec's record by json_record's template in json, from
+    record_values in csv and by the template text(decomposition) in text;
+    error(err) writes a line's error record {"error": err}, blank cells in
+    csv.  A csv writer writes the header row first if `header`."""
+    error = _writer(fmt, out, RECORD_FIELDS, _error_text, header)
     if fmt == "json":
         write = out.write
-        return (
-            lambda spec: write(json_record(decompose(spec)) + "\n"),
-            lambda err, text: out.line(json.dumps({"error": err})),
-        )
-    if fmt == "csv":
-        rows = csv.writer(out, lineterminator="\n")
-        if header:
-            rows.writerow(RECORD_FIELDS)
-        blank = [""] * len(RECORD_FIELDS)
-        return (
-            lambda spec: rows.writerow(map(_csv_cell, RECORD_FIELDS, record_values(decompose(spec)))),
-            lambda err, text: rows.writerow(blank),
-        )
-    return (
-        lambda spec: out.line(_record_line(decompose(spec), spec.literal())),
-        lambda err, text: out.line(f"{text}: error: {err['message']} (byte {err['position']})"),
-    )
+        record = lambda spec: write(json_record(decompose(spec)) + "\n")
+    elif fmt == "csv":
+        row = csv.writer(out, lineterminator="\n").writerow
+        record = lambda spec: row(map(_csv_cell, RECORD_FIELDS, record_values(decompose(spec))))
+    else:
+        record = lambda spec: out.line(text(decompose(spec)))
+    return record, lambda err: error({"error": err})
 
 
 def _file_lines(handle):
@@ -257,35 +282,11 @@ def _file_lines(handle):
         yield head
 
 
-def _cmd_dim(args, out: _Output) -> int:
-    spec = parse_spec(args.system)
-    if args.format != "text":
-        _record_writer(args.format, out)[0](spec)
-        return 0
-    _, _, _, v, _, dim, special, h1, lower, *_ = record_values(decompose(spec))
-    if special:
-        out.line(f"{dim} (special; v = {v}, h1 = {h1})")
-    elif dim == -1:
-        out.line(f"-1 (empty; v = {v}, {_h1_text(h1, lower)})")
-    else:
-        out.line(str(dim))
-    return 0
-
-
-def _cmd_classify(args, out: _Output) -> int:
-    spec = parse_spec(args.system)
-    if args.format != "text":
-        _record_writer(args.format, out)[0](spec)
-        return 0
-    _, _, _, v, e, dim, special, h1, lower, kind, fixed, free, conjectural = record_values(decompose(spec))
-    out.line(spec.literal())
-    out.line(f"  v = {v}, e = {e}")
-    out.line(f"  dim = {dim}{' (conjectural)' if conjectural else ''}")
-    out.line(f"  special: {special or 'no'}")
-    out.line(f"  {_h1_text(h1, lower)}")
-    out.line(f"  member kind: {kind}")
-    out.line(f"  fixed part: {'+'.join(fixed) or '-'}")
-    out.line(f"  free part: {free or '-'}")
+def _cmd_system(args, out: _Output) -> int:
+    """dim and classify: one system's record, in text by the command's template."""
+    spec = parse_spec(args.system)  # before the writer, which may write a csv header
+    text = _dim_text if args.command == "dim" else _classify_text
+    _record_writer(args.format, out, text)[0](spec)
     return 0
 
 
@@ -293,12 +294,8 @@ def _cmd_intersect(args, out: _Output) -> int:
     a = parse_literal(args.system_a)
     b = parse_literal(args.system_b)
     value = intersect(a.divisor_class(), b.divisor_class())
-    if args.format == "text":
-        out.line(str(value))
-    elif args.format == "json":
-        out.line(json.dumps({"a": a.source.strip(), "b": b.source.strip(), "intersection": value}))
-    else:
-        _write_csv(out, ["a", "b", "intersection"], [[a.source.strip(), b.source.strip(), str(value)]])
+    record = {"a": a.source.strip(), "b": b.source.strip(), "intersection": value}
+    _writer(args.format, out, tuple(record), lambda r: str(r["intersection"]))(record)
     return 0
 
 
@@ -322,82 +319,57 @@ def _bound(text: str) -> int:
 
 def _cmd_enumerate(args, out: _Output) -> int:
     classes = enumerate_v0_classes(args.self_int)
-    records = map(class_record, classes)  # each rendered as it is made
+    text = lambda c: f"{c['literal']}  (C^2 = {c['c2']})"
+    write = _writer(args.format, out, ("c2", "n", "t", "mults", "v", "literal"), text)
+    for c in map(class_record, classes):  # each rendered as it is made
+        write(c)
     if args.format == "text":
-        for c in records:
-            out.line(f"{c['literal']}  (C^2 = {c['c2']})")
         out.line(f"total: {len(classes)}")
-    elif args.format == "json":
-        for c in records:
-            out.line(json.dumps(c))
-    else:
-        header = ["c2", "n", "t", "mults", "v", "literal"]
-        rows = (
-            [c["c2"], c["n"], c["t"], format_multiplicities(c["mults"]), c["v"], c["literal"]]
-            for c in records
-        )
-        _write_csv(out, header, rows)
     return 0
 
 
-def _render_report(report: VerificationReport, fmt: str, out: _Output) -> int:
-    if fmt == "json":
-        out.line(json.dumps(report.to_dict()))
-    elif fmt == "csv":
-        header = ["section", "kind", "message", "data"]
-        rows = [
-            [
-                "summary",
-                report.name,
-                "PASS" if report.passed else "FAIL",
-                json.dumps(
-                    {"checked_count": report.checked_count, "bounds": report.bounds},
-                    sort_keys=True,
-                ),
-            ]
-        ]
-        for cert in report.violations:
-            rows.append(["violation", cert.kind, cert.message, json.dumps(cert.data, sort_keys=True)])
-        for cert in report.expected_exceptions_found:
-            rows.append(["exception", cert.kind, cert.message, json.dumps(cert.data, sort_keys=True)])
-        _write_csv(out, header, rows)
-    else:
-        status = "PASS" if report.passed else "FAIL"
-        out.line(
-            f"{report.name}: {status}  checked={report.checked_count} "
-            f"violations={len(report.violations)} "
-            f"exceptions={len(report.expected_exceptions_found)} "
-            f"elapsed={report.elapsed:.3f}s"
+def _report_text(report: dict) -> str:
+    lines = [
+        f"{report['name']}: {'PASS' if report['passed'] else 'FAIL'}  checked={report['checked_count']} "
+        f"violations={len(report['violations'])} exceptions={len(report['expected_exceptions_found'])} "
+        f"elapsed={report['elapsed']:.3f}s",
+        *(f"  class: {c['literal']}  (C^2 = {c['c2']})" for c in report["details"].get("classes", ())),
+        *(f"  note: {note}" for note in report["notes"]),
+        *(f"  exception: {cert['message']}" for cert in report["expected_exceptions_found"]),
+        *(f"  VIOLATION: {cert['message']}" for cert in report["violations"]),
+    ]
+    return "\n".join(lines)
+
+
+def _cmd_report(args, out: _Output) -> int:
+    """verify and hunt: the report's dict, one record in json and text; in
+    csv a summary row, then a row per violation and per exception."""
+    if args.command == "hunt":
+        report = hunt_counterexamples(
+            max_n=args.max_n,
+            max_degree=args.max_degree,
+            mass_bound=args.mass_bound,
+            max_points=args.max_points,
         )
-        for cls in report.details.get("classes", ()):
-            out.line(f"  class: {cls['literal']}  (C^2 = {cls['c2']})")
-        for note in report.notes:
-            out.line(f"  note: {note}")
-        for cert in report.expected_exceptions_found:
-            out.line(f"  exception: {cert.message}")
-        for cert in report.violations:
-            out.line(f"  VIOLATION: {cert.message}")
-    return 0 if report.passed else 1
-
-
-def _cmd_verify(args, out: _Output) -> int:
-    if args.check == "pairs":
+    elif args.check == "pairs":
         report = verify_pair_inequality(
             mass_bound=args.mass_bound, max_points=args.max_points, max_n=args.max_n
         )
     else:
         report = verify_lemma_table()
-    return _render_report(report, args.format, out)
-
-
-def _cmd_hunt(args, out: _Output) -> int:
-    report = hunt_counterexamples(
-        max_n=args.max_n,
-        max_degree=args.max_degree,
-        mass_bound=args.mass_bound,
-        max_points=args.max_points,
-    )
-    return _render_report(report, args.format, out)
+    record = report.to_dict()
+    write = _writer(args.format, out, ("section", "kind", "message", "data"), _report_text)
+    if args.format == "csv":
+        status = "PASS" if report.passed else "FAIL"
+        summary = {"checked_count": report.checked_count, "bounds": report.bounds}
+        rows = [("summary", {"kind": report.name, "message": status, "data": summary})]
+        rows += (("violation", cert) for cert in record["violations"])
+        rows += (("exception", cert) for cert in record["expected_exceptions_found"])
+        for section, cert in rows:
+            write({**cert, "section": section, "data": json.dumps(cert["data"], sort_keys=True)})
+    else:
+        write(record)
+    return 0 if report.passed else 1
 
 
 def _open_batch(path: str):
@@ -432,7 +404,7 @@ def _batch_lines(args, numbered, emit, emit_error) -> int:
             failed = True
             _Output.error(f"{args.file}:{lineno}: {exc}")
             error = {"line": lineno, "position": exc.position, "message": exc.message, "source": text}
-            emit_error(error, text)
+            emit_error(error)
             continue
         emit(spec)
     return 2 if failed else 0
@@ -532,12 +504,12 @@ def build_parser() -> argparse.ArgumentParser:
 # command: (handler, the _LAZY modules it runs, the formats it renders with
 # the module of that name)
 _COMMANDS = {
-    "dim": (_cmd_dim, ("literals", "classify"), ("csv",)),
-    "classify": (_cmd_classify, ("literals", "classify"), ("csv",)),
+    "dim": (_cmd_system, ("literals", "classify"), ("csv",)),
+    "classify": (_cmd_system, ("literals", "classify"), ("csv",)),
     "intersect": (_cmd_intersect, ("literals", "lattice"), ("json", "csv")),
     "enumerate": (_cmd_enumerate, ("verify", "classify", "json"), ("csv",)),
-    "verify": (_cmd_verify, ("verify", "json"), ("csv",)),
-    "hunt": (_cmd_hunt, ("verify", "json"), ("csv",)),
+    "verify": (_cmd_report, ("verify", "json"), ("csv",)),
+    "hunt": (_cmd_report, ("verify", "json"), ("csv",)),
     "batch": (_cmd_batch, ("literals", "classify", "parts"), ("json", "csv")),
 }
 

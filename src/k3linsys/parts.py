@@ -128,7 +128,7 @@ def _child(args, handle, j: int, k: int, size: int, sinks, done: int, go: int, c
         if cpus:
             _pin({cpus[j]})
         out = cli._Output(args.quiet)
-        emit, emit_error = cli._record_writer(args.format, out, header=False)
+        emit, emit_error = cli._record_writer(args.format, out, cli._batch_text, header=False)
         lines = cli._file_lines(handle)
         _skip(lines, j * size)
         for part in count(j, k):
@@ -190,7 +190,7 @@ def run_parts(args, out, handle) -> int:
                 reader.close()
         if cpus:
             _pin({cpus[0]})
-        emit, emit_error = cli._record_writer(args.format, out)
+        emit, emit_error = cli._record_writer(args.format, out, cli._batch_text)
         lines = cli._file_lines(handle)
         results = set()
         for part in count(0, k):
