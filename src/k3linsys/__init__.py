@@ -7,8 +7,9 @@ loads no math module.
 
 __version__ = "0.1.0"
 
-# The most digits of an integer in a literal or a bound option: values such as
-# v ~ n*d^2/2 have up to three times as many, and Python prints at most 4300.
+# The most digits of an integer in a literal, a bound option, a SurfaceParams
+# or a spec's fields: values such as v ~ n*d^2/2 have up to three times as
+# many, and Python prints at most 4300.
 MAX_INTEGER_DIGITS = 1000
 
 __all__ = [

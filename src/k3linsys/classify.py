@@ -27,7 +27,8 @@ from __future__ import annotations
 from enum import Enum
 from operator import mul
 
-from .lattice import DivisorClass, SurfaceParams, Value
+from . import MAX_INTEGER_DIGITS
+from .lattice import INT_LIMIT, DivisorClass, SurfaceParams, Value
 
 
 class NormalizationError(ValueError):
@@ -114,15 +115,21 @@ class LinearSystemSpec(Value):
 def _check_spec_fields(d, mults: tuple) -> None:
     """Raise the first error in a spec's degree and multiplicities, if any.
 
-    `int` subclasses other than `bool` are accepted.
+    `int` subclasses other than `bool` are accepted, of at most
+    MAX_INTEGER_DIGITS digits.
     """
     if not isinstance(d, int) or isinstance(d, bool):
         raise TypeError(f"degree d must be an int, got {d!r}")
+    if not -INT_LIMIT < d < INT_LIMIT:
+        raise NormalizationError(f"degree d must have at most {MAX_INTEGER_DIGITS} digits", field="d")
     if d < 0:
         raise NormalizationError(f"degree d must be >= 0, got {d}", field="d")
     for m in mults:
         if not isinstance(m, int) or isinstance(m, bool):
             raise TypeError(f"multiplicities must be ints, got {m!r}")
+        if not -INT_LIMIT < m < INT_LIMIT:
+            message = f"multiplicities must have at most {MAX_INTEGER_DIGITS} digits"
+            raise NormalizationError(message, field="mults")
         if m < 1:
             raise NormalizationError(
                 f"canonical multiplicities must be >= 1, got {m}", field="mults"

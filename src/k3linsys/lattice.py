@@ -22,6 +22,13 @@ from __future__ import annotations
 
 from itertools import zip_longest
 
+from . import MAX_INTEGER_DIGITS
+
+# SurfaceParams and the spec checks refuse integers at or past this bound,
+# of more than MAX_INTEGER_DIGITS digits: every value must print, and Python
+# prints at most 4300 digits.  Their messages do not format the value.
+INT_LIMIT = 10**MAX_INTEGER_DIGITS
+
 
 class Value:
     """An immutable record of the fields its subclass annotates, in order.
@@ -90,6 +97,8 @@ class SurfaceParams(Value):
     def __init__(self, n: int) -> None:
         if not isinstance(n, int) or isinstance(n, bool):
             raise TypeError(f"polarization degree n must be an int, got {n!r}")
+        if not -INT_LIMIT < n < INT_LIMIT:
+            raise ValueError(f"n must have at most {MAX_INTEGER_DIGITS} digits")
         if n % 2 != 0:
             raise ValueError(f"n must be even (n = 2g-2), got n = {n}")
         if n < 2:

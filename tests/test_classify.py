@@ -78,6 +78,41 @@ class TestNormalize:
         with pytest.raises(TypeError, match="multiplicities must be ints"):
             normalize(2, 3, [bad, 1])
 
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            pytest.param((4, 10**5000, (1,)), "d", id="huge-d"),
+            pytest.param((-(10**5000), 1, ()), "n", id="huge-negative-n"),
+            pytest.param((10**MAX_INTEGER_DIGITS, 1, ()), "n", id="1001-digit-n"),
+            pytest.param((2, 10**MAX_INTEGER_DIGITS, ()), "d", id="1001-digit-d"),
+            pytest.param((2, 1, (10**MAX_INTEGER_DIGITS, 1)), "mults", id="1001-digit-mult"),
+        ],
+    )
+    def test_integers_past_the_digit_cap_rejected(self, args, field):
+        # Python prints at most 4300 digits: without the cap, huge-d gave a
+        # spec whose literal() raised, and huge-negative-n an error whose
+        # text was Python's own "Exceeds the limit".
+        message = f"^[a-z ]+ must have at most {MAX_INTEGER_DIGITS} digits$"
+        with pytest.raises(NormalizationError, match=message) as exc:
+            normalize(*args)
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize(
+        "d, mults, field", [(-(10**5000), (), "d"), (1, (-(10**5000),), "mults")], ids=["d", "mults"]
+    )
+    def test_constructor_rejects_huge_negatives_without_printing_them(self, d, mults, field):
+        with pytest.raises(NormalizationError, match="at most") as exc:
+            LinearSystemSpec(SurfaceParams(2), d, mults)
+        assert exc.value.field == field
+
+    def test_literal_at_the_digit_cap_builds_and_prints(self):
+        text = "L" + "2" * MAX_INTEGER_DIGITS + "(1;" + "9" * MAX_INTEGER_DIGITS + ")"
+        literal = parse_literal(text)
+        assert str(literal.to_spec()) == text
+        assert literal.divisor_class().surface.n == int("2" * MAX_INTEGER_DIGITS)
+        n = 10**MAX_INTEGER_DIGITS - 2
+        assert normalize(n, n + 1, (n + 1,)).literal() == f"L{n}({n + 1};{n + 1})"
+
     def test_constructor_requires_canonical(self):
         with pytest.raises(NormalizationError):
             LinearSystemSpec(SurfaceParams(2), 1, (1, 2))

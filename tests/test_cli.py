@@ -700,6 +700,15 @@ class TestBatch:
             f"{path}:5: line longer than 50 characters (byte 50)",
         ]
 
+    @pytest.mark.parametrize("piece", [7, 64, 1 << 16])
+    def test_line_of_exactly_the_cap_is_a_record(self, capsys, tmp_path, monkeypatch, piece):
+        monkeypatch.setattr(cli, "MAX_LINE_CHARS", 50)
+        monkeypatch.setattr(cli, "READ_CHARS", piece)
+        path, records = capped_file(tmp_path / "cap.txt", 50, 4)
+        code, out, err = run(capsys, "batch", path, "--format", "json")
+        assert (code, err) == (0, "")
+        assert [json.loads(line) for line in out.splitlines()] == records
+
     def test_huge_line_bounded_memory(self, tmp_path):
         # A 50-million-character line costs the reader no more than its cap;
         # the batch runs in a child of a small wrapper so that RUSAGE_CHILDREN
@@ -865,6 +874,14 @@ class TestBatch:
                 assert cell == cli._csv_cell(key, rec[key])
 
 
+def capped_file(path, cap, count):
+    """A batch file of `count` literals, each padded by a comment to exactly
+    `cap` characters, and the records of its lines."""
+    literals = [f"L{2 * (i % 5 + 1)}({i % 9};{i % 4 + 1}^{i % 3 + 1})" for i in range(count)]
+    path.write_text("".join(f"{text}  # ".ljust(cap, "x") + "\n" for text in literals))
+    return str(path), [classification_record(decompose(parse_literal(text).to_spec())) for text in literals]
+
+
 def parts_file(path, bad_line=None):
     """A 40-line batch file: a byte-order mark, CR LF endings, comments,
     error lines, wide lines, lines over a MAX_LINE_CHARS of 100 on both
@@ -1001,6 +1018,13 @@ class TestBatchParts:
         assert err.count(": line longer than 100 characters") == (0 if bad_line in (3, 8) else 4)
         if bad_line:
             assert err.endswith(f"not UTF-8 at line {bad_line}\n")
+
+    def test_lines_of_exactly_the_cap_are_records(self, capsys, tmp_path, forks):
+        # three parts of 10 lines, each line as long as the MAX_LINE_CHARS of 100
+        path, records = capped_file(tmp_path / "cap.txt", 100, 30)
+        code, out, err = run(capsys, "batch", path, "--format", "json")
+        assert (code, err, len(forks)) == (0, "", 2)
+        assert [json.loads(line) for line in out.splitlines()] == records
 
     @pytest.mark.parametrize("max_part", [100, 5], ids=["one-round", "rounds"])
     def test_crash_in_a_child_is_reported(self, capsys, tmp_path, monkeypatch, forks, max_part):

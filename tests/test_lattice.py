@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k3linsys import MAX_INTEGER_DIGITS
 from k3linsys.lattice import (
     ConeError,
     DivisorClass,
@@ -59,6 +60,20 @@ class TestSurfaceParams:
     def test_non_int_rejected(self):
         with pytest.raises(TypeError):
             SurfaceParams(2.0)
+
+    @pytest.mark.parametrize(
+        "n",
+        [10**5000, -(10**5000), 10**MAX_INTEGER_DIGITS, -(10**MAX_INTEGER_DIGITS)],
+        ids=["huge", "huge-negative", "1001-digits", "1001-digits-negative"],
+    )
+    def test_more_than_the_digit_cap_rejected(self, n):
+        # without the cap, SurfaceParams(10**5000) was built and its repr raised
+        with pytest.raises(ValueError, match=f"^n must have at most {MAX_INTEGER_DIGITS} digits$"):
+            SurfaceParams(n)
+
+    def test_the_digit_cap_accepted(self):
+        n = 10**MAX_INTEGER_DIGITS - 2
+        assert repr(SurfaceParams(n)) == f"SurfaceParams(n={n})"
 
 
 class TestDivisorClass:
