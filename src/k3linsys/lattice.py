@@ -24,9 +24,10 @@ from itertools import zip_longest
 
 from . import MAX_INTEGER_DIGITS
 
-# SurfaceParams and the spec checks refuse integers at or past this bound,
-# of more than MAX_INTEGER_DIGITS digits: every value must print, and Python
-# prints at most 4300 digits.  Their messages do not format the value.
+# An integer of more than MAX_INTEGER_DIGITS digits is at least this in
+# absolute value.  SurfaceParams and the spec checks refuse it, with messages
+# that do not format it: every value must print, and Python prints at most
+# 4300 digits.
 INT_LIMIT = 10**MAX_INTEGER_DIGITS
 
 
