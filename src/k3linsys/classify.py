@@ -169,14 +169,22 @@ def normalize(n: int, d: int, mults=()) -> LinearSystemSpec:
     except ValueError as exc:
         raise NormalizationError(str(exc), field="n") from None
     if d < 0:
-        raise NormalizationError(f"degree d must be >= 0, got {d}", field="d")
+        raise NormalizationError(_negative("degree d", d), field="d")
     raw = tuple(mults)
     for m in raw:
         if not isinstance(m, int) or isinstance(m, bool):
             raise TypeError(f"multiplicities must be ints, got {m!r}")
         if m < 0:
-            raise NormalizationError(f"multiplicities must be >= 0, got {m}", field="mults")
+            raise NormalizationError(_negative("multiplicities", m), field="mults")
     return LinearSystemSpec(surface, d, tuple(sorted((m for m in raw if m > 0), reverse=True)))
+
+
+def _negative(name: str, value) -> str:
+    """normalize's message for a negative value, which names an int past
+    the digit cap by the cap alone: Python prints at most 4300 digits."""
+    if isinstance(value, int) and value <= -INT_LIMIT:
+        return f"{name} must have at most {MAX_INTEGER_DIGITS} digits"
+    return f"{name} must be >= 0, got {value}"
 
 
 def virtual_dim(spec: LinearSystemSpec) -> int:

@@ -71,7 +71,7 @@ _LAZY = {
         "verify_lemma_table",
         "verify_pair_inequality",
     ),
-    "parts": ("run_parts",),
+    "batch": ("run_parts",),
     "json": None,
     "csv": None,
 }
@@ -412,7 +412,7 @@ def _batch_lines(args, numbered, emit, emit_error) -> int:
 
 def _cmd_batch(args, out: _Output) -> int:
     """Classify the lines of args.file in one pass, or in parts, one process
-    per usable CPU, with the same output (see k3linsys.parts)."""
+    per usable CPU, with the same output (see k3linsys.batch)."""
     try:
         handle = _open_batch(args.file)
     except OSError as exc:
@@ -510,7 +510,7 @@ _COMMANDS = {
     "enumerate": (_cmd_enumerate, ("verify", "classify", "json"), ("csv",)),
     "verify": (_cmd_report, ("verify", "json"), ("csv",)),
     "hunt": (_cmd_report, ("verify", "json"), ("csv",)),
-    "batch": (_cmd_batch, ("literals", "classify", "parts"), ("json", "csv")),
+    "batch": (_cmd_batch, ("literals", "classify", "batch"), ("json", "csv")),
 }
 
 

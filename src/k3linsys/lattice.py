@@ -25,9 +25,9 @@ from itertools import zip_longest
 from . import MAX_INTEGER_DIGITS
 
 # An integer of more than MAX_INTEGER_DIGITS digits is at least this in
-# absolute value.  SurfaceParams and the spec checks refuse it, with messages
-# that do not format it: every value must print, and Python prints at most
-# 4300 digits.
+# absolute value.  SurfaceParams, DivisorClass and the spec checks refuse
+# it, with messages that do not format it: every value must print, and
+# Python prints at most 4300 digits.
 INT_LIMIT = 10**MAX_INTEGER_DIGITS
 
 
@@ -118,7 +118,8 @@ class DivisorClass(Value):
     Trailing zero coefficients are dropped at construction, so classes that
     differ only by unused blown-up points compare and hash equal; any two
     classes on the same surface can be combined, with the shorter coefficient
-    vector padded by zeros.
+    vector padded by zeros.  A coefficient of more than MAX_INTEGER_DIGITS
+    digits raises ValueError, also from an operator whose result has one.
     """
 
     surface: SurfaceParams
@@ -130,6 +131,8 @@ class DivisorClass(Value):
         for c in (t, *coeffs):
             if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError(f"lattice coefficients must be ints, got {c!r}")
+            if not -INT_LIMIT < c < INT_LIMIT:
+                raise ValueError(f"lattice coefficients must have at most {MAX_INTEGER_DIGITS} digits")
         end = len(coeffs)
         while end and coeffs[end - 1] == 0:
             end -= 1

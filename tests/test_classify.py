@@ -86,6 +86,11 @@ class TestNormalize:
             pytest.param((10**MAX_INTEGER_DIGITS, 1, ()), "n", id="1001-digit-n"),
             pytest.param((2, 10**MAX_INTEGER_DIGITS, ()), "d", id="1001-digit-d"),
             pytest.param((2, 1, (10**MAX_INTEGER_DIGITS, 1)), "mults", id="1001-digit-mult"),
+            # normalize's own sign checks printed these: Python's "Exceeds the limit"
+            pytest.param((2, -(10**5000), ()), "d", id="huge-negative-d"),
+            pytest.param((2, 1, (3, -(10**5000))), "mults", id="huge-negative-mult"),
+            pytest.param((2, -(10**MAX_INTEGER_DIGITS), (1,)), "d", id="1001-digit-negative-d"),
+            pytest.param((2, 1, (-(10**MAX_INTEGER_DIGITS),)), "mults", id="1001-digit-negative-mult"),
         ],
     )
     def test_integers_past_the_digit_cap_rejected(self, args, field):

@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import k3linsys
+import k3linsys.batch as batch
 import k3linsys.classify as classify
 import k3linsys.cli as cli
 import k3linsys.parts as parts
@@ -50,7 +51,7 @@ PAIR_BOUND_SPELLINGS = {
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(k3linsys.__file__).parents[1])}
 
 
-# The kernel's affinity calls, which TestBatchParts' forks fixture fakes.
+# The kernel's affinity calls, which the forks fixture fakes (see conftest.py).
 SCHED_GETAFFINITY, SCHED_SETAFFINITY = os.sched_getaffinity, os.sched_setaffinity
 
 
@@ -888,7 +889,7 @@ def parts_file(path, bad_line=None):
     sides of the boundaries after lines 10 and 14, and the bytes of
     `bad_line`, if given, not UTF-8.  On three processes it splits into
     parts of 14 lines (1-14, 15-28, 29-40), or of 5 lines in three rounds
-    with MIN_PART_LINES and MAX_PART_LINES 5 (see parts._plan)."""
+    with MIN_PART_LINES and MAX_PART_LINES 5 (see batch._plan)."""
     lines = [f"L{2 * (i % 5 + 1)}({i % 9};{i % 4 + 1}^{i % 3 + 1},{i % 2})" for i in range(40)]
     lines[2] = "# comment only"
     lines[4] = "L3(2;1)  # odd n: an error record"
@@ -914,56 +915,34 @@ class TestBatchParts:
     stdout, stderr and exit code, and leaves no process behind."""
 
     @pytest.fixture
-    def forks(self, monkeypatch):
-        mask = os.sched_getaffinity(0)
-        monkeypatch.setattr(parts, "MIN_PART_LINES", 8)
-        monkeypatch.setattr(parts, "CPU_QUOTA_FILES", ())
+    def forks(self, monkeypatch, forks):
+        monkeypatch.setattr(batch, "MIN_PART_LINES", 8)
         monkeypatch.setattr(cli, "MAX_LINE_CHARS", 100)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        made, fork = [], os.fork
-        monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
-        yield made
-        # batch gives back the fake mask, which can differ from this process's
-        SCHED_SETAFFINITY(0, mask)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @pytest.fixture
-    def pins(self, monkeypatch):
-        """The masks this process passes to sched_setaffinity, which still
-        sets them; a forked part's own calls stay in its copy."""
-        calls = []
-
-        def record(pid, cpus):
-            calls.append(set(cpus))
-            SCHED_SETAFFINITY(pid, cpus)
-
-        monkeypatch.setattr(os, "sched_setaffinity", record)
-        return calls
+        return forks
 
     def test_plan(self, tmp_path, monkeypatch, forks):
         with cli._open_batch(parts_file(tmp_path / "parts.txt")) as handle:
-            assert parts._plan(handle) == (3, 14)
+            assert batch._plan(handle) == (3, 14)
             assert handle.read(5) == "L2(0;"  # back at the start, past the mark
-            monkeypatch.setattr(parts, "MIN_PART_LINES", 5)
-            monkeypatch.setattr(parts, "MAX_PART_LINES", 5)  # rounds of three parts
-            assert parts._plan(handle) == (3, 5)
-            monkeypatch.setattr(parts, "MAX_PART_LINES", 100)
-            monkeypatch.setattr(parts, "MIN_PART_LINES", 14)  # 40 lines: two parts
-            assert parts._plan(handle)[0] == 2
-            monkeypatch.setattr(parts, "MIN_PART_LINES", 21)  # fewer than two parts
-            assert parts._plan(handle) == (1, sys.maxsize)
-            monkeypatch.setattr(parts, "MIN_PART_LINES", 8)
+            monkeypatch.setattr(batch, "MIN_PART_LINES", 5)
+            monkeypatch.setattr(batch, "MAX_PART_LINES", 5)  # rounds of three parts
+            assert batch._plan(handle) == (3, 5)
+            monkeypatch.setattr(batch, "MAX_PART_LINES", 100)
+            monkeypatch.setattr(batch, "MIN_PART_LINES", 14)  # 40 lines: two parts
+            assert batch._plan(handle)[0] == 2
+            monkeypatch.setattr(batch, "MIN_PART_LINES", 21)  # fewer than two parts
+            assert batch._plan(handle) == (1, sys.maxsize)
+            monkeypatch.setattr(batch, "MIN_PART_LINES", 8)
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
-            assert parts._plan(handle) == (1, sys.maxsize)
+            assert batch._plan(handle) == (1, sys.maxsize)
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-            assert parts._plan(handle)[0] == 2
+            assert batch._plan(handle)[0] == 2
             isdir = os.path.isdir
             monkeypatch.setattr(os.path, "isdir", lambda path: path != "/proc/self/fd" and isdir(path))
-            assert parts._plan(handle) == (1, sys.maxsize)
+            assert batch._plan(handle) == (1, sys.maxsize)
             monkeypatch.setattr(os.path, "isdir", isdir)
             monkeypatch.delattr(os, "memfd_create")
-            assert parts._plan(handle) == (1, sys.maxsize)
+            assert batch._plan(handle) == (1, sys.maxsize)
         assert forks == []
 
     @pytest.mark.parametrize(
@@ -997,10 +976,10 @@ class TestBatchParts:
     def test_parts_write_the_serial_output(
         self, capsys, tmp_path, monkeypatch, forks, pins, max_part, fmt, quiet, bad_line
     ):
-        monkeypatch.setattr(parts, "MIN_PART_LINES", min(max_part, 8))
-        monkeypatch.setattr(parts, "MAX_PART_LINES", max_part)
-        copies, copy_part = [], parts._copy_part
-        monkeypatch.setattr(parts, "_copy_part", lambda *a: copies.append(a[3]) or copy_part(*a))
+        monkeypatch.setattr(batch, "MIN_PART_LINES", min(max_part, 8))
+        monkeypatch.setattr(batch, "MAX_PART_LINES", max_part)
+        copies, copy_part = [], batch._copy_part
+        monkeypatch.setattr(batch, "_copy_part", lambda *a: copies.append(a[3]) or copy_part(*a))
         argv = ["batch", parts_file(tmp_path / "parts.txt", bad_line), "--format", fmt] + ["--quiet"] * quiet
         parallel = run(capsys, *argv)
         assert len(forks) == 2
@@ -1028,8 +1007,8 @@ class TestBatchParts:
 
     @pytest.mark.parametrize("max_part", [100, 5], ids=["one-round", "rounds"])
     def test_crash_in_a_child_is_reported(self, capsys, tmp_path, monkeypatch, forks, max_part):
-        monkeypatch.setattr(parts, "MIN_PART_LINES", min(max_part, 8))
-        monkeypatch.setattr(parts, "MAX_PART_LINES", max_part)
+        monkeypatch.setattr(batch, "MIN_PART_LINES", min(max_part, 8))
+        monkeypatch.setattr(batch, "MAX_PART_LINES", max_part)
         parent, parse_spec = os.getpid(), cli.parse_spec
 
         def crash_in_children(text):
@@ -1096,7 +1075,7 @@ class TestBatchParts:
     def test_fewer_parts_than_cpus_stay_unpinned(
         self, capsys, tmp_path, monkeypatch, forks, pins, min_part, mask, forked
     ):
-        monkeypatch.setattr(parts, "MIN_PART_LINES", min_part)
+        monkeypatch.setattr(batch, "MIN_PART_LINES", min_part)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask)
         code, _, _ = run(capsys, "batch", parts_file(tmp_path / "parts.txt"))
         assert code == 2 and len(forks) == forked and pins == []
@@ -1119,9 +1098,9 @@ class TestBatchParts:
 # argv[2] lines on two CPUs, then reports on stderr any child left behind.
 PARTS_PROBE = """
 import os, sys
-from k3linsys import cli, parts
-parts.MIN_PART_LINES = int(sys.argv.pop(1))
-parts.MAX_PART_LINES = int(sys.argv.pop(1))
+from k3linsys import batch, cli, parts
+batch.MIN_PART_LINES = int(sys.argv.pop(1))
+batch.MAX_PART_LINES = int(sys.argv.pop(1))
 parts.CPU_QUOTA_FILES = ()
 os.sched_getaffinity = lambda pid: {0, 1}
 try:
@@ -1189,8 +1168,8 @@ def test_interrupt_exits_130_and_reaps_the_children(tmp_path):
 # batch process writes its mask when the run is over.
 AFFINITY_PROBE = """
 import os, sys
-from k3linsys import cli, parts
-parts.MIN_PART_LINES = parts.MAX_PART_LINES = 5
+from k3linsys import batch, cli, parts
+batch.MIN_PART_LINES = batch.MAX_PART_LINES = 5
 parts.CPU_QUOTA_FILES = ()
 os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:4])
 batch_lines = cli._batch_lines
@@ -1285,9 +1264,10 @@ with open(sys.argv[1], "w") as handle:
 MATH = {"k3linsys.lattice", "k3linsys.classify", "k3linsys.literals", "k3linsys.verify"}
 # No command builds its value classes with dataclasses, which imports inspect.
 CODEGEN = {"dataclasses", "inspect"}
-# batch forks its parts by hand, with a module no other command loads.
+# batch and hunt fork their parts by hand, with modules no other command loads:
+# both with the core, batch with its own glue too.
 POOLS = {"multiprocessing", "tempfile", "threading", "subprocess"}
-PARTS = {"k3linsys.parts"}
+PARTS = {"k3linsys.parts", "k3linsys.batch"}
 GOLDEN_BATCH = str(Path(__file__).parent / "golden" / "batch.txt")
 
 
@@ -1309,8 +1289,8 @@ GOLDEN_BATCH = str(Path(__file__).parent / "golden" / "batch.txt")
         (["verify", "lemma-table", "--format", "csv"], CODEGEN | PARTS | {"k3linsys.literals"}, {"k3linsys.verify", "csv"}),
         (
             ["hunt", "--max-n", "4", "--max-degree", "2", "--format", "json"],
-            CODEGEN | PARTS | {"k3linsys.literals", "csv"},
-            {"k3linsys.verify"},
+            CODEGEN | POOLS | {"k3linsys.batch", "k3linsys.literals", "csv"},
+            {"k3linsys.verify", "k3linsys.parts"},
         ),
         (
             ["enumerate", "v0", "--self-int=-2..2", "--format", "json"],

@@ -14,8 +14,10 @@ command in-process).
 Batch in parts then runs at its production MIN_PART_LINES and
 MAX_PART_LINES on the real CPU affinity, against one pass: on 280 copies
 of the golden file against a child pinned to one CPU, and on perfbench's
-seeded 100,000-line file against the same file fed through a pipe.  On a
-host with one usable CPU both sides run one pass.
+seeded 100,000-line file against the same file fed through a pipe.  Hunt
+runs at the benchmark's hunt_grid bounds in shares, one per usable CPU,
+against a child pinned to one CPU.  On a host with one usable CPU both
+sides run one pass.
 """
 
 import json
@@ -119,3 +121,16 @@ def test_parts_write_what_a_pipe_writes(seeded, fmt):
     piped.stderr = piped.stderr.replace(b"/dev/stdin:", f"{seeded}:".encode())
     assert parts.returncode == 2
     assert outcome(parts) == outcome(piped)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_hunt_in_parts_writes_what_one_cpu_writes(fmt):
+    argv = ["hunt", "--max-n", "12", "--max-degree", "7", "--mass-bound", "64", "--format", fmt]
+    parts = k3linsys(*argv)
+    one_pass = k3linsys(*argv, preexec_fn=one_cpu)
+    assert (parts.returncode, parts.stderr) == (0, b"")
+    # the text and json reports give the run's wall time, which csv leaves out
+    for proc in (parts, one_pass):
+        proc.stdout = re.sub(rb'elapsed(=|": )\d+\.\d+(e-\d+)?', b"elapsed", proc.stdout)
+    assert parts.stdout.count(b"elapsed") == (fmt != "csv")
+    assert outcome(parts) == outcome(one_pass)

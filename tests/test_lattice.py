@@ -77,6 +77,27 @@ class TestSurfaceParams:
 
 
 class TestDivisorClass:
+    @pytest.mark.parametrize(
+        "t, l",
+        [(10**5000, ()), (1, (10**5000,)), (-(10**MAX_INTEGER_DIGITS), ()), (1, (2, 10**MAX_INTEGER_DIGITS))],
+        ids=["huge-t", "huge-l", "1001-digit-t", "1001-digit-l"],
+    )
+    def test_more_than_the_digit_cap_rejected(self, t, l):
+        # without the cap, DivisorClass(S2, 10**5000) was built and its repr raised
+        message = f"^lattice coefficients must have at most {MAX_INTEGER_DIGITS} digits$"
+        with pytest.raises(ValueError, match=message):
+            DivisorClass(S2, t, l)
+
+    def test_the_digit_cap_accepted_and_kept_by_the_operators(self):
+        big = 10**MAX_INTEGER_DIGITS - 1
+        d = DivisorClass(S2, big, (-big,))
+        assert repr(d) == f"DivisorClass(surface=SurfaceParams(n=2), t={big}, l=({-big},))"
+        assert str(-d) == f"{-big}H - ({big})"
+        with pytest.raises(ValueError, match="at most"):
+            d + d
+        with pytest.raises(ValueError, match="at most"):
+            10 * d
+
     def test_trailing_zeros_dropped(self):
         assert D(S2, 1, 1, 1, 0, 0) == D(S2, 1, 1, 1)
         assert D(S2, 1, 1, 1, 0, 0).l == (1, 1)

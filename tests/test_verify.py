@@ -14,6 +14,7 @@ into classify.
 """
 
 import dataclasses
+import os
 import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -21,7 +22,7 @@ from math import isqrt
 
 import pytest
 
-from k3linsys import classify, verify
+from k3linsys import classify, parts, verify
 from k3linsys.classify import Decomposition, LinearSystemSpec, MemberKind, decompose
 from k3linsys.lattice import (
     DivisorClass,
@@ -715,6 +716,12 @@ def test_mult_vectors_are_canonical(max_points, mass_bound, sum_bound):
     assert len(vectors) == len(set(vectors)) and set(vectors) == set(expected)
 
 
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """hunt in one pass: every call it makes is made in this process."""
+    monkeypatch.setattr(parts, "usable_cpus", lambda: 1)
+
+
 class TestHunt:
     def test_clean_at_small_bounds(self):
         report = hunt_counterexamples(max_n=6, max_degree=3, mass_bound=24, max_points=5)
@@ -763,7 +770,7 @@ class TestHunt:
 
     @pytest.mark.parametrize("max_n,max_degree,mass_bound,max_points", [(12, 5, 30, 15), (4, 3, 12, 2)])
     def test_checks_are_called_only_where_they_can_fire(
-        self, monkeypatch, max_n, max_degree, mass_bound, max_points
+        self, monkeypatch, one_cpu, max_n, max_degree, mass_bound, max_points
     ):
         built, decompose_calls = [], []
         original_decompose = classify.decompose
@@ -800,7 +807,7 @@ class TestHunt:
         # a spec is built only where the check is called
         assert built == decompose_calls
 
-    def test_hunt_grid_decompositions_equal_their_keyword_construction(self, monkeypatch):
+    def test_hunt_grid_decompositions_equal_their_keyword_construction(self, monkeypatch, one_cpu):
         # decompose sets each Decomposition's dict, and hunt each spec's, as
         # one dict display; at the benchmark's hunt_grid bounds every one of
         # them is the value the keyword constructors build from its fields
@@ -873,6 +880,116 @@ class TestHunt:
         assert defaults == {"max_n": 10, "max_degree": 0, "mass_bound": 60, "max_points": 30}
         with pytest.raises(TypeError):
             hunt_counterexamples(12)
+
+
+_TINY_HUNT = {"max_n": 4, "max_degree": 2, "mass_bound": 12}
+
+
+class TestHuntInParts:
+    """hunt in shares, forked on a fake mask of three CPUs, reports what
+    one pass reports, raises what it raises, and leaves no child behind."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_shares_partition_the_one_pass_cells(self, monkeypatch, k):
+        calls = []
+        original = classify.decompose
+        monkeypatch.setattr(classify, "decompose", lambda spec: calls.append(spec) or original(spec))
+        bounds = {"max_n": 12, "max_degree": 7, "mass_bound": 64, "max_points": 32}  # hunt_grid's
+        index = {mults: i for i, (mults, _) in enumerate(_mult_vectors(32, 64))}
+
+        def fail(i, spec, dec):
+            raise AssertionError(f"{spec} fails")
+
+        assert verify._hunt_scan(1, {0}, fail, **bounds) == len(index) == 894
+        one_pass, shares = list(calls), []
+        for j in range(k):
+            calls.clear()
+            assert verify._hunt_scan(k, {j}, fail, **bounds) == 894
+            assert {index[spec.mults] % k for spec in calls} == {j}
+            shares += calls
+        # every cell decomposed once, in one share
+        assert len(shares) == len(set(shares)) == len(one_pass) == 12_985
+        assert set(shares) == set(one_pass)
+
+    @pytest.mark.parametrize(
+        "bounds, fns",
+        [pytest.param((10, 6, 60, 30), fns, id=f"cli-defaults-{name}") for name, fns in _HUNT_INJECTIONS.items()]
+        + [pytest.param((12, 7, 64, 32), {}, id="hunt-grid-default")],
+    )
+    def test_parts_report_what_one_pass_reports(self, monkeypatch, forks, pins, bounds, fns):
+        for name, fake in fns.items():
+            monkeypatch.setattr(classify, name, fake)
+        bounds = dict(zip(("max_n", "max_degree", "mass_bound", "max_points"), bounds))
+        got = hunt_counterexamples(**bounds).canonical_json()
+        # shares 1 and 2 forked, each process on its own CPU, then this one back on the mask
+        assert len(forks) == 2 and pins == [{0}, {0, 1, 2}]
+        monkeypatch.setattr(parts, "usable_cpus", lambda: 1)
+        assert hunt_counterexamples(**bounds).canonical_json() == got
+        assert len(forks) == 2
+        assert naive_hunt_scan(**bounds).canonical_json() == got
+
+    @pytest.mark.parametrize(
+        "bounds, forked", [((12, 7, 50, 25), 1), ((4, 2, 12, 6), 0)], ids=["4609-cells", "32-cells"]
+    )
+    def test_one_share_a_process_per_min_share_cells(self, monkeypatch, forks, pins, bounds, forked):
+        # fewer shares than CPUs stay unpinned, as batch's parts do
+        bounds = dict(zip(("max_n", "max_degree", "mass_bound", "max_points"), bounds))
+        got = hunt_counterexamples(**bounds).canonical_json()
+        assert len(forks) == forked and pins == []
+        monkeypatch.setattr(parts, "usable_cpus", lambda: 1)
+        assert hunt_counterexamples(**bounds).canonical_json() == got
+
+    def test_a_fault_raises_what_one_pass_raises(self, monkeypatch, forks):
+        # faults in share 2 and, at a later vector, in share 0: one pass meets share 2's first
+        vectors = list(_mult_vectors(30, 60))
+        first = next(i for i, (_, mass) in enumerate(vectors) if i % 3 == 2 and mass >= 6)
+        later = next(i for i, (_, mass) in enumerate(vectors) if i % 3 == 0 and i > first and mass >= 6)
+        faulty = {vectors[first][0], vectors[later][0]}
+        original = classify.decompose
+
+        def fault(spec):
+            if spec.mults in faulty:
+                raise ValueError(f"fault at {spec.literal()}")
+            return original(spec)
+
+        monkeypatch.setattr(classify, "decompose", fault)
+        with pytest.raises(ValueError) as in_parts:
+            hunt_counterexamples()
+        assert len(forks) == 2
+        monkeypatch.setattr(parts, "usable_cpus", lambda: 1)
+        with pytest.raises(ValueError) as one_pass:
+            hunt_counterexamples()
+        literal = LinearSystemSpec(SurfaceParams(2), 1, vectors[first][0]).literal()
+        assert str(in_parts.value) == str(one_pass.value) == f"fault at {literal}"
+
+    @pytest.mark.parametrize("end", ["raises", "killed"])
+    def test_a_share_that_fails_in_its_process_runs_here(self, monkeypatch, forks, end):
+        expected = [hunt_counterexamples(**bounds).canonical_json() for bounds in ({}, _TINY_HUNT)]
+        parent, original = os.getpid(), classify.decompose
+
+        def fault_in_children(spec):
+            if os.getpid() != parent:
+                if end == "killed":
+                    os.kill(os.getpid(), 9)
+                raise RuntimeError("a child's fault")
+            return original(spec)
+
+        monkeypatch.setattr(classify, "decompose", fault_in_children)
+        assert [hunt_counterexamples(**bounds).canonical_json() for bounds in ({}, _TINY_HUNT)] == expected
+        assert len(forks) == 4  # two for each run at the CLI defaults; the tiny grid has too few cells
+
+    def test_interrupt_kills_and_reaps_the_children(self, monkeypatch, forks, pins):
+        parent, original = os.getpid(), classify.decompose
+
+        def interrupt(spec):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return original(spec)
+
+        monkeypatch.setattr(classify, "decompose", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            hunt_counterexamples()
+        assert len(forks) == 2 and pins == [{0}, {0, 1, 2}]
 
 
 class TestReportShape:
