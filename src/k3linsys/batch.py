@@ -24,7 +24,7 @@ import sys
 from functools import partial
 from itertools import count, islice
 
-from . import cli
+from . import cli, records
 from .parts import Forks, processes
 
 # batch classifies a file of at least two parts of this many lines in
@@ -51,7 +51,7 @@ def _plan(handle) -> tuple[int, int]:
     cpus = processes()
     if cpus < 2:
         return one_pass
-    lines = sum(1 for _ in islice(cli._file_lines(handle), cpus * MAX_PART_LINES))
+    lines = sum(1 for _ in islice(records._file_lines(handle), cpus * MAX_PART_LINES))
     handle.seek(0)
     k = min(cpus, lines // MIN_PART_LINES)
     if k < 2:
@@ -85,15 +85,15 @@ def _child(args, handle, j: int, k: int, size: int, sinks, done: int, go: int) -
     sys.stdout, sys.stderr = sinks
     try:
         out = cli._Output(args.quiet)
-        emit, emit_error = cli._record_writer(args.format, out, cli._batch_text, header=False)
-        lines = cli._file_lines(handle)
+        emit, emit_error = records._record_writer(args.format, out, records._batch_text, header=False)
+        lines = records._file_lines(handle)
         _skip(lines, j * size)
         for part in count(j, k):
             try:
-                result = cli._batch_lines(args, _numbered(lines, part, size), emit, emit_error)
+                result = records._batch_lines(args, _numbered(lines, part, size), emit, emit_error)
             finally:
                 out.flush()  # the part's records, also up to a crash
-            more = result != cli._STOPPED and next(lines, None) is not None
+            more = result != records._STOPPED and next(lines, None) is not None
             for sink in sinks:
                 sink.flush()
             os.write(done, bytes((result, more)))
@@ -124,18 +124,18 @@ def run_parts(args, out, handle) -> int:
         with Forks(k) as forks:
             for j in range(1, k):
                 # each child reads the open file, not its path, through its own handle
-                with cli._open_batch(f"/proc/self/fd/{handle.fileno()}") as reader:
+                with records._open_batch(f"/proc/self/fd/{handle.fileno()}") as reader:
                     sinks = (_memfd(), _memfd())
                     done, done_w = os.pipe()
                     go_r, go = os.pipe()
                     children.append([partial(forks.wait, j), sinks, done, go])
                     forks.fork(lambda: _child(args, reader, j, k, size, sinks, done_w, go_r), done_w, go_r)
-            emit, emit_error = cli._record_writer(args.format, out, cli._batch_text)
-            lines = cli._file_lines(handle)
+            emit, emit_error = records._record_writer(args.format, out, records._batch_text)
+            lines = records._file_lines(handle)
             results = set()
             for part in count(0, k):
-                results.add(cli._batch_lines(args, _numbered(lines, part, size), emit, emit_error))
-                more = cli._STOPPED not in results and next(lines, None) is not None
+                results.add(records._batch_lines(args, _numbered(lines, part, size), emit, emit_error))
+                more = records._STOPPED not in results and next(lines, None) is not None
                 for j, child in enumerate(children, 1):
                     if not more:
                         break

@@ -19,7 +19,7 @@ v and e are unconditional, and so is the whole verdict when d = 0.
 
 RIGID_CURVES is the paper's table of the five v = 0 classes with t >= 1
 and C^2 <= 1: these two curves and the three with C^2 = 1.  decompose
-takes its components from it, and verify.verify_lemma_table checks it.
+takes its components from it, and v0.verify_lemma_table checks it.
 """
 
 from __future__ import annotations
@@ -161,14 +161,15 @@ def normalize(n: int, d: int, mults=()) -> LinearSystemSpec:
     Zero multiplicities are dropped (an unconstrained point imposes
     nothing) and the rest are sorted non-increasing; general points are
     interchangeable, so order never matters.  Negative data raises
-    NormalizationError naming the offending field; a multiplicity that is
-    not an int (a bool, a float, NaN) raises TypeError before any is dropped.
+    NormalizationError naming the offending field; a degree or multiplicity
+    that is not an int (a bool, a float, a Decimal NaN, which has no order)
+    raises TypeError, a multiplicity before any is dropped.
     """
     try:
         surface = SurfaceParams(n)
     except ValueError as exc:
         raise NormalizationError(str(exc), field="n") from None
-    if d < 0:
+    if isinstance(d, int) and d < 0:  # the spec's own check raises TypeError on any other d
         raise NormalizationError(_negative("degree d", d), field="d")
     raw = tuple(mults)
     for m in raw:
@@ -182,7 +183,7 @@ def normalize(n: int, d: int, mults=()) -> LinearSystemSpec:
 def _negative(name: str, value) -> str:
     """normalize's message for a negative value, which names an int past
     the digit cap by the cap alone: Python prints at most 4300 digits."""
-    if isinstance(value, int) and value <= -INT_LIMIT:
+    if value <= -INT_LIMIT:
         return f"{name} must have at most {MAX_INTEGER_DIGITS} digits"
     return f"{name} must be >= 0, got {value}"
 

@@ -3,74 +3,41 @@
 Commands: dim, classify, intersect, enumerate, verify, hunt, batch.  Each
 builds records, which one output layer writes to stdout in text, JSON or
 CSV: _writer renders a record dict (reports, intersect, enumerate, batch's
-error records), _record_writer a classification record by a fast path of
-its own.  Diagnostics go to stderr.  Exit codes: 0 success or verification
-pass, 1 verification violation, 2 usage or parse error, 141 (128 + SIGPIPE)
-stdout closed by the reader.  Classification records carry a fixed field
-order (n, d, mults, v, e, dim, special, h1, h1_lower_bound, member_kind,
-fixed_part, free_part, conjectural) in every format; h1 is null when only
-the lower bound is known.
+error records), records._record_writer a classification record by a fast
+path of its own.  Diagnostics go to stderr.  Exit codes: 0 success or
+verification pass, 1 verification violation, 2 usage or parse error, 141
+(128 + SIGPIPE) stdout closed by the reader.  Classification records carry
+a fixed field order (n, d, mults, v, e, dim, special, h1, h1_lower_bound,
+member_kind, fixed_part, free_part, conjectural) in every format; h1 is
+null when only the lower bound is known.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 
 from . import MAX_INTEGER_DIGITS
 
-RECORD_FIELDS = (
-    "n",
-    "d",
-    "mults",
-    "v",
-    "e",
-    "dim",
-    "special",
-    "h1",
-    "h1_lower_bound",
-    "member_kind",
-    "fixed_part",
-    "free_part",
-    "conjectural",
-)
-
-
 # stdout is written in blocks of at least this many characters: a pipe
 # write per record costs more than a record's classification.
 BLOCK_CHARS = 1 << 16
-# Batch files are read in pieces of this many characters: small pieces keep
-# the reader's memory flat.
-READ_CHARS = 1 << 13
-# A batch line longer than this is an error record; the reader keeps at most
-# this plus one piece of any line, however long the line is.
-MAX_LINE_CHARS = 1 << 20
-# _batch_lines' result when a line that is not UTF-8 ended the run.
-_STOPPED = 3
-# The characters str.splitlines() breaks lines at.
-_LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
-# The characters the surrogateescape handler decodes bytes that are not
-# UTF-8 to; UTF-8 text never decodes to them.
-_NOT_UTF8 = re.compile("[\udc80-\udcff]")
-
 # The names this module takes from the package's modules; json and csv are
 # bound under their own names.  They are bound into this module's globals
 # when a command that runs them is dispatched (see _COMMANDS), not at
 # import: without a bytecode cache a process compiles every module it
-# imports, so `--help` loads no math module and each command only its own.
+# imports, so `--help` loads no math module and each command only its own:
+# records for dim, classify and batch, hunt for hunt, v0 for enumerate and
+# verify lemma-table.
 _LAZY = {
     "classify": ("decompose", "format_multiplicities"),
     "lattice": ("intersect",),
     "literals": ("LiteralSyntaxError", "parse_literal", "parse_spec"),
-    "verify": (
-        "class_record",
-        "enumerate_v0_classes",
-        "hunt_counterexamples",
-        "verify_lemma_table",
-        "verify_pair_inequality",
-    ),
+    "records": ("_cmd_system", "_cmd_batch"),
+    "verify": ("verify_pair_inequality",),
+    "v0": ("class_record", "enumerate_v0_classes", "verify_lemma_table"),
+    "hunt": ("hunt_counterexamples",),
     "batch": ("run_parts",),
     "json": None,
     "csv": None,
@@ -134,51 +101,6 @@ class _Output:
         print(text, file=sys.stderr)
 
 
-def record_values(dec: Decomposition) -> tuple:
-    """The values of dec's record, in RECORD_FIELDS order.
-
-    mults is the spec's tuple and fixed_part a list of "mult*literal"
-    strings; special, h1 and free_part are None when absent.  Enum members are read
-    through _value_ and _name_, not the value/name descriptors.
-    """
-    spec, v, family, fixed, free = dec.spec, dec.v, dec.special, dec.fixed_part, dec.free_part
-    return (
-        spec.surface.n,
-        spec.d,
-        spec.mults,
-        v,
-        max(v, -1),
-        dec.dimension,
-        family._value_ if family else None,
-        dec.h1,
-        dec.h1_lower_bound,
-        dec.member_kind._name_,
-        [f"{mult}*{comp.literal()}" for mult, comp in fixed] if fixed else [],
-        free.literal() if free else None,
-        dec.conjectural,
-    )
-
-
-def json_record(dec: Decomposition) -> str:
-    """json.dumps of dec's record dict (RECORD_FIELDS order, mults a list), by one template.
-
-    Every string in a record is a canonical literal, a family value or a
-    member-kind name, none with a character JSON escapes, so quoting it
-    is its JSON form.  The spec's fields are ints, as the parser builds them,
-    so str() of the list of multiplicities is its JSON form.
-    """
-    n, d, mults, v, e, dim, special, h1, lower, kind, fixed, free, conjectural = record_values(dec)
-    special = f'"{special}"' if special else "null"
-    fixed = '"' + '", "'.join(fixed) + '"' if fixed else ""
-    free = f'"{free}"' if free else "null"
-    return (
-        f'{{"n": {n}, "d": {d}, "mults": {list(mults)}, "v": {v}, "e": {e}, "dim": {dim}, '
-        f'"special": {special}, "h1": {"null" if h1 is None else h1}, "h1_lower_bound": {lower}, '
-        f'"member_kind": "{kind}", "fixed_part": [{fixed}], "free_part": {free}, '
-        f'"conjectural": {"true" if conjectural else "false"}}}'
-    )
-
-
 def _csv_cell(key: str, value) -> str:
     if value is None:
         return ""
@@ -203,91 +125,6 @@ def _writer(fmt: str, out: _Output, fields, text, header: bool = True):
             rows.writerow(fields)
         return lambda record: rows.writerow([_csv_cell(key, record.get(key)) for key in fields])
     return lambda record: out.line(text(record))
-
-
-def _h1_text(h1: int | None, lower: int) -> str:
-    return f"h1 >= {lower}" if h1 is None else f"h1 = {h1}"
-
-
-def _batch_text(dec: Decomposition) -> str:
-    _, _, _, v, e, dim, special, h1, lower, kind, fixed, free, _ = record_values(dec)
-    return (
-        f"{dec.spec.literal()}: dim={dim} v={v} e={e} special={special or '-'} "
-        f"{_h1_text(h1, lower).replace(' ', '')} "
-        f"kind={kind} fixed={'+'.join(fixed) or '-'} free={free or '-'}"
-    )
-
-
-def _dim_text(dec: Decomposition) -> str:
-    _, _, _, v, _, dim, special, h1, lower, *_ = record_values(dec)
-    if special:
-        return f"{dim} (special; v = {v}, h1 = {h1})"
-    return f"-1 (empty; v = {v}, {_h1_text(h1, lower)})" if dim == -1 else str(dim)
-
-
-def _classify_text(dec: Decomposition) -> str:
-    _, _, _, v, e, dim, special, h1, lower, kind, fixed, free, conjectural = record_values(dec)
-    return (
-        f"{dec.spec.literal()}\n  v = {v}, e = {e}\n"
-        f"  dim = {dim}{' (conjectural)' if conjectural else ''}\n"
-        f"  special: {special or 'no'}\n  {_h1_text(h1, lower)}\n  member kind: {kind}\n"
-        f"  fixed part: {'+'.join(fixed) or '-'}\n  free part: {free or '-'}"
-    )
-
-
-def _error_text(record: dict) -> str:
-    error = record["error"]
-    return f"{error['source']}: error: {error['message']} (byte {error['position']})"
-
-
-def _record_writer(fmt: str, out: _Output, text, header: bool = True):
-    """The renderers (record, error) of classification records: record(spec)
-    writes a spec's record by json_record's template in json, from
-    record_values in csv and by the template text(decomposition) in text;
-    error(err) writes a line's error record {"error": err}, blank cells in
-    csv.  A csv writer writes the header row first if `header`."""
-    error = _writer(fmt, out, RECORD_FIELDS, _error_text, header)
-    if fmt == "json":
-        write = out.write
-        record = lambda spec: write(json_record(decompose(spec)) + "\n")
-    elif fmt == "csv":
-        row = csv.writer(out, lineterminator="\n").writerow
-        record = lambda spec: row(map(_csv_cell, RECORD_FIELDS, record_values(decompose(spec))))
-    else:
-        record = lambda spec: out.line(text(decompose(spec)))
-    return record, lambda err: error({"error": err})
-
-
-def _file_lines(handle):
-    """The lines of handle.read().splitlines(), read in pieces of READ_CHARS
-    characters.
-
-    A line longer than MAX_LINE_CHARS comes out as a prefix still longer
-    than MAX_LINE_CHARS, of at most MAX_LINE_CHARS plus one piece, and
-    U+DCFF after it when a dropped piece holds a byte that is not UTF-8
-    (see _NOT_UTF8).  Text mode turns every CR and CR LF into LF, so each
-    line break is one character and no break spans two pieces.
-    """
-    head = ""  # the start of the line the previous piece left unfinished
-    while piece := handle.read(READ_CHARS):
-        lines = piece.splitlines()
-        if len(head) <= MAX_LINE_CHARS:
-            head += lines[0]
-        elif head[-1] != "\udcff" and not lines[0].isascii() and _NOT_UTF8.search(lines[0]):
-            head += "\udcff"
-        lines[0] = head
-        head = "" if piece[-1] in _LINE_BREAKS else lines.pop()
-        yield from lines
-    if head:
-        yield head
-
-
-def _cmd_system(args, out: _Output) -> int:
-    """dim and classify: one system's record, in text by the command's template."""
-    spec = parse_spec(args.system)  # before the writer, which may write a csv header
-    text = _dim_text if args.command == "dim" else _classify_text
-    _record_writer(args.format, out, text)[0](spec)
-    return 0
 
 
 def _cmd_intersect(args, out: _Output) -> int:
@@ -372,56 +209,6 @@ def _cmd_report(args, out: _Output) -> int:
     return 0 if report.passed else 1
 
 
-def _open_batch(path: str):
-    # utf-8-sig drops a byte-order mark at the start of the file only; bytes
-    # that are not UTF-8 are read, then end the run at their line.
-    return open(path, encoding="utf-8-sig", errors="surrogateescape")
-
-
-def _batch_lines(args, numbered, emit, emit_error) -> int:
-    """Write the records of the (line number, line) pairs `numbered` with
-    the renderers emit and emit_error of _record_writer.
-
-    Returns 0 if every line gave a record or none, 2 if some line gave an
-    error record, _STOPPED if a line that is not UTF-8 ended the run.
-    """
-    failed = False
-    for lineno, raw in numbered:
-        if not raw.isascii() and _NOT_UTF8.search(raw):
-            _Output.error(f"{args.file}: not UTF-8 at line {lineno}")
-            return _STOPPED
-        try:
-            if len(raw) > MAX_LINE_CHARS:
-                # name the line by its start, not by a megabyte of it
-                text = raw[:40].strip() + "..."
-                message = f"line longer than {MAX_LINE_CHARS} characters"
-                raise LiteralSyntaxError.at(message, raw, MAX_LINE_CHARS)
-            text = raw.partition("#")[0].strip()
-            if not text:
-                continue
-            spec = parse_spec(text)
-        except LiteralSyntaxError as exc:
-            failed = True
-            _Output.error(f"{args.file}:{lineno}: {exc}")
-            error = {"line": lineno, "position": exc.position, "message": exc.message, "source": text}
-            emit_error(error)
-            continue
-        emit(spec)
-    return 2 if failed else 0
-
-
-def _cmd_batch(args, out: _Output) -> int:
-    """Classify the lines of args.file in one pass, or in parts, one process
-    per usable CPU, with the same output (see k3linsys.batch)."""
-    try:
-        handle = _open_batch(args.file)
-    except OSError as exc:
-        _Output.error(f"cannot read batch file: {exc}")
-        return 2
-    with handle:
-        return run_parts(args, out, handle)
-
-
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose subparsers are _Parsers.  Given check names,
     as verify's parser is, it names a pairs bound put before them, spelled
@@ -501,16 +288,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# command: (handler, the _LAZY modules it runs, the formats it renders with
-# the module of that name)
+# The _LAZY modules each format renders with: json.dumps for a record dict
+# in json, csv.writer in csv.  A classification record's json is a template
+# (records.json_record); a report's csv rows hold certificate data as json.
+_DICTS = {"json": ("json",), "csv": ("csv",)}
+_REPORTS = {"json": ("json",), "csv": ("csv", "json")}
+
+# A command, or verify and its check: (the name of its handler, the _LAZY
+# modules it runs, the _LAZY modules of each format it renders in)
 _COMMANDS = {
-    "dim": (_cmd_system, ("literals", "classify"), ("csv",)),
-    "classify": (_cmd_system, ("literals", "classify"), ("csv",)),
-    "intersect": (_cmd_intersect, ("literals", "lattice"), ("json", "csv")),
-    "enumerate": (_cmd_enumerate, ("verify", "classify", "json"), ("csv",)),
-    "verify": (_cmd_report, ("verify", "json"), ("csv",)),
-    "hunt": (_cmd_report, ("verify", "json"), ("csv",)),
-    "batch": (_cmd_batch, ("literals", "classify", "batch"), ("json", "csv")),
+    "dim": ("_cmd_system", ("literals", "classify", "records"), {"csv": ("csv",)}),
+    "classify": ("_cmd_system", ("literals", "classify", "records"), {"csv": ("csv",)}),
+    "intersect": ("_cmd_intersect", ("literals", "lattice"), _DICTS),
+    "enumerate": ("_cmd_enumerate", ("v0", "classify"), _DICTS),
+    "verify pairs": ("_cmd_report", ("verify",), _REPORTS),
+    "verify lemma-table": ("_cmd_report", ("verify", "v0"), _REPORTS),
+    "hunt": ("_cmd_report", ("hunt",), _REPORTS),
+    "batch": ("_cmd_batch", ("literals", "classify", "records", "batch"), _DICTS),
 }
 
 
@@ -520,11 +314,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    handler, modules, renderers = _COMMANDS[args.command]
-    _bind(*modules, *(fmt for fmt in renderers if fmt == args.format))
+    command = f"verify {args.check}" if args.command == "verify" else args.command
+    handler, modules, renderers = _COMMANDS[command]
+    _bind(*modules, *renderers.get(args.format, ()))
     out = _Output(args.quiet)
     try:
-        return handler(args, out)
+        return globals()[handler](args, out)
     except ValueError as exc:
         # Literal, normalization and surface-mismatch errors are ValueErrors;
         # only commands that read literals can raise a LiteralSyntaxError.

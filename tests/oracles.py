@@ -3,14 +3,14 @@
 from math import isqrt
 
 from k3linsys.classify import LinearSystemSpec
-from k3linsys.cli import RECORD_FIELDS, record_values
+from k3linsys.records import RECORD_FIELDS, record_values
 from k3linsys.lattice import DivisorClass, SurfaceParams
 from k3linsys.verify import _mult_vectors, _order
 
 
 def classification_record(dec) -> dict:
     """dec's record as a dict in RECORD_FIELDS order, mults a list: the
-    value whose json.dumps cli.json_record renders."""
+    value whose json.dumps records.json_record renders."""
     n, d, mults, *rest = record_values(dec)
     return dict(zip(RECORD_FIELDS, (n, d, list(mults), *rest)))
 

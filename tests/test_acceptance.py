@@ -24,13 +24,10 @@ from k3linsys.lattice import (
     virtual_dimension,
 )
 from k3linsys.literals import parse_literal
-from k3linsys.verify import (
-    derive_bounds_v0,
-    enumerate_v0_classes,
-    verify_lemma_table,
-    verify_pair_inequality,
-)
+from k3linsys.v0 import derive_bounds_v0, enumerate_v0_classes, verify_lemma_table
+from k3linsys.verify import verify_pair_inequality
 import k3linsys.cli as cli
+import k3linsys.records as records
 from oracles import reconstructs
 
 
@@ -283,9 +280,9 @@ def test_criterion_10_parser_and_cli_contract(tmp_path, capsys):
     assert cli.main(["batch", str(batch), "--format", "csv"]) == 0
     csv_rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
 
-    equivalence_ok = len(json_rows) == 50 and csv_rows[0] == list(cli.RECORD_FIELDS)
+    equivalence_ok = len(json_rows) == 50 and csv_rows[0] == list(records.RECORD_FIELDS)
     for rec, row in zip(json_rows, csv_rows[1:]):
-        for key, cell in zip(cli.RECORD_FIELDS, row):
+        for key, cell in zip(records.RECORD_FIELDS, row):
             equivalence_ok = equivalence_ok and _cell_to_value(key, cell) == rec[key]
 
     ok = round_trip_ok and diagnostics_ok and equivalence_ok

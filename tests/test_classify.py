@@ -7,7 +7,10 @@ follow the conjecture's explicit patterns.
 
 import dataclasses
 from collections import Counter
+from decimal import Decimal
 from enum import IntEnum
+from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import example, given
@@ -28,7 +31,15 @@ from k3linsys.classify import (
     special_family,
     virtual_dim,
 )
-from k3linsys.lattice import DivisorClass, SurfaceParams, Value, expected_dimension, intersect, virtual_dimension
+from k3linsys.lattice import (
+    DivisorClass,
+    SurfaceMismatchError,
+    SurfaceParams,
+    Value,
+    expected_dimension,
+    intersect,
+    virtual_dimension,
+)
 from k3linsys.literals import MAX_INTEGER_DIGITS, MAX_POINTS, SystemLiteral, parse_literal
 from k3linsys.verify import Certificate, VerificationReport, _mult_vectors
 from oracles import reconstructs
@@ -694,6 +705,135 @@ def test_constructor_matches_per_element_check(d, mults):
         s = LinearSystemSpec(SurfaceParams(2), d, mults)
         assert (s.d, s.mults) == (d, tuple(mults))
         assert s == LinearSystemSpec(SurfaceParams(2), d, tuple(mults))
+
+
+class _Int(int):
+    pass
+
+
+# An int field is below _CAP in absolute value; _EDGES are the ints on
+# either side of the cap and far past it.
+_CAP = 10**MAX_INTEGER_DIGITS
+_EDGES = [_CAP - 1, -(_CAP - 1), _CAP, -_CAP, 10**5000, -(10**5000)]
+
+# Every kind of value a caller can pass for an integer field: small ints and
+# ints at and past the digit cap, int subclasses, and numbers that are not
+# ints: bool, float with NaN and the infinities, Fraction, Decimal with its
+# quiet and signaling NaNs.
+_HOSTILE = st.one_of(
+    st.integers(-3, 8),
+    st.sampled_from(_EDGES),
+    st.integers(-3, 8).map(_Int),
+    st.just(_Level.TWO),
+    st.booleans(),
+    st.floats(),
+    st.fractions(),
+    st.decimals(),
+)
+
+
+def _outcome(call, *args):
+    """(call(*args), None), or (None, the TypeError or ValueError it raised);
+    any other exception fails the test.  str() of each must succeed."""
+    try:
+        value = call(*args)
+    except (TypeError, ValueError) as exc:
+        str(exc)
+        return None, exc
+    str(value)
+    return value, None
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _capped(x) -> bool:
+    return _is_int(x) and -_CAP < x < _CAP
+
+
+@given(
+    _HOSTILE,
+    _HOSTILE,
+    st.lists(_HOSTILE, max_size=3),
+    st.sampled_from([2, 4, _Int(4)]),
+    st.integers(-3, 3) | st.sampled_from(_EDGES[:2]),
+    st.lists(st.integers(-3, 3), max_size=3),
+)
+@example(2, Decimal("NaN"), [], 2, 1, [])
+@example(2, Decimal("sNaN"), [1], 4, 1, [1])
+@example(2, Fraction(-1, 2), [], 2, 1, [])
+@example(4, float("-inf"), [float("nan")], 4, _CAP - 1, [1])
+def test_hostile_values_at_the_library_boundary(n, d, mults, n2, t2, l2):
+    # Each call returns a correct value or raises TypeError (a value that is
+    # not an int), NormalizationError, SurfaceMismatchError or ValueError.
+    n_ok = _capped(n) and n >= 2 and n % 2 == 0
+    all_ints = all(map(_is_int, (n, d, *mults)))
+    bad_ints = not n_ok and _is_int(n) or any(_is_int(x) and not (_capped(x) and x >= 0) for x in (d, *mults))
+    spec, exc = _outcome(normalize, n, d, mults)
+    if all_ints and not bad_ints:
+        positive = sorted((m for m in mults if m > 0), reverse=True)
+        assert (spec.n, spec.d, spec.mults) == (n, d, tuple(positive))
+    elif all_ints:
+        assert isinstance(exc, NormalizationError)
+    elif not bad_ints:
+        assert type(exc) is TypeError
+    else:
+        assert type(exc) is TypeError or isinstance(exc, NormalizationError)
+
+    surface, exc = _outcome(SurfaceParams, n)
+    if not _is_int(n):
+        assert type(exc) is TypeError
+    elif n_ok:
+        assert surface.n == n and surface.genus == n // 2 + 1
+    else:
+        assert type(exc) is ValueError
+
+    spec, exc = _outcome(LinearSystemSpec, SurfaceParams(2), d, mults)
+    canonical = all(_capped(m) and m >= 1 for m in mults) and mults == sorted(mults, reverse=True)
+    if _capped(d) and d >= 0 and canonical:
+        assert (spec.d, spec.mults) == (d, tuple(mults))
+    else:
+        assert type(exc) in (TypeError, NormalizationError)
+
+    cls, exc = _outcome(DivisorClass, SurfaceParams(2), d, mults)
+    if all(_capped(x) for x in (d, *mults)):
+        end = len(mults)
+        while end and mults[end - 1] == 0:
+            end -= 1
+        assert (cls.t, cls.l) == (d, tuple(mults[:end]))
+    else:
+        assert type(exc) in (TypeError, ValueError)
+
+    # The operators, on a class of a surface that n2 names, with d as the
+    # scalar or the other operand: anything but a DivisorClass or an int is a
+    # TypeError, reached through each operator's `return NotImplemented`.
+    c = DivisorClass(SurfaceParams(n2), t2, l2)
+    for operate in (lambda: c + d, lambda: c - d, lambda: d + c, lambda: d - c):
+        assert type(_outcome(operate)[1]) is TypeError
+    for product, exc in (_outcome(lambda: c * d), _outcome(lambda: d * c)):
+        if not _is_int(d):
+            assert type(exc) is TypeError
+        elif all(_capped(d * x) for x in (c.t, *c.l)):
+            assert (product.t, product.l) == (d * c.t, tuple(d * x for x in c.l) if d else ())
+        else:
+            assert type(exc) is ValueError
+    negated = -c
+    assert (negated.t, negated.l) == (-c.t, tuple(-x for x in c.l))
+
+    # A sum and the pairing of cls, on n = 2, and c, on n = n2.
+    if cls is not None:
+        total, exc = _outcome(lambda: cls + c)
+        value, pairing_exc = _outcome(intersect, cls, c)
+        if n2 == 2:
+            ls = [a + b for a, b in zip_longest(cls.l, c.l, fillvalue=0)]
+            if all(_capped(x) for x in (cls.t + c.t, *ls)):
+                assert total == DivisorClass(SurfaceParams(2), cls.t + c.t, tuple(ls))
+            else:
+                assert type(exc) is ValueError
+            assert value == 2 * cls.t * c.t - sum(a * b for a, b in zip(cls.l, c.l))
+        else:
+            assert type(exc) is type(pairing_exc) is SurfaceMismatchError
 
 
 def test_trusted_spec_equals_public_spec():

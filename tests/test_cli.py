@@ -1,5 +1,6 @@
 """CLI: command surface, formats, exit codes, batch behavior."""
 
+import ast
 import csv
 import io
 import json
@@ -19,10 +20,12 @@ import k3linsys.batch as batch
 import k3linsys.classify as classify
 import k3linsys.cli as cli
 import k3linsys.parts as parts
+import k3linsys.records
 import k3linsys.verify as verify
 from k3linsys.classify import decompose
-from k3linsys.cli import RECORD_FIELDS, main
+from k3linsys.cli import main
 from k3linsys.literals import parse_literal
+from k3linsys.records import RECORD_FIELDS
 from k3linsys.verify import Certificate, VerificationReport
 from oracles import classification_record
 
@@ -663,12 +666,12 @@ class TestBatch:
         st.integers(0, 12),
     )
     def test_chunked_reader_matches_splitlines(self, text, piece, cap):
-        old = cli.READ_CHARS, cli.MAX_LINE_CHARS
-        cli.READ_CHARS, cli.MAX_LINE_CHARS = piece, cap
+        old = k3linsys.records.READ_CHARS, k3linsys.records.MAX_LINE_CHARS
+        k3linsys.records.READ_CHARS, k3linsys.records.MAX_LINE_CHARS = piece, cap
         try:
-            got = list(cli._file_lines(io.StringIO(text)))
+            got = list(k3linsys.records._file_lines(io.StringIO(text)))
         finally:
-            cli.READ_CHARS, cli.MAX_LINE_CHARS = old
+            k3linsys.records.READ_CHARS, k3linsys.records.MAX_LINE_CHARS = old
         expected = text.splitlines()
         assert len(got) == len(expected)
         for line, full in zip(got, expected):
@@ -679,8 +682,8 @@ class TestBatch:
 
     @pytest.mark.parametrize("piece", [5, 64, 1 << 16])
     def test_long_line_is_an_error_record(self, capsys, tmp_path, monkeypatch, piece):
-        monkeypatch.setattr(cli, "MAX_LINE_CHARS", 50)
-        monkeypatch.setattr(cli, "READ_CHARS", piece)
+        monkeypatch.setattr(k3linsys.records, "MAX_LINE_CHARS", 50)
+        monkeypatch.setattr(k3linsys.records, "READ_CHARS", piece)
         long = "L2(1" + " " * 100 + ")"
         path = tmp_path / "long.txt"
         path.write_text(f"L2(4;4,3)\nL2(1)\x0c{long}\x0cL2(2;2)\n# {'x' * 60}\nL4(1;2)\n")
@@ -703,8 +706,8 @@ class TestBatch:
 
     @pytest.mark.parametrize("piece", [7, 64, 1 << 16])
     def test_line_of_exactly_the_cap_is_a_record(self, capsys, tmp_path, monkeypatch, piece):
-        monkeypatch.setattr(cli, "MAX_LINE_CHARS", 50)
-        monkeypatch.setattr(cli, "READ_CHARS", piece)
+        monkeypatch.setattr(k3linsys.records, "MAX_LINE_CHARS", 50)
+        monkeypatch.setattr(k3linsys.records, "READ_CHARS", piece)
         path, records = capped_file(tmp_path / "cap.txt", 50, 4)
         code, out, err = run(capsys, "batch", path, "--format", "json")
         assert (code, err) == (0, "")
@@ -767,8 +770,8 @@ class TestBatch:
     def test_undecodable_byte_past_the_kept_prefix_ends_the_run(self, capsys, tmp_path, monkeypatch, fmt, piece):
         # The reader drops the pieces of a line past MAX_LINE_CHARS; a byte
         # that is not UTF-8 in them still names the line and ends the run.
-        monkeypatch.setattr(cli, "READ_CHARS", piece)
-        monkeypatch.setattr(cli, "MAX_LINE_CHARS", 50)
+        monkeypatch.setattr(k3linsys.records, "READ_CHARS", piece)
+        monkeypatch.setattr(k3linsys.records, "MAX_LINE_CHARS", 50)
         path = tmp_path / "long.txt"
         path.write_bytes(b"L2(1)\nL2(1" + (b" " * 100 + b"\xff") * 3 + b")\nL2(2)\n")
         code, out, err = run(capsys, "batch", str(path), "--format", fmt)
@@ -777,7 +780,7 @@ class TestBatch:
         one.write_text("L2(1)\n")
         assert out == run(capsys, "batch", str(one), "--format", fmt)[1]
         with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
-            lines = list(cli._file_lines(handle))
+            lines = list(k3linsys.records._file_lines(handle))
         assert len(lines) == 3 and 50 < len(lines[1]) <= 50 + piece + 1
         assert lines[1].count("\udcff") == 1
 
@@ -810,7 +813,7 @@ class TestBatch:
     def test_positions_are_utf8_byte_offsets(self, capsys, tmp_path, monkeypatch):
         # into the stripped literal, the record's source: an em space is 3
         # bytes, a no-break space 2, and the long line's first 50 characters 100
-        monkeypatch.setattr(cli, "MAX_LINE_CHARS", 50)
+        monkeypatch.setattr(k3linsys.records, "MAX_LINE_CHARS", 50)
         path = tmp_path / "wide.txt"
         path.write_text("  L2(\u2003x)  # \u00e9\nL2(1;\xa01,x)\n" + "\u00e9" * 60 + "\n", encoding="utf-8")
         code, out, err = run(capsys, "batch", str(path), "--format", "json")
@@ -835,8 +838,8 @@ class TestBatch:
         # feed, file separator and line separator; then a line over the cap
         # that spans pieces, and a last line with no break after it.
         cap = 12
-        monkeypatch.setattr(cli, "READ_CHARS", piece)
-        monkeypatch.setattr(cli, "MAX_LINE_CHARS", cap)
+        monkeypatch.setattr(k3linsys.records, "READ_CHARS", piece)
+        monkeypatch.setattr(k3linsys.records, "MAX_LINE_CHARS", cap)
         for shift in range(piece + 1):
             for brk in ("\r\n", "\r", "\x0c", "\x1c", "\u2028"):
                 text = "a" * shift + brk + "L2(1)" + brk + brk + "b" * 40 + brk + "L4(1;2)"
@@ -845,7 +848,7 @@ class TestBatch:
                 with open(path, encoding="utf-8-sig") as handle:
                     expected = handle.read().splitlines()
                 with open(path, encoding="utf-8-sig") as handle:
-                    got = list(cli._file_lines(handle))
+                    got = list(k3linsys.records._file_lines(handle))
                 assert len(got) == len(expected), (shift, brk)
                 for line, full in zip(got, expected):
                     if len(full) <= cap:
@@ -917,11 +920,11 @@ class TestBatchParts:
     @pytest.fixture
     def forks(self, monkeypatch, forks):
         monkeypatch.setattr(batch, "MIN_PART_LINES", 8)
-        monkeypatch.setattr(cli, "MAX_LINE_CHARS", 100)
+        monkeypatch.setattr(k3linsys.records, "MAX_LINE_CHARS", 100)
         return forks
 
     def test_plan(self, tmp_path, monkeypatch, forks):
-        with cli._open_batch(parts_file(tmp_path / "parts.txt")) as handle:
+        with k3linsys.records._open_batch(parts_file(tmp_path / "parts.txt")) as handle:
             assert batch._plan(handle) == (3, 14)
             assert handle.read(5) == "L2(0;"  # back at the start, past the mark
             monkeypatch.setattr(batch, "MIN_PART_LINES", 5)
@@ -1137,8 +1140,8 @@ def test_parts_on_closed_stdout_exit_141_and_leave_no_child(tmp_path, max_part):
 # would, once its children are forked; it writes how many it forked.
 INTERRUPT_PROBE = """
 import os
-from k3linsys import cli
-forks, fork, batch_lines, parent = [], os.fork, cli._batch_lines, os.getpid()
+from k3linsys import records
+forks, fork, batch_lines, parent = [], os.fork, records._batch_lines, os.getpid()
 def counted_fork():
     pid = fork()
     forks.append(pid)
@@ -1148,7 +1151,7 @@ def interrupted(*args):
         os.write(1, b"%d forked\\n" % len(forks))
         raise KeyboardInterrupt
     return batch_lines(*args)
-os.fork, cli._batch_lines = counted_fork, interrupted
+os.fork, records._batch_lines = counted_fork, interrupted
 """ + PARTS_PROBE
 
 
@@ -1168,15 +1171,15 @@ def test_interrupt_exits_130_and_reaps_the_children(tmp_path):
 # batch process writes its mask when the run is over.
 AFFINITY_PROBE = """
 import os, sys
-from k3linsys import batch, cli, parts
+from k3linsys import batch, cli, parts, records
 batch.MIN_PART_LINES = batch.MAX_PART_LINES = 5
 parts.CPU_QUOTA_FILES = ()
 os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:4])
-batch_lines = cli._batch_lines
+batch_lines = records._batch_lines
 def recorded(*args):
     sys.stderr.write(f"part {os.getpid()} {sorted(os.sched_getaffinity(0))}\\n")
     return batch_lines(*args)
-cli._batch_lines = recorded
+records._batch_lines = recorded
 try:
     cli.entrypoint()
 finally:
@@ -1252,6 +1255,15 @@ def test_package_exports_lattice_lazily():
         k3linsys.no_such_name
 
 
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml requires Python >= 3.10; the suite may run on a newer
+    # one, where syntax that 3.10 lacks (except*, a type statement) compiles.
+    sources = sorted(Path(k3linsys.__file__).parent.glob("*.py"))
+    assert {"cli.py", "records.py", "verify.py", "v0.py", "hunt.py"} <= {path.name for path in sources}
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 # Runs main(argv) in a child without site-packages and writes the names in
 # its sys.modules to the file named first.
 IMPORT_PROBE = """
@@ -1262,6 +1274,9 @@ with open(sys.argv[1], "w") as handle:
     handle.write("\\n".join(sys.modules))
 """
 MATH = {"k3linsys.lattice", "k3linsys.classify", "k3linsys.literals", "k3linsys.verify"}
+# The modules of one command or two each: classification records (dim,
+# classify, batch), hunt, and the v = 0 window (enumerate, verify lemma-table).
+RECORDS, HUNT, V0 = "k3linsys.records", "k3linsys.hunt", "k3linsys.v0"
 # No command builds its value classes with dataclasses, which imports inspect.
 CODEGEN = {"dataclasses", "inspect"}
 # batch and hunt fork their parts by hand, with modules no other command loads:
@@ -1269,33 +1284,79 @@ CODEGEN = {"dataclasses", "inspect"}
 POOLS = {"multiprocessing", "tempfile", "threading", "subprocess"}
 PARTS = {"k3linsys.parts", "k3linsys.batch"}
 GOLDEN_BATCH = str(Path(__file__).parent / "golden" / "batch.txt")
+PAIRS = ["verify", "pairs", "--mass-bound", "40", "--max-points", "4", "--max-n", "12"]
+HUNT_ARGV = ["hunt", "--max-n", "4", "--max-degree", "2"]
 
 
 @pytest.mark.parametrize(
     "argv, absent, present",
     [
-        (["--help"], MATH | CODEGEN | PARTS | {"json", "csv"}, set()),
-        (["dim"], MATH | CODEGEN | PARTS | {"json", "csv"}, set()),  # usage error
-        (["dim", "L2(3;2^4,1)"], CODEGEN | PARTS | {"k3linsys.verify", "json", "csv"}, {"k3linsys.literals"}),
-        (["classify", "L2(4;4,3)", "--format", "json"], CODEGEN | PARTS | {"k3linsys.verify", "json", "csv"}, set()),
-        (["classify", "L2(4;4,3)", "--format", "csv"], CODEGEN | PARTS | {"k3linsys.verify"}, {"csv"}),
-        (["batch", GOLDEN_BATCH, "--format", "json"], CODEGEN | POOLS | {"k3linsys.verify", "csv"}, {"json"}),
-        (["batch", GOLDEN_BATCH, "--format", "csv"], CODEGEN | POOLS | {"k3linsys.verify"}, {"csv"}),
+        (["--help"], MATH | CODEGEN | PARTS | {RECORDS, HUNT, V0, "json", "csv"}, set()),
+        (["dim"], MATH | CODEGEN | PARTS | {RECORDS, HUNT, V0, "json", "csv"}, set()),  # usage error
         (
-            ["verify", "pairs", "--mass-bound", "40", "--max-points", "4", "--max-n", "12", "--format", "json"],
-            CODEGEN | PARTS | {"k3linsys.literals", "csv"},
+            ["dim", "L2(3;2^4,1)"],
+            CODEGEN | PARTS | {"k3linsys.verify", HUNT, V0, "json", "csv"},
+            {"k3linsys.literals", RECORDS},
+        ),
+        (
+            ["classify", "L2(4;4,3)", "--format", "json"],
+            CODEGEN | PARTS | {"k3linsys.verify", HUNT, V0, "json", "csv"},
+            {RECORDS},
+        ),
+        (
+            ["classify", "L2(4;4,3)", "--format", "csv"],
+            CODEGEN | PARTS | {"k3linsys.verify", HUNT, V0, "json"},
+            {RECORDS, "csv"},
+        ),
+        (
+            ["batch", GOLDEN_BATCH, "--format", "json"],
+            CODEGEN | POOLS | {"k3linsys.verify", HUNT, V0, "csv"},
+            {RECORDS, "json"},
+        ),
+        (
+            ["batch", GOLDEN_BATCH, "--format", "csv"],
+            CODEGEN | POOLS | {"k3linsys.verify", HUNT, V0},
+            {RECORDS, "csv"},
+        ),
+        (
+            [*PAIRS, "--format", "json"],
+            CODEGEN | PARTS | {"k3linsys.literals", HUNT, V0, RECORDS, "csv"},
+            {"k3linsys.verify", "json"},
+        ),
+        (
+            PAIRS,
+            CODEGEN | PARTS | {"k3linsys.literals", HUNT, V0, RECORDS, "json", "csv"},
             {"k3linsys.verify"},
         ),
-        (["verify", "lemma-table", "--format", "csv"], CODEGEN | PARTS | {"k3linsys.literals"}, {"k3linsys.verify", "csv"}),
         (
-            ["hunt", "--max-n", "4", "--max-degree", "2", "--format", "json"],
-            CODEGEN | POOLS | {"k3linsys.batch", "k3linsys.literals", "csv"},
-            {"k3linsys.verify", "k3linsys.parts"},
+            ["verify", "lemma-table", "--format", "csv"],
+            CODEGEN | PARTS | {"k3linsys.literals", HUNT, RECORDS},
+            {"k3linsys.verify", V0, "csv", "json"},
+        ),
+        (
+            ["verify", "lemma-table"],
+            CODEGEN | PARTS | {"k3linsys.literals", HUNT, RECORDS, "json", "csv"},
+            {"k3linsys.verify", V0},
+        ),
+        (
+            [*HUNT_ARGV, "--format", "json"],
+            CODEGEN | POOLS | {"k3linsys.batch", "k3linsys.literals", V0, RECORDS, "csv"},
+            {"k3linsys.verify", "k3linsys.parts", HUNT, "json"},
+        ),
+        (
+            HUNT_ARGV,
+            CODEGEN | POOLS | {"k3linsys.batch", "k3linsys.literals", V0, RECORDS, "json", "csv"},
+            {"k3linsys.verify", "k3linsys.parts", HUNT},
         ),
         (
             ["enumerate", "v0", "--self-int=-2..2", "--format", "json"],
-            CODEGEN | PARTS | {"k3linsys.literals", "csv"},
-            {"k3linsys.verify"},
+            CODEGEN | PARTS | {"k3linsys.literals", HUNT, RECORDS, "csv"},
+            {"k3linsys.verify", V0, "json"},
+        ),
+        (
+            ["enumerate", "v0", "--self-int=-2..2"],
+            CODEGEN | PARTS | {"k3linsys.literals", HUNT, RECORDS, "json", "csv"},
+            {"k3linsys.verify", V0},
         ),
     ],
 )

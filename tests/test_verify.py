@@ -22,7 +22,7 @@ from math import isqrt
 
 import pytest
 
-from k3linsys import classify, parts, verify
+from k3linsys import classify, hunt, parts, v0, verify
 from k3linsys.classify import Decomposition, LinearSystemSpec, MemberKind, decompose
 from k3linsys.lattice import (
     DivisorClass,
@@ -31,17 +31,13 @@ from k3linsys.lattice import (
     self_intersection,
     virtual_dimension,
 )
+from k3linsys.hunt import _HUNT_NOTE, hunt_counterexamples
+from k3linsys.v0 import class_record, derive_bounds_v0, enumerate_v0_classes, verify_lemma_table
 from k3linsys.verify import (
     Certificate,
-    _HUNT_NOTE,
     VerificationReport,
     _mult_vectors,
     _pair_classes,
-    class_record,
-    derive_bounds_v0,
-    enumerate_v0_classes,
-    hunt_counterexamples,
-    verify_lemma_table,
     verify_pair_inequality,
 )
 from oracles import v0_classes
@@ -681,7 +677,7 @@ class TestPairCounts:
         def every_class(*args):
             raise AssertionError("verify pairs built every class")
 
-        monkeypatch.setattr(verify, "_v0_classes", every_class)
+        monkeypatch.setattr(v0, "_v0_classes", every_class)
         report = verify_pair_inequality(mass_bound=400, max_points=8, max_n=80)
         assert report.passed and len(report.expected_exceptions_found) == 2
         assert report.checked_count == 22_769_785
@@ -900,11 +896,11 @@ class TestHuntInParts:
         def fail(i, spec, dec):
             raise AssertionError(f"{spec} fails")
 
-        assert verify._hunt_scan(1, {0}, fail, **bounds) == len(index) == 894
+        assert hunt._hunt_scan(1, {0}, fail, **bounds) == len(index) == 894
         one_pass, shares = list(calls), []
         for j in range(k):
             calls.clear()
-            assert verify._hunt_scan(k, {j}, fail, **bounds) == 894
+            assert hunt._hunt_scan(k, {j}, fail, **bounds) == 894
             assert {index[spec.mults] % k for spec in calls} == {j}
             shares += calls
         # every cell decomposed once, in one share
