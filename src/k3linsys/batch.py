@@ -1,6 +1,9 @@
-"""batch in parts: a file's lines classified by one process per usable CPU.
+"""The batch command: classify the lines of a file, in parts by one
+process per usable CPU.
 
-With k processes, the file is cut into parts of equal length, or of
+_cmd_batch opens the file, _file_lines reads its lines in pieces, and
+_batch_lines writes a record or an error record for each.  With k
+processes, the file is cut into parts of equal length, or of
 MAX_PART_LINES lines on a file of more than k such parts: the batch
 process classifies parts 0, k, 2k, ... and the child forked for j parts
 j, k + j, 2k + j, ...; each process reads the file through its own handle
@@ -12,19 +15,22 @@ pass, and the memfd files hold at most one part's output for each child.
 One pass is the case k = 1: one part of every line, and no child.  The
 children are forked, pinned, killed and reaped by k3linsys.parts.Forks.
 
-The command-line module binds run_parts for batch only: no other command
-compiles this module.
+The command-line module binds _cmd_batch when batch reads it: no other
+command compiles this module.  parse_spec and the output layer are read
+through cli, so a name patched there is the one called here.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import stat
 import sys
 from functools import partial
 from itertools import count, islice
 
 from . import cli, records
+from .literals import LiteralSyntaxError
 from .parts import Forks, processes
 
 # batch classifies a file of at least two parts of this many lines in
@@ -33,6 +39,93 @@ MIN_PART_LINES = 1500
 # ... of at most this many lines: each child's memfd files hold the output
 # of one part, about 1 MB of JSON.
 MAX_PART_LINES = 5000
+# Batch files are read in pieces of this many characters: small pieces keep
+# the reader's memory flat.
+READ_CHARS = 1 << 13
+# A batch line longer than this is an error record; the reader keeps at most
+# this plus one piece of any line, however long the line is.
+MAX_LINE_CHARS = 1 << 20
+# _batch_lines' result when a line that is not UTF-8 ended the run.
+_STOPPED = 3
+# The characters str.splitlines() breaks lines at.
+_LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+# The characters the surrogateescape handler decodes bytes that are not
+# UTF-8 to; UTF-8 text never decodes to them.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+
+def _cmd_batch(args, out: cli._Output) -> int:
+    """Classify the lines of args.file in one pass, or in parts, one process
+    per usable CPU, with the same output (see run_parts)."""
+    try:
+        handle = _open_batch(args.file)
+    except OSError as exc:
+        cli._Output.error(f"cannot read batch file: {exc}")
+        return 2
+    with handle:
+        return run_parts(args, out, handle)
+
+
+def _open_batch(path: str):
+    # utf-8-sig drops a byte-order mark at the start of the file only; bytes
+    # that are not UTF-8 are read, then end the run at their line.
+    return open(path, encoding="utf-8-sig", errors="surrogateescape")
+
+
+def _file_lines(handle):
+    """The lines of handle.read().splitlines(), read in pieces of READ_CHARS
+    characters.
+
+    A line longer than MAX_LINE_CHARS comes out as a prefix still longer
+    than MAX_LINE_CHARS, of at most MAX_LINE_CHARS plus one piece, and
+    U+DCFF after it when a dropped piece holds a byte that is not UTF-8
+    (see _NOT_UTF8).  Text mode turns every CR and CR LF into LF, so each
+    line break is one character and no break spans two pieces.
+    """
+    head = ""  # the start of the line the previous piece left unfinished
+    while piece := handle.read(READ_CHARS):
+        lines = piece.splitlines()
+        if len(head) <= MAX_LINE_CHARS:
+            head += lines[0]
+        elif head[-1] != "\udcff" and not lines[0].isascii() and _NOT_UTF8.search(lines[0]):
+            head += "\udcff"
+        lines[0] = head
+        head = "" if piece[-1] in _LINE_BREAKS else lines.pop()
+        yield from lines
+    if head:
+        yield head
+
+
+def _batch_lines(args, numbered, emit, emit_error) -> int:
+    """Write the records of the (line number, line) pairs `numbered` with
+    the renderers emit and emit_error of records._record_writer.
+
+    Returns 0 if every line gave a record or none, 2 if some line gave an
+    error record, _STOPPED if a line that is not UTF-8 ended the run.
+    """
+    failed = False
+    for lineno, raw in numbered:
+        if not raw.isascii() and _NOT_UTF8.search(raw):
+            cli._Output.error(f"{args.file}: not UTF-8 at line {lineno}")
+            return _STOPPED
+        try:
+            if len(raw) > MAX_LINE_CHARS:
+                # name the line by its start, not by a megabyte of it
+                text = raw[:40].strip() + "..."
+                message = f"line longer than {MAX_LINE_CHARS} characters"
+                raise LiteralSyntaxError.at(message, raw, MAX_LINE_CHARS)
+            text = raw.partition("#")[0].strip()
+            if not text:
+                continue
+            spec = cli.parse_spec(text)
+        except LiteralSyntaxError as exc:
+            failed = True
+            cli._Output.error(f"{args.file}:{lineno}: {exc}")
+            error = {"line": lineno, "position": exc.position, "message": exc.message, "source": text}
+            emit_error(error)
+            continue
+        emit(spec)
+    return 2 if failed else 0
 
 
 def _plan(handle) -> tuple[int, int]:
@@ -51,7 +144,7 @@ def _plan(handle) -> tuple[int, int]:
     cpus = processes()
     if cpus < 2:
         return one_pass
-    lines = sum(1 for _ in islice(records._file_lines(handle), cpus * MAX_PART_LINES))
+    lines = sum(1 for _ in islice(_file_lines(handle), cpus * MAX_PART_LINES))
     handle.seek(0)
     k = min(cpus, lines // MIN_PART_LINES)
     if k < 2:
@@ -86,14 +179,14 @@ def _child(args, handle, j: int, k: int, size: int, sinks, done: int, go: int) -
     try:
         out = cli._Output(args.quiet)
         emit, emit_error = records._record_writer(args.format, out, records._batch_text, header=False)
-        lines = records._file_lines(handle)
+        lines = _file_lines(handle)
         _skip(lines, j * size)
         for part in count(j, k):
             try:
-                result = records._batch_lines(args, _numbered(lines, part, size), emit, emit_error)
+                result = _batch_lines(args, _numbered(lines, part, size), emit, emit_error)
             finally:
                 out.flush()  # the part's records, also up to a crash
-            more = result != records._STOPPED and next(lines, None) is not None
+            more = result != _STOPPED and next(lines, None) is not None
             for sink in sinks:
                 sink.flush()
             os.write(done, bytes((result, more)))
@@ -124,18 +217,18 @@ def run_parts(args, out, handle) -> int:
         with Forks(k) as forks:
             for j in range(1, k):
                 # each child reads the open file, not its path, through its own handle
-                with records._open_batch(f"/proc/self/fd/{handle.fileno()}") as reader:
+                with _open_batch(f"/proc/self/fd/{handle.fileno()}") as reader:
                     sinks = (_memfd(), _memfd())
                     done, done_w = os.pipe()
                     go_r, go = os.pipe()
                     children.append([partial(forks.wait, j), sinks, done, go])
                     forks.fork(lambda: _child(args, reader, j, k, size, sinks, done_w, go_r), done_w, go_r)
             emit, emit_error = records._record_writer(args.format, out, records._batch_text)
-            lines = records._file_lines(handle)
+            lines = _file_lines(handle)
             results = set()
             for part in count(0, k):
-                results.add(records._batch_lines(args, _numbered(lines, part, size), emit, emit_error))
-                more = records._STOPPED not in results and next(lines, None) is not None
+                results.add(_batch_lines(args, _numbered(lines, part, size), emit, emit_error))
+                more = _STOPPED not in results and next(lines, None) is not None
                 for j, child in enumerate(children, 1):
                     if not more:
                         break

@@ -28,7 +28,7 @@ from enum import Enum
 from operator import mul
 
 from . import MAX_INTEGER_DIGITS
-from .lattice import INT_LIMIT, DivisorClass, SurfaceParams, Value
+from .lattice import INT_LIMIT, DivisorClass, SurfaceParams, Value, _require_surface
 
 
 class NormalizationError(ValueError):
@@ -63,7 +63,9 @@ class LinearSystemSpec(Value):
     use `normalize` to build a spec from raw user data.
 
     There are two construction paths.  The public constructor checks its
-    fields and raises TypeError or NormalizationError on bad data.
+    fields and raises TypeError (a surface that is not a SurfaceParams, a
+    degree or multiplicity that is not an int) or NormalizationError on
+    bad data.
     `_from_canonical` checks nothing and is for callers whose data is
     canonical by construction: the literal parser, and the hunt scan and
     the v = 0 enumerator, whose multiplicity vectors come from an
@@ -75,6 +77,7 @@ class LinearSystemSpec(Value):
     mults: tuple[int, ...] = ()
 
     def __init__(self, surface: SurfaceParams, d: int, mults: tuple = ()):
+        _require_surface(surface)
         mults = tuple(mults)
         _check_spec_fields(d, mults)
         self.__dict__.update(surface=surface, d=d, mults=mults)
@@ -89,7 +92,7 @@ class LinearSystemSpec(Value):
         is for the callers that build many specs: the per-element
         `_check_spec_fields` that `__init__` runs is most of the cost of a
         construction.  The dict is a display in annotation order, which
-        `repr` and `_key` read, set by `object.__setattr__`.
+        `repr` and the hash read, set by `object.__setattr__`.
         """
         spec = object.__new__(cls)
         object.__setattr__(spec, "__dict__", {"surface": surface, "d": d, "mults": mults})
@@ -292,7 +295,7 @@ def _decomposition(
     v < -1, which has h1 >= -1 - v.  The result equals, hashes and prints
     as `Decomposition(**fields)` and stays frozen; it skips the shared
     keyword `__init__`, which takes about twice as long for twelve fields.
-    The dict is a display in annotation order, which `repr` and `_key`
+    The dict is a display in annotation order, which `repr` and the hash
     read, set by `object.__setattr__` past the frozen `__setattr__`.
     """
     h1 = None if v < -1 and dimension < 0 and conjectural else dimension - v

@@ -1,8 +1,11 @@
 """Command-line front end: classify systems, run verifiers, batch files.
 
 Commands: dim, classify, intersect, enumerate, verify, hunt, batch.  Each
-builds records, which one output layer writes to stdout in text, JSON or
-CSV: _writer renders a record dict (reports, intersect, enumerate, batch's
+sub-parser names its command's handler; dim and classify run in
+records.py, batch in batch.py, the others here.  A command loads the
+modules whose names it reads, and no other (see _LAZY).  Each builds
+records, which one output layer writes to stdout in text, JSON or CSV:
+_writer renders a record dict (reports, intersect, enumerate, batch's
 error records), records._record_writer a classification record by a fast
 path of its own.  Diagnostics go to stderr.  Exit codes: 0 success or
 verification pass, 1 verification violation, 2 usage or parse error, 141
@@ -24,46 +27,40 @@ from . import MAX_INTEGER_DIGITS
 # write per record costs more than a record's classification.
 BLOCK_CHARS = 1 << 16
 # The names this module takes from the package's modules; json and csv are
-# bound under their own names.  They are bound into this module's globals
-# when a command that runs them is dispatched (see _COMMANDS), not at
-# import: without a bytecode cache a process compiles every module it
-# imports, so `--help` loads no math module and each command only its own:
-# records for dim, classify and batch, hunt for hunt, v0 for enumerate and
-# verify lemma-table.
+# bound under their own names.  A name is bound the first time it is read,
+# with every other name of its module, by the module __getattr__ below, not
+# at import: without a bytecode cache a process compiles every module it
+# imports, so a command loads only the modules whose names it reads and
+# `--help` loads no math module.  This module's own code reads them as
+# attributes of _cli, as records.py and batch.py read cli.parse_spec.
 _LAZY = {
     "classify": ("decompose", "format_multiplicities"),
     "lattice": ("intersect",),
     "literals": ("LiteralSyntaxError", "parse_literal", "parse_spec"),
-    "records": ("_cmd_system", "_cmd_batch"),
+    "records": ("_cmd_system",),
     "verify": ("verify_pair_inequality",),
     "v0": ("class_record", "enumerate_v0_classes", "verify_lemma_table"),
     "hunt": ("hunt_counterexamples",),
-    "batch": ("run_parts",),
+    "batch": ("_cmd_batch",),
     "json": None,
     "csv": None,
 }
-
-
-def _bind(*modules: str) -> None:
-    """Bind the names of `modules` (keys of _LAZY) into this module's
-    globals, keeping any name already bound (as by monkeypatch.setattr)."""
-    space = globals()
-    for module in modules:
-        names = _LAZY[module]
-        if names is None:
-            space.setdefault(module, __import__(module))
-            continue
-        source = __import__(module, space, None, names, 1)
-        for name in names:
-            space.setdefault(name, getattr(source, name))
+_cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    """Resolve a lazily bound name read from outside before its command ran."""
+    """Bind a lazily bound name on its first read, with the other names of
+    its _LAZY module, keeping any name already bound (as by
+    monkeypatch.setattr)."""
     for module, names in _LAZY.items():
         if name in (names or (module,)):
-            _bind(module)
-            return globals()[name]
+            space = globals()
+            if names is None:
+                return space.setdefault(module, __import__(module))
+            source = __import__(module, space, None, names, 1)
+            for each in names:
+                space.setdefault(each, getattr(source, each))
+            return space[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -107,7 +104,7 @@ def _csv_cell(key: str, value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if key == "mults":
-        return format_multiplicities(tuple(value))
+        return _cli.format_multiplicities(tuple(value))
     if key == "fixed_part":
         return "+".join(value)
     return str(value)
@@ -118,9 +115,9 @@ def _writer(fmt: str, out: _Output, fields, text, header: bool = True):
     json; in csv a row of its `fields` (blank where it has none), after a
     header row of them if `header`; text(record) in text."""
     if fmt == "json":
-        return lambda record: out.line(json.dumps(record))
+        return lambda record: out.line(_cli.json.dumps(record))
     if fmt == "csv":
-        rows = csv.writer(out, lineterminator="\n")
+        rows = _cli.csv.writer(out, lineterminator="\n")
         if header:
             rows.writerow(fields)
         return lambda record: rows.writerow([_csv_cell(key, record.get(key)) for key in fields])
@@ -128,9 +125,9 @@ def _writer(fmt: str, out: _Output, fields, text, header: bool = True):
 
 
 def _cmd_intersect(args, out: _Output) -> int:
-    a = parse_literal(args.system_a)
-    b = parse_literal(args.system_b)
-    value = intersect(a.divisor_class(), b.divisor_class())
+    a = _cli.parse_literal(args.system_a)
+    b = _cli.parse_literal(args.system_b)
+    value = _cli.intersect(a.divisor_class(), b.divisor_class())
     record = {"a": a.source.strip(), "b": b.source.strip(), "intersection": value}
     _writer(args.format, out, tuple(record), lambda r: str(r["intersection"]))(record)
     return 0
@@ -155,10 +152,10 @@ def _bound(text: str) -> int:
 
 
 def _cmd_enumerate(args, out: _Output) -> int:
-    classes = enumerate_v0_classes(args.self_int)
+    classes = _cli.enumerate_v0_classes(args.self_int)
     text = lambda c: f"{c['literal']}  (C^2 = {c['c2']})"
     write = _writer(args.format, out, ("c2", "n", "t", "mults", "v", "literal"), text)
-    for c in map(class_record, classes):  # each rendered as it is made
+    for c in map(_cli.class_record, classes):  # each rendered as it is made
         write(c)
     if args.format == "text":
         out.line(f"total: {len(classes)}")
@@ -182,18 +179,18 @@ def _cmd_report(args, out: _Output) -> int:
     """verify and hunt: the report's dict, one record in json and text; in
     csv a summary row, then a row per violation and per exception."""
     if args.command == "hunt":
-        report = hunt_counterexamples(
+        report = _cli.hunt_counterexamples(
             max_n=args.max_n,
             max_degree=args.max_degree,
             mass_bound=args.mass_bound,
             max_points=args.max_points,
         )
     elif args.check == "pairs":
-        report = verify_pair_inequality(
+        report = _cli.verify_pair_inequality(
             mass_bound=args.mass_bound, max_points=args.max_points, max_n=args.max_n
         )
     else:
-        report = verify_lemma_table()
+        report = _cli.verify_lemma_table()
     record = report.to_dict()
     write = _writer(args.format, out, ("section", "kind", "message", "data"), _report_text)
     if args.format == "csv":
@@ -203,7 +200,7 @@ def _cmd_report(args, out: _Output) -> int:
         rows += (("violation", cert) for cert in record["violations"])
         rows += (("exception", cert) for cert in record["expected_exceptions_found"])
         for section, cert in rows:
-            write({**cert, "section": section, "data": json.dumps(cert["data"], sort_keys=True)})
+            write({**cert, "section": section, "data": _cli.json.dumps(cert["data"], sort_keys=True)})
     else:
         write(record)
     return 0 if report.passed else 1
@@ -254,58 +251,46 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dim", parents=[common], help="conjectural dimension of a system")
     p.add_argument("system", help='system literal, e.g. "L2(3;2^4,1)"')
+    p.set_defaults(handler="_cmd_system")
 
     p = sub.add_parser("classify", parents=[common], help="full classification record")
     p.add_argument("system")
+    p.set_defaults(handler="_cmd_system")
 
     p = sub.add_parser(
         "intersect", parents=[common], help="intersection number (positional alignment, zero-padded)"
     )
     p.add_argument("system_a")
     p.add_argument("system_b")
+    p.set_defaults(handler="_cmd_intersect")
 
     p = sub.add_parser("enumerate", parents=[common], help="enumerate v = 0 classes")
     p.add_argument("what", choices=("v0",))
     p.add_argument("--self-int", type=_parse_range, required=True, metavar="A..B")
+    p.set_defaults(handler="_cmd_enumerate")
 
     p = sub.add_parser("verify", parents=[common], help="run a verification check")
     p.check_names = ("lemma-table", "pairs")
     checks = p.add_subparsers(dest="check", required=True)
-    checks.add_parser("lemma-table", parents=[common], help="the five v = 0 classes with C^2 <= 1")
+    p = checks.add_parser("lemma-table", parents=[common], help="the five v = 0 classes with C^2 <= 1")
+    p.set_defaults(handler="_cmd_report")
     p = checks.add_parser("pairs", parents=[common], help="v(C + C') >= 0 on pairs of v = 0 classes")
     p.add_argument("--mass-bound", type=_bound, default=200)
     p.add_argument("--max-points", type=_bound, default=6)
     p.add_argument("--max-n", type=_bound, default=40)
+    p.set_defaults(handler="_cmd_report")
 
     p = sub.add_parser("hunt", parents=[common], help="coherence scan: any certificate is a bug")
     p.add_argument("--max-n", type=_bound, default=10)
     p.add_argument("--max-degree", type=_bound, default=6)
     p.add_argument("--mass-bound", type=_bound, default=60)
     p.add_argument("--max-points", type=_bound, default=None)
+    p.set_defaults(handler="_cmd_report")
 
     p = sub.add_parser("batch", parents=[common], help="classify literals from a file")
     p.add_argument("file")
+    p.set_defaults(handler="_cmd_batch")
     return parser
-
-
-# The _LAZY modules each format renders with: json.dumps for a record dict
-# in json, csv.writer in csv.  A classification record's json is a template
-# (records.json_record); a report's csv rows hold certificate data as json.
-_DICTS = {"json": ("json",), "csv": ("csv",)}
-_REPORTS = {"json": ("json",), "csv": ("csv", "json")}
-
-# A command, or verify and its check: (the name of its handler, the _LAZY
-# modules it runs, the _LAZY modules of each format it renders in)
-_COMMANDS = {
-    "dim": ("_cmd_system", ("literals", "classify", "records"), {"csv": ("csv",)}),
-    "classify": ("_cmd_system", ("literals", "classify", "records"), {"csv": ("csv",)}),
-    "intersect": ("_cmd_intersect", ("literals", "lattice"), _DICTS),
-    "enumerate": ("_cmd_enumerate", ("v0", "classify"), _DICTS),
-    "verify pairs": ("_cmd_report", ("verify",), _REPORTS),
-    "verify lemma-table": ("_cmd_report", ("verify", "v0"), _REPORTS),
-    "hunt": ("_cmd_report", ("hunt",), _REPORTS),
-    "batch": ("_cmd_batch", ("literals", "classify", "records", "batch"), _DICTS),
-}
 
 
 def main(argv=None) -> int:
@@ -314,16 +299,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    command = f"verify {args.check}" if args.command == "verify" else args.command
-    handler, modules, renderers = _COMMANDS[command]
-    _bind(*modules, *renderers.get(args.format, ()))
     out = _Output(args.quiet)
     try:
-        return globals()[handler](args, out)
+        return getattr(_cli, args.handler)(args, out)
     except ValueError as exc:
         # Literal, normalization and surface-mismatch errors are ValueErrors;
-        # only commands that read literals can raise a LiteralSyntaxError.
-        kind = "parse error" if "literals" in modules and isinstance(exc, LiteralSyntaxError) else "error"
+        # only a command that read a literal has bound LiteralSyntaxError.
+        kind = "parse error" if isinstance(exc, globals().get("LiteralSyntaxError", ())) else "error"
         _Output.error(f"{kind}: {exc}")
         return 2
     finally:

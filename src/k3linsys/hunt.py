@@ -51,10 +51,10 @@ def hunt_counterexamples(
     can fire are visited (see _hunt_scan).  With k usable CPUs
     (parts.processes), share j of the scan decomposes the vectors whose
     index in _mult_vectors order is j mod k: share 0 here, the others in
-    part processes (parts.map_shares), which send back the index, n and d
-    of each cell where the check fails.  The certificates are rebuilt here,
-    in (n, d, vector) order, so the report is the one pass's.  k is at most
-    one per MIN_SHARE_CELLS visited cells, so the scan is one pass on a
+    part processes (parts.map_shares), which send back the index of each
+    vector with a cell where the check fails.  The certificates are rebuilt
+    here, in (n, d, vector) order, so the report is the one pass's.  k is at
+    most one per MIN_SHARE_CELLS visited cells, so the scan is one pass on a
     small grid, on one usable CPU, or without fork or sched_getaffinity.
     Negative mass_bound or max_points raise ValueError.
     """
@@ -69,9 +69,9 @@ def hunt_counterexamples(
         k = max(1, min(k, _visits(MIN_SHARE_CELLS * k, **bounds) // MIN_SHARE_CELLS))
 
     def cells(shares: set) -> list[int]:
-        """The vector count, then the index, n and d of each failing cell."""
-        found = []
-        vectors = _hunt_scan(k, shares, lambda i, spec, dec: found.extend((i, spec.n, spec.d)), **bounds)
+        """The vector count, then the index of each vector with a failing cell."""
+        found = set()
+        vectors = _hunt_scan(k, shares, lambda i, spec, dec: found.add(i), **bounds)
         return [vectors, *found]
 
     certs: dict[tuple[int, int, int], Certificate] = {}
@@ -84,7 +84,7 @@ def hunt_counterexamples(
 
     shares = parts.map_shares(k, cells)
     vectors = shares[0][0]
-    if failing := {i for share in shares for i in share[1::3]}:
+    if failing := {i for share in shares for i in share[1:]}:
         _hunt_scan(vectors, failing, certify, **bounds)  # i % vectors is i
     # len(range(2, max_n + 1, 2)) and len(range(max_degree + 1)), past sys.maxsize too
     specs_scanned = vectors * max(0, max_n // 2) * max(0, max_degree + 1)

@@ -35,9 +35,10 @@ class Value:
     """An immutable record of the fields its subclass annotates, in order.
 
     Defaults are class attributes.  Instances hold the fields in `__dict__`;
-    equality holds only within one class, over `_key()`, which the hash
-    uses too; the repr is `Name(field=value, ...)`; assignment and deletion
-    raise `dataclasses.FrozenInstanceError`.  Hot classes write `__init__`.
+    equality holds only within one class, over the `__dict__`s; the hash is
+    that of the tuple of field values, in annotation order; the repr is
+    `Name(field=value, ...)`; assignment and deletion raise
+    `dataclasses.FrozenInstanceError`.  Hot classes write `__init__`.
     """
 
     def __init_subclass__(cls) -> None:
@@ -57,14 +58,11 @@ class Value:
             kwargs = {name: given[name] for name in cls._fields}
         self.__dict__.update(kwargs)
 
-    def _key(self) -> tuple:
-        return tuple(self.__dict__.values())
-
     def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+        return self.__dict__ == other.__dict__ if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(tuple(self.__dict__.values()))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
@@ -118,8 +116,9 @@ class DivisorClass(Value):
     Trailing zero coefficients are dropped at construction, so classes that
     differ only by unused blown-up points compare and hash equal; any two
     classes on the same surface can be combined, with the shorter coefficient
-    vector padded by zeros.  A coefficient of more than MAX_INTEGER_DIGITS
-    digits raises ValueError, also from an operator whose result has one.
+    vector padded by zeros.  A surface that is not a SurfaceParams raises
+    TypeError; a coefficient of more than MAX_INTEGER_DIGITS digits raises
+    ValueError, also from an operator whose result has one.
     """
 
     surface: SurfaceParams
@@ -127,6 +126,7 @@ class DivisorClass(Value):
     l: tuple[int, ...] = ()
 
     def __init__(self, surface: SurfaceParams, t: int, l: tuple[int, ...] = ()) -> None:
+        _require_surface(surface)
         coeffs = tuple(l)
         for c in (t, *coeffs):
             if not isinstance(c, int) or isinstance(c, bool):
@@ -197,6 +197,11 @@ def zero(surface: SurfaceParams) -> DivisorClass:
     return DivisorClass(surface, 0, ())
 
 
+def _require_surface(surface) -> None:
+    if not isinstance(surface, SurfaceParams):
+        raise TypeError(f"surface must be a SurfaceParams, got {type(surface).__name__}")
+
+
 def _require_same_surface(a: DivisorClass, b: DivisorClass) -> None:
     if a.surface.n != b.surface.n:
         raise SurfaceMismatchError(
@@ -209,8 +214,11 @@ def intersect(a: DivisorClass, b: DivisorClass) -> int:
 
     H^2 = n, E_i^2 = -1 and all cross terms vanish, so with A = (t_A, a) and
     B = (t_B, b) the pairing is bilinear with the diagonal Gram matrix
-    diag(n, -1, ..., -1) applied to (t, -l).
+    diag(n, -1, ..., -1) applied to (t, -l).  An operand that is not a
+    DivisorClass raises TypeError.
     """
+    if not (isinstance(a, DivisorClass) and isinstance(b, DivisorClass)):
+        raise TypeError(f"intersect takes DivisorClasses, got {type(a).__name__} and {type(b).__name__}")
     _require_same_surface(a, b)
     dot = sum(x * y for x, y in zip(a.l, b.l))
     return a.surface.n * a.t * b.t - dot

@@ -1,21 +1,19 @@
-"""Classification records: the dim, classify and batch commands.
+"""Classification records: their field order, renderings, and the dim and
+classify commands.
 
 A classification record carries a fixed field order (RECORD_FIELDS) in
-every format; _record_writer renders it by a fast path of its own, and
-batch's reader turns a file into records and error records.  The
-command-line module binds _cmd_system and _cmd_batch for dim, classify and
-batch only: no other command compiles this module.  parse_spec, decompose,
-csv, run_parts and the output layer are read through the names the
-command-line module binds (cli.parse_spec, cli.decompose, ...), so a name
-patched there, as by a test or a tracer, is the one called here.
+every format; _record_writer renders it by a fast path of its own, for
+dim and classify here and for batch in k3linsys.batch.  The command-line
+module binds _cmd_system when dim or classify reads it; batch compiles
+this module too, and no other command does.  parse_spec, decompose, csv
+and the output layer are read through the names the command-line module
+binds (cli.parse_spec, cli.decompose, ...), so a name patched there, as by
+a test or a tracer, is the one called here.
 """
 
 from __future__ import annotations
 
-import re
-
 from . import cli
-from .literals import LiteralSyntaxError
 
 RECORD_FIELDS = (
     "n",
@@ -32,20 +30,6 @@ RECORD_FIELDS = (
     "free_part",
     "conjectural",
 )
-
-# Batch files are read in pieces of this many characters: small pieces keep
-# the reader's memory flat.
-READ_CHARS = 1 << 13
-# A batch line longer than this is an error record; the reader keeps at most
-# this plus one piece of any line, however long the line is.
-MAX_LINE_CHARS = 1 << 20
-# _batch_lines' result when a line that is not UTF-8 ended the run.
-_STOPPED = 3
-# The characters str.splitlines() breaks lines at.
-_LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
-# The characters the surrogateescape handler decodes bytes that are not
-# UTF-8 to; UTF-8 text never decodes to them.
-_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
 def record_values(dec: Decomposition) -> tuple:
@@ -146,83 +130,9 @@ def _record_writer(fmt: str, out: cli._Output, text, header: bool = True):
     return record, lambda err: error({"error": err})
 
 
-def _file_lines(handle):
-    """The lines of handle.read().splitlines(), read in pieces of READ_CHARS
-    characters.
-
-    A line longer than MAX_LINE_CHARS comes out as a prefix still longer
-    than MAX_LINE_CHARS, of at most MAX_LINE_CHARS plus one piece, and
-    U+DCFF after it when a dropped piece holds a byte that is not UTF-8
-    (see _NOT_UTF8).  Text mode turns every CR and CR LF into LF, so each
-    line break is one character and no break spans two pieces.
-    """
-    head = ""  # the start of the line the previous piece left unfinished
-    while piece := handle.read(READ_CHARS):
-        lines = piece.splitlines()
-        if len(head) <= MAX_LINE_CHARS:
-            head += lines[0]
-        elif head[-1] != "\udcff" and not lines[0].isascii() and _NOT_UTF8.search(lines[0]):
-            head += "\udcff"
-        lines[0] = head
-        head = "" if piece[-1] in _LINE_BREAKS else lines.pop()
-        yield from lines
-    if head:
-        yield head
-
-
 def _cmd_system(args, out: cli._Output) -> int:
     """dim and classify: one system's record, in text by the command's template."""
     spec = cli.parse_spec(args.system)  # before the writer, which may write a csv header
     text = _dim_text if args.command == "dim" else _classify_text
     _record_writer(args.format, out, text)[0](spec)
     return 0
-
-
-def _open_batch(path: str):
-    # utf-8-sig drops a byte-order mark at the start of the file only; bytes
-    # that are not UTF-8 are read, then end the run at their line.
-    return open(path, encoding="utf-8-sig", errors="surrogateescape")
-
-
-def _batch_lines(args, numbered, emit, emit_error) -> int:
-    """Write the records of the (line number, line) pairs `numbered` with
-    the renderers emit and emit_error of _record_writer.
-
-    Returns 0 if every line gave a record or none, 2 if some line gave an
-    error record, _STOPPED if a line that is not UTF-8 ended the run.
-    """
-    failed = False
-    for lineno, raw in numbered:
-        if not raw.isascii() and _NOT_UTF8.search(raw):
-            cli._Output.error(f"{args.file}: not UTF-8 at line {lineno}")
-            return _STOPPED
-        try:
-            if len(raw) > MAX_LINE_CHARS:
-                # name the line by its start, not by a megabyte of it
-                text = raw[:40].strip() + "..."
-                message = f"line longer than {MAX_LINE_CHARS} characters"
-                raise LiteralSyntaxError.at(message, raw, MAX_LINE_CHARS)
-            text = raw.partition("#")[0].strip()
-            if not text:
-                continue
-            spec = cli.parse_spec(text)
-        except LiteralSyntaxError as exc:
-            failed = True
-            cli._Output.error(f"{args.file}:{lineno}: {exc}")
-            error = {"line": lineno, "position": exc.position, "message": exc.message, "source": text}
-            emit_error(error)
-            continue
-        emit(spec)
-    return 2 if failed else 0
-
-
-def _cmd_batch(args, out: cli._Output) -> int:
-    """Classify the lines of args.file in one pass, or in parts, one process
-    per usable CPU, with the same output (see k3linsys.batch)."""
-    try:
-        handle = _open_batch(args.file)
-    except OSError as exc:
-        cli._Output.error(f"cannot read batch file: {exc}")
-        return 2
-    with handle:
-        return cli.run_parts(args, out, handle)

@@ -805,6 +805,11 @@ def test_hostile_values_at_the_library_boundary(n, d, mults, n2, t2, l2):
     else:
         assert type(exc) in (TypeError, ValueError)
 
+    # n is never a SurfaceParams: as a surface it is a TypeError, whatever
+    # the other fields.
+    for build in (DivisorClass, LinearSystemSpec):
+        assert type(_outcome(build, n, d, mults)[1]) is TypeError
+
     # The operators, on a class of a surface that n2 names, with d as the
     # scalar or the other operand: anything but a DivisorClass or an int is a
     # TypeError, reached through each operator's `return NotImplemented`.
@@ -820,6 +825,8 @@ def test_hostile_values_at_the_library_boundary(n, d, mults, n2, t2, l2):
             assert type(exc) is ValueError
     negated = -c
     assert (negated.t, negated.l) == (-c.t, tuple(-x for x in c.l))
+    for pair in ((c, d), (d, c)):
+        assert type(_outcome(intersect, *pair)[1]) is TypeError
 
     # A sum and the pairing of cls, on n = 2, and c, on n = n2.
     if cls is not None:

@@ -20,7 +20,6 @@ import k3linsys.batch as batch
 import k3linsys.classify as classify
 import k3linsys.cli as cli
 import k3linsys.parts as parts
-import k3linsys.records
 import k3linsys.verify as verify
 from k3linsys.classify import decompose
 from k3linsys.cli import main
@@ -418,15 +417,14 @@ class TestVerifyCommands:
         assert code == 1 and "FAIL" in out
 
     def test_dispatch_keeps_a_name_bound_before_it(self, capsys, monkeypatch):
-        # As in a fresh process, the verify names are not bound yet; a name
-        # set before dispatch survives the command binding the rest.
-        from k3linsys import verify
+        # As in a fresh process, the verify and v0 names are not bound yet; a
+        # name set before dispatch survives a read binding the rest.
+        from k3linsys import v0, verify
 
         space = vars(cli)
-        for name in cli._LAZY["verify"]:
+        for name in (*cli._LAZY["verify"], *cli._LAZY["v0"]):
             monkeypatch.delitem(space, name, raising=False)
         assert cli.verify_pair_inequality is verify.verify_pair_inequality  # module __getattr__
-        monkeypatch.delitem(space, "verify_pair_inequality")
         broken = VerificationReport(
             name="lemma-table",
             bounds={},
@@ -438,7 +436,7 @@ class TestVerifyCommands:
         monkeypatch.setitem(space, "verify_lemma_table", lambda: broken)
         code, out, _ = run(capsys, "verify", "lemma-table")
         assert code == 1 and "FAIL" in out
-        assert space["verify_pair_inequality"] is verify.verify_pair_inequality
+        assert cli.class_record is v0.class_record and cli.verify_lemma_table() is broken
         with pytest.raises(AttributeError, match="no_such_name"):
             cli.no_such_name
 
@@ -666,12 +664,12 @@ class TestBatch:
         st.integers(0, 12),
     )
     def test_chunked_reader_matches_splitlines(self, text, piece, cap):
-        old = k3linsys.records.READ_CHARS, k3linsys.records.MAX_LINE_CHARS
-        k3linsys.records.READ_CHARS, k3linsys.records.MAX_LINE_CHARS = piece, cap
+        old = batch.READ_CHARS, batch.MAX_LINE_CHARS
+        batch.READ_CHARS, batch.MAX_LINE_CHARS = piece, cap
         try:
-            got = list(k3linsys.records._file_lines(io.StringIO(text)))
+            got = list(batch._file_lines(io.StringIO(text)))
         finally:
-            k3linsys.records.READ_CHARS, k3linsys.records.MAX_LINE_CHARS = old
+            batch.READ_CHARS, batch.MAX_LINE_CHARS = old
         expected = text.splitlines()
         assert len(got) == len(expected)
         for line, full in zip(got, expected):
@@ -682,8 +680,8 @@ class TestBatch:
 
     @pytest.mark.parametrize("piece", [5, 64, 1 << 16])
     def test_long_line_is_an_error_record(self, capsys, tmp_path, monkeypatch, piece):
-        monkeypatch.setattr(k3linsys.records, "MAX_LINE_CHARS", 50)
-        monkeypatch.setattr(k3linsys.records, "READ_CHARS", piece)
+        monkeypatch.setattr(batch, "MAX_LINE_CHARS", 50)
+        monkeypatch.setattr(batch, "READ_CHARS", piece)
         long = "L2(1" + " " * 100 + ")"
         path = tmp_path / "long.txt"
         path.write_text(f"L2(4;4,3)\nL2(1)\x0c{long}\x0cL2(2;2)\n# {'x' * 60}\nL4(1;2)\n")
@@ -706,8 +704,8 @@ class TestBatch:
 
     @pytest.mark.parametrize("piece", [7, 64, 1 << 16])
     def test_line_of_exactly_the_cap_is_a_record(self, capsys, tmp_path, monkeypatch, piece):
-        monkeypatch.setattr(k3linsys.records, "MAX_LINE_CHARS", 50)
-        monkeypatch.setattr(k3linsys.records, "READ_CHARS", piece)
+        monkeypatch.setattr(batch, "MAX_LINE_CHARS", 50)
+        monkeypatch.setattr(batch, "READ_CHARS", piece)
         path, records = capped_file(tmp_path / "cap.txt", 50, 4)
         code, out, err = run(capsys, "batch", path, "--format", "json")
         assert (code, err) == (0, "")
@@ -770,8 +768,8 @@ class TestBatch:
     def test_undecodable_byte_past_the_kept_prefix_ends_the_run(self, capsys, tmp_path, monkeypatch, fmt, piece):
         # The reader drops the pieces of a line past MAX_LINE_CHARS; a byte
         # that is not UTF-8 in them still names the line and ends the run.
-        monkeypatch.setattr(k3linsys.records, "READ_CHARS", piece)
-        monkeypatch.setattr(k3linsys.records, "MAX_LINE_CHARS", 50)
+        monkeypatch.setattr(batch, "READ_CHARS", piece)
+        monkeypatch.setattr(batch, "MAX_LINE_CHARS", 50)
         path = tmp_path / "long.txt"
         path.write_bytes(b"L2(1)\nL2(1" + (b" " * 100 + b"\xff") * 3 + b")\nL2(2)\n")
         code, out, err = run(capsys, "batch", str(path), "--format", fmt)
@@ -780,7 +778,7 @@ class TestBatch:
         one.write_text("L2(1)\n")
         assert out == run(capsys, "batch", str(one), "--format", fmt)[1]
         with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
-            lines = list(k3linsys.records._file_lines(handle))
+            lines = list(batch._file_lines(handle))
         assert len(lines) == 3 and 50 < len(lines[1]) <= 50 + piece + 1
         assert lines[1].count("\udcff") == 1
 
@@ -813,7 +811,7 @@ class TestBatch:
     def test_positions_are_utf8_byte_offsets(self, capsys, tmp_path, monkeypatch):
         # into the stripped literal, the record's source: an em space is 3
         # bytes, a no-break space 2, and the long line's first 50 characters 100
-        monkeypatch.setattr(k3linsys.records, "MAX_LINE_CHARS", 50)
+        monkeypatch.setattr(batch, "MAX_LINE_CHARS", 50)
         path = tmp_path / "wide.txt"
         path.write_text("  L2(\u2003x)  # \u00e9\nL2(1;\xa01,x)\n" + "\u00e9" * 60 + "\n", encoding="utf-8")
         code, out, err = run(capsys, "batch", str(path), "--format", "json")
@@ -838,8 +836,8 @@ class TestBatch:
         # feed, file separator and line separator; then a line over the cap
         # that spans pieces, and a last line with no break after it.
         cap = 12
-        monkeypatch.setattr(k3linsys.records, "READ_CHARS", piece)
-        monkeypatch.setattr(k3linsys.records, "MAX_LINE_CHARS", cap)
+        monkeypatch.setattr(batch, "READ_CHARS", piece)
+        monkeypatch.setattr(batch, "MAX_LINE_CHARS", cap)
         for shift in range(piece + 1):
             for brk in ("\r\n", "\r", "\x0c", "\x1c", "\u2028"):
                 text = "a" * shift + brk + "L2(1)" + brk + brk + "b" * 40 + brk + "L4(1;2)"
@@ -848,7 +846,7 @@ class TestBatch:
                 with open(path, encoding="utf-8-sig") as handle:
                     expected = handle.read().splitlines()
                 with open(path, encoding="utf-8-sig") as handle:
-                    got = list(k3linsys.records._file_lines(handle))
+                    got = list(batch._file_lines(handle))
                 assert len(got) == len(expected), (shift, brk)
                 for line, full in zip(got, expected):
                     if len(full) <= cap:
@@ -920,11 +918,11 @@ class TestBatchParts:
     @pytest.fixture
     def forks(self, monkeypatch, forks):
         monkeypatch.setattr(batch, "MIN_PART_LINES", 8)
-        monkeypatch.setattr(k3linsys.records, "MAX_LINE_CHARS", 100)
+        monkeypatch.setattr(batch, "MAX_LINE_CHARS", 100)
         return forks
 
     def test_plan(self, tmp_path, monkeypatch, forks):
-        with k3linsys.records._open_batch(parts_file(tmp_path / "parts.txt")) as handle:
+        with batch._open_batch(parts_file(tmp_path / "parts.txt")) as handle:
             assert batch._plan(handle) == (3, 14)
             assert handle.read(5) == "L2(0;"  # back at the start, past the mark
             monkeypatch.setattr(batch, "MIN_PART_LINES", 5)
@@ -1140,8 +1138,8 @@ def test_parts_on_closed_stdout_exit_141_and_leave_no_child(tmp_path, max_part):
 # would, once its children are forked; it writes how many it forked.
 INTERRUPT_PROBE = """
 import os
-from k3linsys import records
-forks, fork, batch_lines, parent = [], os.fork, records._batch_lines, os.getpid()
+from k3linsys import batch
+forks, fork, batch_lines, parent = [], os.fork, batch._batch_lines, os.getpid()
 def counted_fork():
     pid = fork()
     forks.append(pid)
@@ -1151,7 +1149,7 @@ def interrupted(*args):
         os.write(1, b"%d forked\\n" % len(forks))
         raise KeyboardInterrupt
     return batch_lines(*args)
-os.fork, records._batch_lines = counted_fork, interrupted
+os.fork, batch._batch_lines = counted_fork, interrupted
 """ + PARTS_PROBE
 
 
@@ -1171,15 +1169,15 @@ def test_interrupt_exits_130_and_reaps_the_children(tmp_path):
 # batch process writes its mask when the run is over.
 AFFINITY_PROBE = """
 import os, sys
-from k3linsys import batch, cli, parts, records
+from k3linsys import batch, cli, parts
 batch.MIN_PART_LINES = batch.MAX_PART_LINES = 5
 parts.CPU_QUOTA_FILES = ()
 os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:4])
-batch_lines = records._batch_lines
+batch_lines = batch._batch_lines
 def recorded(*args):
     sys.stderr.write(f"part {os.getpid()} {sorted(os.sched_getaffinity(0))}\\n")
     return batch_lines(*args)
-records._batch_lines = recorded
+batch._batch_lines = recorded
 try:
     cli.entrypoint()
 finally:
@@ -1286,6 +1284,7 @@ PARTS = {"k3linsys.parts", "k3linsys.batch"}
 GOLDEN_BATCH = str(Path(__file__).parent / "golden" / "batch.txt")
 PAIRS = ["verify", "pairs", "--mass-bound", "40", "--max-points", "4", "--max-n", "12"]
 HUNT_ARGV = ["hunt", "--max-n", "4", "--max-degree", "2"]
+INTERSECT = ["intersect", "L2(1;1)", "L2(1;1)"]
 
 
 @pytest.mark.parametrize(
@@ -1358,6 +1357,61 @@ HUNT_ARGV = ["hunt", "--max-n", "4", "--max-degree", "2"]
             CODEGEN | PARTS | {"k3linsys.literals", HUNT, RECORDS, "json", "csv"},
             {"k3linsys.verify", V0},
         ),
+        (
+            INTERSECT,
+            CODEGEN | PARTS | {"k3linsys.verify", HUNT, V0, RECORDS, "json", "csv"},
+            {"k3linsys.literals", "k3linsys.lattice"},
+        ),
+        (
+            [*INTERSECT, "--format", "json"],
+            CODEGEN | PARTS | {"k3linsys.verify", HUNT, V0, RECORDS, "csv"},
+            {"k3linsys.literals", "k3linsys.lattice", "json"},
+        ),
+        (
+            [*INTERSECT, "--format", "csv"],
+            CODEGEN | PARTS | {"k3linsys.verify", HUNT, V0, RECORDS, "json"},
+            {"k3linsys.literals", "k3linsys.lattice", "csv"},
+        ),
+        (
+            ["dim", "L2(3;2^4,1)", "--format", "json"],
+            CODEGEN | PARTS | {"k3linsys.verify", HUNT, V0, "json", "csv"},
+            {"k3linsys.literals", RECORDS},
+        ),
+        (
+            ["dim", "L2(3;2^4,1)", "--format", "csv"],
+            CODEGEN | PARTS | {"k3linsys.verify", HUNT, V0, "json"},
+            {"k3linsys.literals", RECORDS, "csv"},
+        ),
+        (
+            ["classify", "L2(4;4,3)"],
+            CODEGEN | PARTS | {"k3linsys.verify", HUNT, V0, "json", "csv"},
+            {"k3linsys.literals", RECORDS},
+        ),
+        (
+            ["batch", GOLDEN_BATCH],
+            CODEGEN | POOLS | {"k3linsys.verify", HUNT, V0, "json", "csv"},
+            PARTS | {RECORDS},
+        ),
+        (
+            [*PAIRS, "--format", "csv"],
+            CODEGEN | PARTS | {"k3linsys.literals", HUNT, V0, RECORDS},
+            {"k3linsys.verify", "csv", "json"},
+        ),
+        (
+            ["verify", "lemma-table", "--format", "json"],
+            CODEGEN | PARTS | {"k3linsys.literals", HUNT, RECORDS, "csv"},
+            {"k3linsys.verify", V0, "json"},
+        ),
+        (
+            [*HUNT_ARGV, "--format", "csv"],
+            CODEGEN | POOLS | {"k3linsys.batch", "k3linsys.literals", V0, RECORDS},
+            {"k3linsys.verify", "k3linsys.parts", HUNT, "csv", "json"},
+        ),
+        (
+            ["enumerate", "v0", "--self-int=-2..2", "--format", "csv"],
+            CODEGEN | PARTS | {"k3linsys.literals", HUNT, RECORDS, "json"},
+            {"k3linsys.verify", V0, "csv"},
+        ),
     ],
 )
 def test_command_imports_only_its_modules(tmp_path, argv, absent, present):
@@ -1378,6 +1432,14 @@ def test_batch_in_parts_imports_no_pool(tmp_path):
     path.write_text(Path(GOLDEN_BATCH).read_text(encoding="utf-8") * 280, encoding="utf-8")
     absent = CODEGEN | POOLS | {"k3linsys.verify"}
     test_command_imports_only_its_modules(tmp_path, ["batch", str(path)], absent, PARTS)
+
+
+def test_json_batch_without_error_lines_imports_no_json(tmp_path):
+    # records.json_record writes its records by a template; only an error record needs json
+    path = tmp_path / "valid.txt"
+    path.write_text("L2(4;4,3)\nL4(5;2^6,1)\n")
+    argv = ["batch", str(path), "--format", "json"]
+    test_command_imports_only_its_modules(tmp_path, argv, CODEGEN | POOLS | {"json"}, {RECORDS})
 
 
 def test_console_entrypoint_subprocess():
