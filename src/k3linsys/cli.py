@@ -1,23 +1,26 @@
 """Command-line front end: classify systems, run verifiers, batch files.
 
-Commands: dim, classify, intersect, enumerate, verify, hunt, batch.  Each
-sub-parser names its command's handler; dim and classify run in
-records.py, batch in batch.py, the others here.  A command loads the
-modules whose names it reads, and no other (see _LAZY).  Each builds
-records, which one output layer writes to stdout in text, JSON or CSV:
-_writer renders a record dict (reports, intersect, enumerate, batch's
-error records), records._record_writer a classification record by a fast
-path of its own.  Diagnostics go to stderr.  Exit codes: 0 success or
-verification pass, 1 verification violation, 2 usage or parse error, 141
-(128 + SIGPIPE) stdout closed by the reader.  Classification records carry
-a fixed field order (n, d, mults, v, e, dim, special, h1, h1_lower_bound,
-member_kind, fixed_part, free_part, conjectural) in every format; h1 is
-null when only the lower bound is known.
+Commands: dim, classify, intersect, enumerate, verify, hunt, batch.  One
+table, _COMMANDS, holds the command tree: each command's (and verify
+check's) handler, positionals and options with their defaults and
+readers.  main reads a valid command line by it (_read) and loads
+argparse only to print help or a usage error, with a parser built from
+the same table.  dim and classify run in records.py, batch in batch.py,
+the others here.  A command loads the modules whose names it reads, and
+no other (see _LAZY).  Each builds records, which one output layer writes
+to stdout in text, JSON or CSV: _writer renders a record dict (reports,
+intersect, enumerate, batch's error records), records._record_writer a
+classification record by a fast path of its own.  Diagnostics go to
+stderr.  Exit codes: 0 success or verification pass, 1 verification
+violation, 2 usage or parse error, 141 (128 + SIGPIPE) stdout closed by
+the reader.  Classification records carry a fixed field order (n, d,
+mults, v, e, dim, special, h1, h1_lower_bound, member_kind, fixed_part,
+free_part, conjectural) in every format; h1 is null when only the lower
+bound is known.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -137,18 +140,18 @@ def _parse_range(text: str) -> tuple[int, int]:
     """--self-int's A..B, each end read by _bound's rule; no error echoes the value."""
     ends = text.strip().split("..")
     if len(ends) != 2 or not all(e.removeprefix("-").isdigit() and e.isascii() for e in ends):
-        raise argparse.ArgumentTypeError("expected A..B integer range")
+        raise ValueError("expected A..B integer range")
     return _bound(ends[0]), _bound(ends[1])
 
 
 def _bound(text: str) -> int:
     """A bound option's int: an optional '-' and at most MAX_INTEGER_DIGITS
-    ASCII digits.  argparse names the option in the error, which does not
-    echo the value."""
+    ASCII digits.  The ValueError's message is argparse's usage error, which
+    names the option and does not echo the value."""
     digits = text.removeprefix("-")
     if digits.isdigit() and digits.isascii() and len(digits) <= MAX_INTEGER_DIGITS:
         return int(text)
-    raise argparse.ArgumentTypeError(f"expected an integer of at most {MAX_INTEGER_DIGITS} digits")
+    raise ValueError(f"expected an integer of at most {MAX_INTEGER_DIGITS} digits")
 
 
 def _cmd_enumerate(args, out: _Output) -> int:
@@ -206,38 +209,186 @@ def _cmd_report(args, out: _Output) -> int:
     return 0 if report.passed else 1
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose subparsers are _Parsers.  Given check names,
-    as verify's parser is, it names a pairs bound put before them, spelled
-    in full or abbreviated as argparse allows; argparse would read the
-    bound's value as the check name."""
+# The options of every level, with the top level's defaults (where they
+# show no help): below the top an option left out keeps the value given
+# above it, and the last value given wins.
+_COMMON = {
+    "--format": {
+        "choices": ("text", "json", "csv"),
+        "default": "text",
+        "help": "output format (default text)",
+    },
+    "--quiet": {"action": "store_true", "default": False, "help": "suppress stdout"},
+}
+# The command tree.  A command, or a check of verify, is (help, handler,
+# arguments): add_argument's keywords under each argument's name, where an
+# option's "default" is taken when it is not given and "type" reads a value,
+# raising ValueError to reject it.  verify is (help, checks).
+_COMMANDS = {
+    "dim": (
+        "conjectural dimension of a system",
+        "_cmd_system",
+        {"system": {"help": 'system literal, e.g. "L2(3;2^4,1)"'}},
+    ),
+    "classify": ("full classification record", "_cmd_system", {"system": {}}),
+    "intersect": (
+        "intersection number (positional alignment, zero-padded)",
+        "_cmd_intersect",
+        {"system_a": {}, "system_b": {}},
+    ),
+    "enumerate": (
+        "enumerate v = 0 classes",
+        "_cmd_enumerate",
+        {
+            "what": {"choices": ("v0",)},
+            "--self-int": {"type": _parse_range, "required": True, "metavar": "A..B"},
+        },
+    ),
+    "verify": (
+        "run a verification check",
+        {
+            "lemma-table": ("the five v = 0 classes with C^2 <= 1", "_cmd_report", {}),
+            "pairs": (
+                "v(C + C') >= 0 on pairs of v = 0 classes",
+                "_cmd_report",
+                {
+                    "--mass-bound": {"type": _bound, "default": 200},
+                    "--max-points": {"type": _bound, "default": 6},
+                    "--max-n": {"type": _bound, "default": 40},
+                },
+            ),
+        },
+    ),
+    "hunt": (
+        "coherence scan: any certificate is a bug",
+        "_cmd_report",
+        {
+            "--max-n": {"type": _bound, "default": 10},
+            "--max-degree": {"type": _bound, "default": 6},
+            "--mass-bound": {"type": _bound, "default": 60},
+            "--max-points": {"type": _bound, "default": None},
+        },
+    ),
+    "batch": ("classify literals from a file", "_cmd_batch", {"file": {}}),
+}
 
-    check_names: tuple[str, ...] = ()
 
-    def parse_known_args(self, args=None, namespace=None):
-        for arg in args if self.check_names else ():
-            if arg in self.check_names:
-                break
-            given = arg.partition("=")[0]
-            names = [name for name in ("--mass-bound", "--max-points", "--max-n") if name.startswith(given)]
-            if len(given) > 2 and names:  # past "--"; an ambiguous prefix, as --max, is named as given
-                name = names[0] if len(names) == 1 else given
-                self.error(f"{name} is an option of 'verify pairs' and goes after 'pairs'")
-        return super().parse_known_args(args, namespace)
+class _Args:
+    """A command line's values by name, as argparse.Namespace holds them."""
+
+    def __init__(self, values: dict):
+        self.__dict__.update(values)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _dest(name: str) -> str:
+    return name.removeprefix("--").replace("-", "_")
+
+
+def _read(argv) -> _Args | None:
+    """The values build_parser().parse_args(argv) gives, read by the table;
+    or None, and argparse reads argv.  It reads exact option names, with a
+    value in the next word or after "=", and positionals.  It declines help,
+    an abbreviation, "--", a next-word value or a positional that starts
+    with "-", a value its reader rejects, and a missing or extra argument."""
+    values = {_dest(name): keywords["default"] for name, keywords in _COMMON.items()}
+    level, dest = _COMMANDS, "command"  # names the next positional may take; None after a handler
+    arguments, positionals, required = {}, [], set()
+    words = iter(argv)
+    for word in words:
+        if word.startswith("-"):
+            name, equals, text = word.partition("=")
+            keywords = _COMMON.get(name, arguments.get(name))
+            if keywords is None or (equals and "action" in keywords):
+                return None
+            if "action" in keywords:  # store_true, which takes no value
+                values[_dest(name)] = True
+                continue
+            if not equals and (text := next(words, "-")).startswith("-"):
+                return None
+            required.discard(name)
+        elif level is not None:
+            entry = level.get(word)
+            if entry is None:
+                return None
+            values[dest] = word
+            if isinstance(entry[1], dict):
+                level, dest = entry[1], "check"
+                continue
+            _, values["handler"], arguments = entry
+            level = None
+            positionals = [name for name in arguments if not name.startswith("-")]
+            required = {name for name, keywords in arguments.items() if keywords.get("required")}
+            for name, keywords in arguments.items():
+                if name.startswith("-"):
+                    values[_dest(name)] = keywords.get("default")
+            continue
+        elif positionals:
+            name, text = positionals.pop(0), word
+            keywords = arguments[name]
+        else:
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values[_dest(name)] = value
+    return None if level is not None or positionals or required else _Args(values)
+
+
+def build_parser():
+    """argparse's parser of the command tree, which main builds only for
+    help and usage errors, where _read declines argv."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An ArgumentParser whose subparsers are _Parsers.  Given check
+        names, as verify's parser is, it names a pairs bound put before
+        them, spelled in full or abbreviated as argparse allows; argparse
+        would read the bound's value as the check name."""
+
+        check_names: tuple[str, ...] = ()
+
+        def parse_known_args(self, args=None, namespace=None):
+            for arg in args if self.check_names else ():
+                if arg in self.check_names:
+                    break
+                given = arg.partition("=")[0]
+                names = [name for name in pair_bounds if name.startswith(given)]
+                if len(given) > 2 and names:  # past "--"; an ambiguous prefix, as --max, is named as given
+                    name = names[0] if len(names) == 1 else given
+                    self.error(f"{name} is an option of 'verify pairs' and goes after 'pairs'")
+            return super().parse_known_args(args, namespace)
+
+    def usage_type(read):
+        """read as argparse's type: the message of its ValueError is the usage error."""
+
+        def convert(text):
+            try:
+                return read(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        return convert
+
+    def add_commands(parser, dest, commands):
+        sub = parser.add_subparsers(dest=dest, required=True)
+        for name, (summary, *entry) in commands.items():
+            p = sub.add_parser(name, parents=[common], help=summary)
+            if isinstance(entry[0], dict):  # verify's checks
+                p.check_names = tuple(entry[0])
+                add_commands(p, "check", entry[0])
+                continue
+            handler, arguments = entry
+            for argument, keywords in arguments.items():
+                if "type" in keywords:
+                    keywords = {**keywords, "type": usage_type(keywords["type"])}
+                p.add_argument(argument, **keywords)
+            p.set_defaults(handler=handler)
+
+    pair_bounds = tuple(_COMMANDS["verify"][1]["pairs"][2])
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("text", "json", "csv"),
-        default=argparse.SUPPRESS,
-        help="output format (default text)",
-    )
-    common.add_argument(
-        "--quiet", action="store_true", default=argparse.SUPPRESS, help="suppress stdout"
-    )
-
     parser = _Parser(
         prog="k3linsys",
         description=(
@@ -245,60 +396,21 @@ def build_parser() -> argparse.ArgumentParser:
             "for fat-point linear systems on generic K3 surfaces."
         ),
     )
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--quiet", action="store_true", default=False)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dim", parents=[common], help="conjectural dimension of a system")
-    p.add_argument("system", help='system literal, e.g. "L2(3;2^4,1)"')
-    p.set_defaults(handler="_cmd_system")
-
-    p = sub.add_parser("classify", parents=[common], help="full classification record")
-    p.add_argument("system")
-    p.set_defaults(handler="_cmd_system")
-
-    p = sub.add_parser(
-        "intersect", parents=[common], help="intersection number (positional alignment, zero-padded)"
-    )
-    p.add_argument("system_a")
-    p.add_argument("system_b")
-    p.set_defaults(handler="_cmd_intersect")
-
-    p = sub.add_parser("enumerate", parents=[common], help="enumerate v = 0 classes")
-    p.add_argument("what", choices=("v0",))
-    p.add_argument("--self-int", type=_parse_range, required=True, metavar="A..B")
-    p.set_defaults(handler="_cmd_enumerate")
-
-    p = sub.add_parser("verify", parents=[common], help="run a verification check")
-    p.check_names = ("lemma-table", "pairs")
-    checks = p.add_subparsers(dest="check", required=True)
-    p = checks.add_parser("lemma-table", parents=[common], help="the five v = 0 classes with C^2 <= 1")
-    p.set_defaults(handler="_cmd_report")
-    p = checks.add_parser("pairs", parents=[common], help="v(C + C') >= 0 on pairs of v = 0 classes")
-    p.add_argument("--mass-bound", type=_bound, default=200)
-    p.add_argument("--max-points", type=_bound, default=6)
-    p.add_argument("--max-n", type=_bound, default=40)
-    p.set_defaults(handler="_cmd_report")
-
-    p = sub.add_parser("hunt", parents=[common], help="coherence scan: any certificate is a bug")
-    p.add_argument("--max-n", type=_bound, default=10)
-    p.add_argument("--max-degree", type=_bound, default=6)
-    p.add_argument("--mass-bound", type=_bound, default=60)
-    p.add_argument("--max-points", type=_bound, default=None)
-    p.set_defaults(handler="_cmd_report")
-
-    p = sub.add_parser("batch", parents=[common], help="classify literals from a file")
-    p.add_argument("file")
-    p.set_defaults(handler="_cmd_batch")
+    for name, keywords in _COMMON.items():
+        common.add_argument(name, **{**keywords, "default": argparse.SUPPRESS})
+        parser.add_argument(name, **{**keywords, "help": None})
+    add_commands(parser, "command", _COMMANDS)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
     out = _Output(args.quiet)
     try:
         return getattr(_cli, args.handler)(args, out)

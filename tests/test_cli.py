@@ -1,10 +1,12 @@
 """CLI: command surface, formats, exit codes, batch behavior."""
 
 import ast
+import contextlib
 import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -12,7 +14,7 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import k3linsys
@@ -1239,6 +1241,152 @@ class TestQuietAndUsage:
         assert run(capsys)[0] == 2
 
 
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_BATCH = str(GOLDEN / "batch.txt")
+FORMATS = ("text", "json", "csv")
+# The command lines tests/test_golden.py runs, and the README's examples.
+GOLDEN_COMMAND_LINES = [
+    *(
+        [command, literal, "--format", fmt]
+        for command in ("dim", "classify")
+        for line in (GOLDEN / "batch.txt").read_text(encoding="utf-8").splitlines()
+        if (literal := line.split("#", 1)[0].strip())
+        for fmt in FORMATS
+    ),
+    *(
+        ["intersect", *line.split(), "--format", fmt]
+        for line in (GOLDEN / "intersect.txt").read_text(encoding="utf-8").splitlines()
+        for fmt in FORMATS
+    ),
+    *(
+        [*command, "--format", fmt]
+        for command in (
+            ["batch", GOLDEN_BATCH],
+            ["hunt"],
+            ["hunt", "--max-n", "12", "--max-degree", "7", "--mass-bound", "64"],
+            ["verify", "pairs"],
+            ["verify", "pairs", "--mass-bound", "180", "--max-points", "6", "--max-n", "36"],
+            ["verify", "lemma-table"],
+            ["enumerate", "v0", "--self-int=-2..6"],
+        )
+        for fmt in FORMATS
+    ),
+]
+README_COMMAND_LINES = [
+    shlex.split(line.removeprefix("$ k3linsys ").partition(">")[0])
+    for line in (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    if line.startswith("$ k3linsys ")
+]
+# Command lines at the edges of what the reader reads.
+EDGE_COMMAND_LINES = [
+    ["enumerate", "v0"],  # a required option left out
+    ["dim", "L2(2;2)", "extra"],
+    ["enumerate", "v1", "--self-int", "0..1"],
+    ["hunt", "--max-n", "-h"],  # a next-word value that starts with "-"
+    ["hunt", "--max-n", "-1"],
+    ["dim", "L2(2;2)", "--format", "--quiet"],
+    ["dim", "L2(2;2)", "--quiet=1"],
+    ["dim", "L2(2;2)", "--", "--quiet"],
+    ["verify", "--mass-bound", "1", "pairs"],
+    ["verify", "pairs", "--max", "1"],
+    ["--format=json", "verify", "--format", "csv", "pairs", "--format=text"],
+]
+
+# Command lines for the reader's equivalence test: a command or check name,
+# options before and after it, and about as many positionals as it takes.
+# Mostly an option is one the level takes, spelled in full, with a value it
+# reads, next to it or joined by "="; else it takes any value, or is any
+# option, spelled in full or abbreviated, alone or with any value, or any
+# word: a positional (empty, or starting with "-"), a command or check name,
+# help or "--".
+OPTION_VALUES = {
+    "--format": st.sampled_from(FORMATS),
+    "--quiet": st.nothing(),
+    "--self-int": st.sampled_from(["0..2", "-2..1", "3..1"]),
+    **dict.fromkeys(["--mass-bound", "--max-points", "--max-n", "--max-degree"], st.integers(0, 99).map(str)),
+}
+VALUES = st.one_of(
+    *OPTION_VALUES.values(), st.sampled_from(["-1", "9" * 1001, "ten", "", "xml", "1_0", "v0", "-h", "--"])
+)
+COMMAND_SHAPES = [  # command words, positionals taken, options of its own
+    (["dim"], 1, ()),
+    (["classify"], 1, ()),
+    (["intersect"], 2, ()),
+    (["batch"], 1, ()),
+    (["enumerate"], 1, ("--self-int",)),
+    (["verify", "lemma-table"], 0, ()),
+    (["verify", "pairs"], 0, ("--mass-bound", "--max-points", "--max-n")),
+    (["hunt"], 0, ("--max-n", "--max-degree", "--mass-bound", "--max-points")),
+]
+POSITIONALS = st.sampled_from(["L2(2;2)", "L4(1;3)", "v0", ""])
+ANY_NAME = st.sampled_from([name[:end] for name in OPTION_VALUES for end in range(3, len(name) + 1)])
+ANY_WORD = st.one_of(
+    ANY_NAME.map(lambda name: [name]),
+    st.tuples(ANY_NAME, VALUES).map(list),
+    st.tuples(ANY_NAME, VALUES).map(lambda pair: ["=".join(pair)]),
+    st.sampled_from(["-L2(1;1)", "-1", "", "-h", "--help", "--", "verify", "pairs", "enumerate"]).map(
+        lambda word: [word]
+    ),
+)
+
+
+@st.composite
+def command_lines(draw):
+    words, taken, own = draw(st.sampled_from(COMMAND_SHAPES))
+
+    def options(*names):
+        pieces = []
+        for _ in range(draw(st.integers(0, 3))):
+            name, kind = draw(st.sampled_from(names)), draw(st.integers(0, 5))
+            values = VALUES if kind == 1 else OPTION_VALUES[name]
+            if kind == 0:
+                pieces += draw(ANY_WORD)
+            elif name == "--quiet" and kind > 1:
+                pieces.append(name)
+            elif draw(st.booleans()):
+                pieces.append(f"{name}={draw(values)}")
+            else:
+                pieces += [name, draw(values)]
+        return pieces
+
+    count = max(taken + draw(st.sampled_from([0, 0, 0, -1, 1])), 0)
+    positionals = draw(st.lists(POSITIONALS, min_size=count, max_size=count))
+    return [*options("--format", "--quiet"), *words, *positionals, *options("--format", "--quiet", *own)]
+
+
+def with_examples(argvs):
+    def add(test):
+        for argv in argvs:
+            test = example(argv=argv)(test)
+        return test
+
+    return add
+
+
+@settings(max_examples=300, deadline=None)
+@with_examples(GOLDEN_COMMAND_LINES + README_COMMAND_LINES + EDGE_COMMAND_LINES)
+@given(argv=command_lines())
+def test_reader_reads_as_argparse(argv):
+    # A command line the table reads gives argparse's values; one argparse
+    # exits on (help or a usage error) the reader declines.
+    read = cli._read(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            parsed = None
+    if parsed is None:
+        assert read is None
+    elif read is not None:
+        assert vars(read) == vars(parsed)
+
+
+def test_reader_reads_every_golden_and_readme_command_line():
+    lines = GOLDEN_COMMAND_LINES + README_COMMAND_LINES
+    assert len(README_COMMAND_LINES) >= 10
+    assert [argv for argv in lines if cli._read(argv) is None] == []
+
+
 def test_package_exports_lattice_lazily():
     from k3linsys import lattice
 
@@ -1281,7 +1429,8 @@ CODEGEN = {"dataclasses", "inspect"}
 # both with the core, batch with its own glue too.
 POOLS = {"multiprocessing", "tempfile", "threading", "subprocess"}
 PARTS = {"k3linsys.parts", "k3linsys.batch"}
-GOLDEN_BATCH = str(Path(__file__).parent / "golden" / "batch.txt")
+# A valid command line is read without argparse; help and usage errors load it.
+ARGPARSE = {"argparse", "gettext"}
 PAIRS = ["verify", "pairs", "--mass-bound", "40", "--max-points", "4", "--max-n", "12"]
 HUNT_ARGV = ["hunt", "--max-n", "4", "--max-degree", "2"]
 INTERSECT = ["intersect", "L2(1;1)", "L2(1;1)"]
@@ -1290,127 +1439,132 @@ INTERSECT = ["intersect", "L2(1;1)", "L2(1;1)"]
 @pytest.mark.parametrize(
     "argv, absent, present",
     [
-        (["--help"], MATH | CODEGEN | PARTS | {RECORDS, HUNT, V0, "json", "csv"}, set()),
-        (["dim"], MATH | CODEGEN | PARTS | {RECORDS, HUNT, V0, "json", "csv"}, set()),  # usage error
+        (["--help"], MATH | CODEGEN | PARTS | {RECORDS, HUNT, V0, "json", "csv"}, {"argparse"}),
+        (["dim"], MATH | CODEGEN | PARTS | {RECORDS, HUNT, V0, "json", "csv"}, {"argparse"}),  # usage error
         (
             ["dim", "L2(3;2^4,1)"],
-            CODEGEN | PARTS | {"k3linsys.verify", HUNT, V0, "json", "csv"},
+            CODEGEN | ARGPARSE | PARTS | {"k3linsys.verify", HUNT, V0, "json", "csv"},
             {"k3linsys.literals", RECORDS},
         ),
         (
             ["classify", "L2(4;4,3)", "--format", "json"],
-            CODEGEN | PARTS | {"k3linsys.verify", HUNT, V0, "json", "csv"},
+            CODEGEN | ARGPARSE | PARTS | {"k3linsys.verify", HUNT, V0, "json", "csv"},
             {RECORDS},
         ),
         (
             ["classify", "L2(4;4,3)", "--format", "csv"],
-            CODEGEN | PARTS | {"k3linsys.verify", HUNT, V0, "json"},
+            CODEGEN | ARGPARSE | PARTS | {"k3linsys.verify", HUNT, V0, "json"},
             {RECORDS, "csv"},
         ),
         (
             ["batch", GOLDEN_BATCH, "--format", "json"],
-            CODEGEN | POOLS | {"k3linsys.verify", HUNT, V0, "csv"},
+            CODEGEN | ARGPARSE | POOLS | {"k3linsys.verify", HUNT, V0, "csv"},
             {RECORDS, "json"},
         ),
         (
             ["batch", GOLDEN_BATCH, "--format", "csv"],
-            CODEGEN | POOLS | {"k3linsys.verify", HUNT, V0},
+            CODEGEN | ARGPARSE | POOLS | {"k3linsys.verify", HUNT, V0},
             {RECORDS, "csv"},
         ),
         (
             [*PAIRS, "--format", "json"],
-            CODEGEN | PARTS | {"k3linsys.literals", HUNT, V0, RECORDS, "csv"},
+            CODEGEN | ARGPARSE | PARTS | {"k3linsys.literals", HUNT, V0, RECORDS, "csv"},
             {"k3linsys.verify", "json"},
         ),
         (
             PAIRS,
-            CODEGEN | PARTS | {"k3linsys.literals", HUNT, V0, RECORDS, "json", "csv"},
+            CODEGEN | ARGPARSE | PARTS | {"k3linsys.literals", HUNT, V0, RECORDS, "json", "csv"},
             {"k3linsys.verify"},
         ),
         (
             ["verify", "lemma-table", "--format", "csv"],
-            CODEGEN | PARTS | {"k3linsys.literals", HUNT, RECORDS},
+            CODEGEN | ARGPARSE | PARTS | {"k3linsys.literals", HUNT, RECORDS},
             {"k3linsys.verify", V0, "csv", "json"},
         ),
         (
             ["verify", "lemma-table"],
-            CODEGEN | PARTS | {"k3linsys.literals", HUNT, RECORDS, "json", "csv"},
+            CODEGEN | ARGPARSE | PARTS | {"k3linsys.literals", HUNT, RECORDS, "json", "csv"},
             {"k3linsys.verify", V0},
         ),
         (
             [*HUNT_ARGV, "--format", "json"],
-            CODEGEN | POOLS | {"k3linsys.batch", "k3linsys.literals", V0, RECORDS, "csv"},
+            CODEGEN | ARGPARSE | POOLS | {"k3linsys.batch", "k3linsys.literals", V0, RECORDS, "csv"},
             {"k3linsys.verify", "k3linsys.parts", HUNT, "json"},
         ),
         (
             HUNT_ARGV,
-            CODEGEN | POOLS | {"k3linsys.batch", "k3linsys.literals", V0, RECORDS, "json", "csv"},
+            CODEGEN | ARGPARSE | POOLS | {"k3linsys.batch", "k3linsys.literals", V0, RECORDS, "json", "csv"},
             {"k3linsys.verify", "k3linsys.parts", HUNT},
         ),
         (
             ["enumerate", "v0", "--self-int=-2..2", "--format", "json"],
-            CODEGEN | PARTS | {"k3linsys.literals", HUNT, RECORDS, "csv"},
+            CODEGEN | ARGPARSE | PARTS | {"k3linsys.literals", HUNT, RECORDS, "csv"},
             {"k3linsys.verify", V0, "json"},
         ),
         (
             ["enumerate", "v0", "--self-int=-2..2"],
-            CODEGEN | PARTS | {"k3linsys.literals", HUNT, RECORDS, "json", "csv"},
+            CODEGEN | ARGPARSE | PARTS | {"k3linsys.literals", HUNT, RECORDS, "json", "csv"},
             {"k3linsys.verify", V0},
         ),
         (
             INTERSECT,
-            CODEGEN | PARTS | {"k3linsys.verify", HUNT, V0, RECORDS, "json", "csv"},
+            CODEGEN | ARGPARSE | PARTS | {"k3linsys.verify", HUNT, V0, RECORDS, "json", "csv"},
             {"k3linsys.literals", "k3linsys.lattice"},
         ),
         (
             [*INTERSECT, "--format", "json"],
-            CODEGEN | PARTS | {"k3linsys.verify", HUNT, V0, RECORDS, "csv"},
+            CODEGEN | ARGPARSE | PARTS | {"k3linsys.verify", HUNT, V0, RECORDS, "csv"},
             {"k3linsys.literals", "k3linsys.lattice", "json"},
         ),
         (
             [*INTERSECT, "--format", "csv"],
-            CODEGEN | PARTS | {"k3linsys.verify", HUNT, V0, RECORDS, "json"},
+            CODEGEN | ARGPARSE | PARTS | {"k3linsys.verify", HUNT, V0, RECORDS, "json"},
             {"k3linsys.literals", "k3linsys.lattice", "csv"},
         ),
         (
             ["dim", "L2(3;2^4,1)", "--format", "json"],
-            CODEGEN | PARTS | {"k3linsys.verify", HUNT, V0, "json", "csv"},
+            CODEGEN | ARGPARSE | PARTS | {"k3linsys.verify", HUNT, V0, "json", "csv"},
             {"k3linsys.literals", RECORDS},
         ),
         (
             ["dim", "L2(3;2^4,1)", "--format", "csv"],
-            CODEGEN | PARTS | {"k3linsys.verify", HUNT, V0, "json"},
+            CODEGEN | ARGPARSE | PARTS | {"k3linsys.verify", HUNT, V0, "json"},
             {"k3linsys.literals", RECORDS, "csv"},
         ),
         (
             ["classify", "L2(4;4,3)"],
-            CODEGEN | PARTS | {"k3linsys.verify", HUNT, V0, "json", "csv"},
+            CODEGEN | ARGPARSE | PARTS | {"k3linsys.verify", HUNT, V0, "json", "csv"},
             {"k3linsys.literals", RECORDS},
         ),
         (
             ["batch", GOLDEN_BATCH],
-            CODEGEN | POOLS | {"k3linsys.verify", HUNT, V0, "json", "csv"},
+            CODEGEN | ARGPARSE | POOLS | {"k3linsys.verify", HUNT, V0, "json", "csv"},
             PARTS | {RECORDS},
         ),
         (
             [*PAIRS, "--format", "csv"],
-            CODEGEN | PARTS | {"k3linsys.literals", HUNT, V0, RECORDS},
+            CODEGEN | ARGPARSE | PARTS | {"k3linsys.literals", HUNT, V0, RECORDS},
             {"k3linsys.verify", "csv", "json"},
         ),
         (
             ["verify", "lemma-table", "--format", "json"],
-            CODEGEN | PARTS | {"k3linsys.literals", HUNT, RECORDS, "csv"},
+            CODEGEN | ARGPARSE | PARTS | {"k3linsys.literals", HUNT, RECORDS, "csv"},
             {"k3linsys.verify", V0, "json"},
         ),
         (
             [*HUNT_ARGV, "--format", "csv"],
-            CODEGEN | POOLS | {"k3linsys.batch", "k3linsys.literals", V0, RECORDS},
+            CODEGEN | ARGPARSE | POOLS | {"k3linsys.batch", "k3linsys.literals", V0, RECORDS},
             {"k3linsys.verify", "k3linsys.parts", HUNT, "csv", "json"},
         ),
         (
             ["enumerate", "v0", "--self-int=-2..2", "--format", "csv"],
-            CODEGEN | PARTS | {"k3linsys.literals", HUNT, RECORDS, "json"},
+            CODEGEN | ARGPARSE | PARTS | {"k3linsys.literals", HUNT, RECORDS, "json"},
             {"k3linsys.verify", V0, "csv"},
+        ),
+        (
+            ["verify", "--mass-bound", "1", "pairs"],  # usage error
+            MATH | CODEGEN | PARTS | {RECORDS, HUNT, V0, "json", "csv"},
+            {"argparse"},
         ),
     ],
 )
@@ -1430,7 +1584,7 @@ def test_batch_in_parts_imports_no_pool(tmp_path):
     # 280 copies of the golden file: parts on a host with two usable CPUs
     path = tmp_path / "many.txt"
     path.write_text(Path(GOLDEN_BATCH).read_text(encoding="utf-8") * 280, encoding="utf-8")
-    absent = CODEGEN | POOLS | {"k3linsys.verify"}
+    absent = CODEGEN | POOLS | ARGPARSE | {"k3linsys.verify"}
     test_command_imports_only_its_modules(tmp_path, ["batch", str(path)], absent, PARTS)
 
 
@@ -1439,7 +1593,7 @@ def test_json_batch_without_error_lines_imports_no_json(tmp_path):
     path = tmp_path / "valid.txt"
     path.write_text("L2(4;4,3)\nL4(5;2^6,1)\n")
     argv = ["batch", str(path), "--format", "json"]
-    test_command_imports_only_its_modules(tmp_path, argv, CODEGEN | POOLS | {"json"}, {RECORDS})
+    test_command_imports_only_its_modules(tmp_path, argv, CODEGEN | POOLS | ARGPARSE | {"json"}, {RECORDS})
 
 
 def test_console_entrypoint_subprocess():
